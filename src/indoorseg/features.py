@@ -29,7 +29,7 @@ import numpy as np
 from .cloud import FRAME_GRAVITY, PointCloud
 from .colorspace import srgb_to_lab
 from .errors import FeatureError, InputError
-from .overseg import Patch, PatchGraph, canonicalize_hemisphere
+from .overseg import Patch, PatchGraph, canonicalize_hemisphere, eigvals_3x3
 
 log = logging.getLogger(__name__)
 
@@ -60,28 +60,6 @@ def _spectral_from_points(pts: np.ndarray) -> tuple[float, float, float]:
     cov = centered.T @ centered / pts.shape[0]
     l0, l1, l2 = np.linalg.eigvalsh(cov)
     return max(float(l0), 0.0), max(float(l1 - l0), 0.0), max(float(l2 - l1), 0.0)
-
-
-def _eigvals_3x3(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form ascending eigenvalues of a batch of symmetric 3x3 matrices."""
-    a00, a01, a02 = cov[:, 0, 0], cov[:, 0, 1], cov[:, 0, 2]
-    a11, a12, a22 = cov[:, 1, 1], cov[:, 1, 2], cov[:, 2, 2]
-    q = (a00 + a11 + a22) / 3.0
-    b00, b11, b22 = a00 - q, a11 - q, a22 - q
-    p2 = b00**2 + b11**2 + b22**2 + 2.0 * (a01**2 + a02**2 + a12**2)
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    nonzero = p > 0
-    p_safe = np.where(nonzero, p, 1.0)
-    det_b = (b00 * (b11 * b22 - a12 * a12)
-             - a01 * (a01 * b22 - a12 * a02)
-             + a02 * (a01 * a12 - b11 * a02))
-    r = np.clip(det_b / (2.0 * p_safe**3), -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    l2 = q + 2.0 * p * np.cos(phi)
-    l0 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    l1 = 3.0 * q - l0 - l2
-    return (np.where(nonzero, l0, q), np.where(nonzero, l1, q),
-            np.where(nonzero, l2, q))
 
 
 def height_features(patch: Patch, cloud: PointCloud) -> tuple[float, float, float]:
@@ -154,13 +132,9 @@ def extract_features(graph: PatchGraph, cloud: PointCloud) -> list[tuple[int, np
     # spectral: centered second moments -> batched 3x3 eigenvalues
     mean_pos = group_mean(pos)
     d = pos - mean_pos[pid]
-    cov = np.empty((n_patches, 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            m = np.bincount(pid, weights=d[:, i] * d[:, j], minlength=n_patches) / sizes_safe
-            cov[:, i, j] = m
-            cov[:, j, i] = m
-    l0, l1, l2 = _eigvals_3x3(cov)
+    l0, l1, l2 = eigvals_3x3(*(
+        np.bincount(pid, weights=d[:, i] * d[:, j], minlength=n_patches) / sizes_safe
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))))
     spectral = np.stack([np.maximum(l0, 0.0),
                          np.maximum(l1 - l0, 0.0),
                          np.maximum(l2 - l1, 0.0)], axis=1)

@@ -86,14 +86,16 @@ def estimate_ground_plane(
     normal = eigvecs[:, 0]
     offset = -float(normal @ center)
 
-    # orient so the camera origin has positive height
-    if offset < -1e-12:
-        normal, offset = -normal, -offset
-    elif abs(offset) <= 1e-12:
+    # orient so the camera origin has positive height; an origin within the
+    # fit threshold of the plane (a gravity-frame cloud's floor passes through
+    # it) gives no reliable sign, so the frame's up vector decides instead
+    if abs(offset) <= threshold:
         up = np.array([0.0, -1.0, 0.0]) if cloud.frame == FRAME_CAMERA \
             else np.array([0.0, 0.0, 1.0])
         if normal @ up < 0:
             normal, offset = -normal, -offset
+    elif offset < 0:
+        normal, offset = -normal, -offset
 
     inlier_count = int((np.abs(floor @ normal + offset) <= threshold).sum())
     return GroundPlane(normal=normal, offset=float(offset),

@@ -7,6 +7,12 @@ disconnected assignment into separate patches so that every surviving
 patch is connected at voxel granularity (26-connectivity). The same voxel
 adjacency yields the patch adjacency graph consumed by the MRF stage.
 
+Normals query the k nearest neighbours in the kd-tree's own point order,
+in fixed chunks of ``_KNN_CHUNK`` points, into a (k, N) neighbour table.
+The voxel grid keeps one empty layer on every side, so every 26-neighbour
+of an occupied voxel lies inside the grid and its packed key is the
+voxel's key plus a constant per offset.
+
 Everything is vectorized; results are deterministic for a given cloud and
 parameter set regardless of thread count.
 """
@@ -25,6 +31,7 @@ from .errors import InputError
 
 _UP_CAMERA = np.array([0.0, -1.0, 0.0])
 _UP_GRAVITY = np.array([0.0, 0.0, 1.0])
+_KNN_CHUNK = 1 << 15  # normals kNN query points per call
 
 
 @dataclass(frozen=True)
@@ -112,32 +119,34 @@ def compute_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
         raise InputError(f"cloud has {n_points} points, need at least k={k}")
     pos = cloud.positions
     tree = cKDTree(pos, leafsize=32, balanced_tree=False)
-    _, idx = tree.query(pos, k=k, workers=-1)
+    # query in the tree's own point order, one chunk at a time: neighbouring
+    # queries walk the same leaves, and no (N, k) distance array is built
+    nbr = np.empty((k, n_points), dtype=np.intp)
+    for start in range(0, n_points, _KNN_CHUNK):
+        rows = tree.indices[start:start + _KNN_CHUNK]
+        nbr[:, rows] = tree.query(pos[rows], k=k, workers=-1)[1].T
 
     # accumulate neighbor moments in query-point-local coordinates, one
-    # neighbor column at a time: same covariance, no (N, k, 3) temporaries
-    s1 = np.zeros((n_points, 3))
-    s2 = np.zeros((n_points, 6))  # xx, yy, zz, xy, xz, yz
-    for col in range(k):
-        g = pos[idx[:, col]] - pos
-        s1 += g
-        s2[:, 0] += g[:, 0] * g[:, 0]
-        s2[:, 1] += g[:, 1] * g[:, 1]
-        s2[:, 2] += g[:, 2] * g[:, 2]
-        s2[:, 3] += g[:, 0] * g[:, 1]
-        s2[:, 4] += g[:, 0] * g[:, 2]
-        s2[:, 5] += g[:, 1] * g[:, 2]
-    s1 /= float(k)
-    s2 /= float(k)
-    cov = np.empty((n_points, 3, 3))
-    cov[:, 0, 0] = s2[:, 0] - s1[:, 0] * s1[:, 0]
-    cov[:, 1, 1] = s2[:, 1] - s1[:, 1] * s1[:, 1]
-    cov[:, 2, 2] = s2[:, 2] - s1[:, 2] * s1[:, 2]
-    cov[:, 0, 1] = cov[:, 1, 0] = s2[:, 3] - s1[:, 0] * s1[:, 1]
-    cov[:, 0, 2] = cov[:, 2, 0] = s2[:, 4] - s1[:, 0] * s1[:, 2]
-    cov[:, 1, 2] = cov[:, 2, 1] = s2[:, 5] - s1[:, 1] * s1[:, 2]
+    # neighbor rank at a time on contiguous per-axis arrays
+    x, y, z = (np.ascontiguousarray(pos[:, c]) for c in range(3))
+    moments = np.zeros((9, n_points))
+    sx, sy, sz, sxx, syy, szz, sxy, sxz, syz = moments
+    for row in nbr:
+        gx, gy, gz = x[row] - x, y[row] - y, z[row] - z
+        sx += gx
+        sy += gy
+        sz += gz
+        sxx += gx * gx
+        syy += gy * gy
+        szz += gz * gz
+        sxy += gx * gy
+        sxz += gx * gz
+        syz += gy * gz
+    moments /= float(k)
+    cov = (sxx - sx * sx, sxy - sx * sy, sxz - sx * sz,
+           syy - sy * sy, syz - sy * sz, szz - sz * sz)
 
-    l0, l1, l2, vec, vec_ok = _smallest_eigenpair_3x3(cov)
+    l0, l1, l2, vec, vec_ok = _smallest_eigenpair_3x3(*cov)
     # the closed-form eigenvalues carry ~1e-8 relative rounding error, so the
     # rank test needs a matching tolerance
     degenerate = (~vec_ok) | (l1 <= np.maximum(l2 * 1e-6, 1e-16))
@@ -155,13 +164,9 @@ def compute_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     return cloud.with_(normals=vec, normal_flags=degenerate)
 
 
-def _smallest_eigenpair_3x3(cov: np.ndarray):
-    """Closed-form eigenvalues (ascending) and smallest-eigenvalue eigenvector
-    for a batch of symmetric 3x3 matrices. Returns (l0, l1, l2, vec, vec_ok);
-    vec_ok is False where the null direction is not unique (rank < 2)."""
-    a00, a01, a02 = cov[:, 0, 0], cov[:, 0, 1], cov[:, 0, 2]
-    a11, a12, a22 = cov[:, 1, 1], cov[:, 1, 2], cov[:, 2, 2]
-
+def eigvals_3x3(a00, a01, a02, a11, a12, a22):
+    """Closed-form ascending eigenvalues (l0, l1, l2) of a batch of symmetric
+    3x3 matrices, given as their six upper-triangle component arrays."""
     q = (a00 + a11 + a22) / 3.0
     b00, b11, b22 = a00 - q, a11 - q, a22 - q
     p2 = b00**2 + b11**2 + b22**2 + 2.0 * (a01**2 + a02**2 + a12**2)
@@ -176,23 +181,23 @@ def _smallest_eigenpair_3x3(cov: np.ndarray):
     l2 = q + 2.0 * p * np.cos(phi)
     l0 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
     l1 = 3.0 * q - l0 - l2
-    l0 = np.where(nonzero, l0, q)
-    l1 = np.where(nonzero, l1, q)
-    l2 = np.where(nonzero, l2, q)
+    return (np.where(nonzero, l0, q), np.where(nonzero, l1, q),
+            np.where(nonzero, l2, q))
 
-    shifted = cov.copy()
-    shifted[:, 0, 0] -= l0
-    shifted[:, 1, 1] -= l0
-    shifted[:, 2, 2] -= l0
-    c01 = np.cross(shifted[:, 0], shifted[:, 1])
-    c02 = np.cross(shifted[:, 0], shifted[:, 2])
-    c12 = np.cross(shifted[:, 1], shifted[:, 2])
-    norms = np.stack([
-        np.einsum("ij,ij->i", c01, c01),
-        np.einsum("ij,ij->i", c02, c02),
-        np.einsum("ij,ij->i", c12, c12),
-    ], axis=1)
+
+def _smallest_eigenpair_3x3(a00, a01, a02, a11, a12, a22):
+    """`eigvals_3x3` plus the smallest-eigenvalue unit eigenvector, the
+    largest cross product of two rows of A - l0 I. Returns (l0, l1, l2, vec,
+    vec_ok); vec_ok is False where the null direction is not unique."""
+    l0, l1, l2 = eigvals_3x3(a00, a01, a02, a11, a12, a22)
+    rows = (np.stack([a00 - l0, a01, a02], axis=1),
+            np.stack([a01, a11 - l0, a12], axis=1),
+            np.stack([a02, a12, a22 - l0], axis=1))
+    crosses = [np.cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    # einsum, not a plain sum of products: the latter rounds differently
+    norms = np.stack([np.einsum("ij,ij->i", c, c) for c in crosses], axis=1)
     best = np.argmax(norms, axis=1)
+    c01, c02, c12 = crosses
     vec = np.where(best[:, None] == 0, c01, np.where(best[:, None] == 1, c02, c12))
     best_norm = np.take_along_axis(norms, best[:, None], axis=1)[:, 0]
     scale = np.maximum(l2, 1e-30) ** 2
@@ -231,8 +236,10 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     res = params.voxel_resolution
     seed_res = params.seed_resolution
 
+    # one empty layer on every side of the grid: a neighbour of an occupied
+    # voxel is then always inside it, so its key is the voxel's plus a delta
     ijk = np.floor(pos / res).astype(np.int64)
-    ijk -= ijk.min(axis=0)
+    ijk -= ijk.min(axis=0) - 1
     dims = ijk.max(axis=0) + 2
     keys = _pack_grid(ijk, dims)
     uniq_keys, vox_of_point = np.unique(keys, return_inverse=True)
@@ -265,18 +272,13 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     assign = _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params)
 
     # voxel adjacency (26-connectivity), as undirected index pairs
-    ijk_vox = np.stack(np.unravel_index(uniq_keys, dims), axis=1)
     pairs = []
-    for off in _OFFSETS:
-        moved = ijk_vox + off
-        inside = ((moved >= 0) & (moved < dims)).all(axis=1)
-        cand_keys = _pack_grid(moved[inside], dims)
-        loc = np.searchsorted(uniq_keys, cand_keys)
-        loc = np.minimum(loc, n_vox - 1)
-        hit = uniq_keys[loc] == cand_keys
-        src = np.nonzero(inside)[0][hit]
-        pairs.append(np.stack([src, loc[hit]], axis=1))
-    vox_edges = np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.int64)
+    for delta in _pack_grid(_OFFSETS, dims):
+        cand_keys = uniq_keys + delta
+        loc = np.minimum(np.searchsorted(uniq_keys, cand_keys), n_vox - 1)
+        hit = np.nonzero(uniq_keys[loc] == cand_keys)[0]
+        pairs.append(np.stack([hit, loc[hit]], axis=1))
+    vox_edges = np.concatenate(pairs)
 
     # split spatially disconnected assignments into separate patches
     same = assign[vox_edges[:, 0]] == assign[vox_edges[:, 1]]
@@ -296,19 +298,21 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     np.minimum.at(first_point, point_comp, np.arange(len(cloud)))
     kept_comps = np.nonzero(keep)[0]
     kept_comps = kept_comps[np.argsort(first_point[kept_comps], kind="stable")]
+    n_patches = kept_comps.shape[0]
     comp_to_patch = np.full(n_comp, -1, dtype=np.int64)
-    comp_to_patch[kept_comps] = np.arange(kept_comps.shape[0])
+    comp_to_patch[kept_comps] = np.arange(n_patches)
 
     point_to_patch = comp_to_patch[point_comp]
-    patches = _build_patches(cloud, lab, point_to_patch, kept_comps.shape[0])
+    patches = _build_patches(cloud.positions, canon, lab, point_to_patch, n_patches)
 
+    # dedupe patch pairs as packed keys a * P + b; their sort order is (a, b)
     patch_a = comp_to_patch[comp[vox_edges[:, 0]]]
     patch_b = comp_to_patch[comp[vox_edges[:, 1]]]
     cross = (patch_a != patch_b) & (patch_a >= 0) & (patch_b >= 0)
     ea = np.minimum(patch_a[cross], patch_b[cross])
     eb = np.maximum(patch_a[cross], patch_b[cross])
-    edges = np.unique(np.stack([ea, eb], axis=1), axis=0) if ea.size else \
-        np.zeros((0, 2), dtype=np.int64)
+    edge_keys = np.unique(ea * n_patches + eb)
+    edges = np.stack([edge_keys // n_patches, edge_keys % n_patches], axis=1)
 
     return PatchGraph(patches=patches, edges=edges,
                       point_to_patch=point_to_patch, params=params)
@@ -370,15 +374,9 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.nd
     return assign
 
 
-def _build_patches(cloud, lab, point_to_patch, n_patches) -> tuple[Patch, ...]:
-    if n_patches == 0:
-        return ()
-    pos = cloud.positions
-    canon = canonicalize_hemisphere(cloud.normals)
-    member = point_to_patch >= 0
-    pid = point_to_patch[member]
-    idx = np.nonzero(member)[0]
-
+def _patch_geometry(pos, canon, member, pid, n_patches):
+    """Per-patch point counts, centroids and unit mean normals, given the
+    point normals flipped into the +z hemisphere (``canon``)."""
     sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
     centroid = np.stack([
         np.bincount(pid, weights=pos[member, c], minlength=n_patches) for c in range(3)
@@ -390,6 +388,16 @@ def _build_patches(cloud, lab, point_to_patch, n_patches) -> tuple[Patch, ...]:
     flat = nn < 1e-12
     normal_sum[flat] = _UP_GRAVITY
     mean_normal = normal_sum / np.maximum(np.linalg.norm(normal_sum, axis=1), 1e-300)[:, None]
+    return sizes, centroid, mean_normal
+
+
+def _build_patches(pos, canon, lab, point_to_patch, n_patches) -> tuple[Patch, ...]:
+    if n_patches == 0:
+        return ()
+    member = point_to_patch >= 0
+    pid = point_to_patch[member]
+    idx = np.nonzero(member)[0]
+    sizes, centroid, mean_normal = _patch_geometry(pos, canon, member, pid, n_patches)
     mean_lab = np.stack([
         np.bincount(pid, weights=lab[member, c], minlength=n_patches) for c in range(3)
     ], axis=1) / sizes[:, None]
@@ -406,9 +414,15 @@ def _build_patches(cloud, lab, point_to_patch, n_patches) -> tuple[Patch, ...]:
 
 
 def refresh_patch_stats(graph: PatchGraph, cloud: PointCloud) -> PatchGraph:
-    """Recompute patch centroids/normals from the (possibly transformed) cloud."""
-    lab = srgb_to_lab(cloud.colors)
-    patches = _build_patches(cloud, lab, graph.point_to_patch, len(graph.patches))
+    """Recompute patch centroids/normals from the rigidly moved cloud; members
+    and colours, hence ``mean_color_lab``, carry over unchanged."""
+    member = graph.point_to_patch >= 0
+    _, centroid, mean_normal = _patch_geometry(
+        cloud.positions, canonicalize_hemisphere(cloud.normals), member,
+        graph.point_to_patch[member], len(graph.patches))
+    patches = tuple(Patch(id=p.id, point_indices=p.point_indices, centroid=centroid[p.id],
+                          mean_normal=mean_normal[p.id], mean_color_lab=p.mean_color_lab)
+                    for p in graph.patches)
     return PatchGraph(patches=patches, edges=graph.edges,
                       point_to_patch=graph.point_to_patch, params=graph.params)
 

@@ -4,6 +4,7 @@ import pytest
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
 from indoorseg.errors import FrameDiscardError, InputError
 from indoorseg.ground import (
+    DEFAULT_RANSAC_THRESHOLD,
     GroundPlane,
     estimate_ground_plane,
     gravity_align,
@@ -11,6 +12,7 @@ from indoorseg.ground import (
     plane_from_pose,
 )
 from indoorseg.labels import Label
+from indoorseg.synth import SceneSpec, generate_scene
 
 from conftest import make_cloud
 
@@ -59,6 +61,15 @@ class TestEstimate:
         p2 = estimate_ground_plane(cloud, min_floor_points=100, seed=7)
         np.testing.assert_array_equal(p1.normal, p2.normal)
         assert p1.offset == p2.offset
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gravity_frame_floor_normal_points_up(self, seed):
+        # the floor passes within microns of a gravity-frame cloud's origin,
+        # so the offset's sign is noise; the frame's up vector must decide
+        cloud = generate_scene(SceneSpec(seed=seed, points_per_m2=500.0))
+        plane = estimate_ground_plane(cloud)
+        assert abs(plane.offset) <= DEFAULT_RANSAC_THRESHOLD
+        assert plane.normal @ [0.0, 0.0, 1.0] > 0
 
 
 class TestAlign:

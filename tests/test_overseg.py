@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
+from indoorseg import overseg
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
 from indoorseg.errors import InputError
 from indoorseg.overseg import (
     OversegParams,
+    canonicalize_hemisphere,
     compute_normals,
     oversegment,
+    up_vector,
 )
 from indoorseg.synth import SceneSpec, generate_scene
 
@@ -61,6 +66,95 @@ class TestComputeNormals:
             compute_normals(cloud, k=15)
 
 
+def reference_normals(cloud, k):
+    """The straightforward form of `compute_normals`: one kNN query over all
+    points, neighbor columns gathered from the (N, 3) array, an (N, 3, 3)
+    covariance tensor and its closed-form smallest eigenpair."""
+    pos = cloud.positions
+    n = len(cloud)
+    _, idx = cKDTree(pos, leafsize=32, balanced_tree=False).query(pos, k=k)
+    s1 = np.zeros((n, 3))
+    s2 = np.zeros((n, 6))  # xx, yy, zz, xy, xz, yz
+    for col in range(k):
+        g = pos[idx[:, col]] - pos
+        s1 += g
+        s2[:, 0] += g[:, 0] * g[:, 0]
+        s2[:, 1] += g[:, 1] * g[:, 1]
+        s2[:, 2] += g[:, 2] * g[:, 2]
+        s2[:, 3] += g[:, 0] * g[:, 1]
+        s2[:, 4] += g[:, 0] * g[:, 2]
+        s2[:, 5] += g[:, 1] * g[:, 2]
+    s1 /= float(k)
+    s2 /= float(k)
+    cov = np.empty((n, 3, 3))
+    cov[:, 0, 0] = s2[:, 0] - s1[:, 0] * s1[:, 0]
+    cov[:, 1, 1] = s2[:, 1] - s1[:, 1] * s1[:, 1]
+    cov[:, 2, 2] = s2[:, 2] - s1[:, 2] * s1[:, 2]
+    cov[:, 0, 1] = cov[:, 1, 0] = s2[:, 3] - s1[:, 0] * s1[:, 1]
+    cov[:, 0, 2] = cov[:, 2, 0] = s2[:, 4] - s1[:, 0] * s1[:, 2]
+    cov[:, 1, 2] = cov[:, 2, 1] = s2[:, 5] - s1[:, 1] * s1[:, 2]
+
+    a00, a01, a02 = cov[:, 0, 0], cov[:, 0, 1], cov[:, 0, 2]
+    a11, a12, a22 = cov[:, 1, 1], cov[:, 1, 2], cov[:, 2, 2]
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p2 = b00**2 + b11**2 + b22**2 + 2.0 * (a01**2 + a02**2 + a12**2)
+    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
+    nonzero = p > 0
+    p_safe = np.where(nonzero, p, 1.0)
+    det_b = (b00 * (b11 * b22 - a12 * a12)
+             - a01 * (a01 * b22 - a12 * a02)
+             + a02 * (a01 * a12 - b11 * a02))
+    r = np.clip(det_b / (2.0 * p_safe**3), -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    l2 = np.where(nonzero, q + 2.0 * p * np.cos(phi), q)
+    l0 = np.where(nonzero, q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q)
+    l1 = np.where(nonzero, 3.0 * q - l0 - l2, q)
+
+    shifted = cov.copy()
+    for i in range(3):
+        shifted[:, i, i] -= l0
+    crosses = [np.cross(shifted[:, i], shifted[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    norms = np.stack([np.einsum("ij,ij->i", c, c) for c in crosses], axis=1)
+    best = np.argmax(norms, axis=1)
+    vec = np.choose(best[:, None], crosses)
+    best_norm = norms[np.arange(n), best]
+    vec_ok = best_norm > np.maximum(l2, 1e-30) ** 2 * 1e-24
+    vec = vec / np.sqrt(np.maximum(best_norm, 1e-300))[:, None]
+    degenerate = (~vec_ok) | (l1 <= np.maximum(l2 * 1e-6, 1e-16))
+
+    if cloud.frame == FRAME_CAMERA:
+        toward = np.einsum("ij,ij->i", vec, pos)
+        vec[(toward > 0) | ((toward == 0) & (vec[:, 1] > 0))] *= -1.0
+    else:
+        vec = canonicalize_hemisphere(vec)
+    vec[degenerate] = up_vector(cloud.frame)
+    return vec, degenerate
+
+
+class TestNormalsOracle:
+    @pytest.mark.parametrize("frame", [FRAME_GRAVITY, FRAME_CAMERA])
+    def test_matches_reference_bit_for_bit(self, frame, monkeypatch):
+        scene = generate_scene(SceneSpec(
+            seed=3, room_extent=(3.6, 3.0, 2.2), points_per_m2=150.0,
+            furniture_counts={"table": 1, "chair": 1, "cabinet": 0, "object": 1}))
+        # a collinear run of points far from the room gives degenerate normals
+        line = np.zeros((40, 3))
+        line[:, 0] = np.linspace(10.0, 10.5, 40)
+        pos = np.vstack([scene.positions, line])
+        if frame == FRAME_CAMERA:
+            pos = pos[:, [1, 2, 0]] * [1.0, -1.0, 1.0] + [0.0, 1.2, 0.3]
+        cloud = make_cloud(pos, frame=frame)
+        # several short query chunks, so the tree-order scatter is exercised
+        monkeypatch.setattr(overseg, "_KNN_CHUNK", 997)
+        assert len(cloud) > 2 * 997
+        got = compute_normals(cloud, k=15)
+        normals, flags = reference_normals(cloud, k=15)
+        assert flags[-40:].all() and not flags.all()
+        np.testing.assert_array_equal(got.normals, normals)
+        np.testing.assert_array_equal(got.normal_flags, flags)
+
+
 def _dense_plane_cloud(rng, extent=1.0, density=12000, z=0.0):
     n = int(extent * extent * density)
     cloud = make_cloud(sample_plane(rng, n, extent=extent, z=z), frame=FRAME_GRAVITY)
@@ -78,6 +172,7 @@ class TestOversegment:
         graph = oversegment(cloud)
         assert len(graph.patches) == 0
         assert graph.edges.shape == (0, 2)
+        assert graph.edges.dtype == np.int64
 
     def test_bad_resolutions(self, rng):
         with pytest.raises(InputError):
@@ -88,6 +183,46 @@ class TestOversegment:
         cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=3)
         graph = oversegment(cloud, OversegParams(min_patch_points=10))
         assert len(graph.patches) == 0
+        assert graph.edges.shape == (0, 2)
+        assert graph.edges.dtype == np.int64
+
+    def test_single_patch_has_no_edges(self, rng):
+        pts = sample_plane(rng, 400, extent=0.05)
+        cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=10)
+        graph = oversegment(cloud, OversegParams(seed_resolution=0.5))
+        assert len(graph.patches) == 1
+        assert graph.edges.shape == (0, 2)
+        assert graph.edges.dtype == np.int64
+
+    def test_adjacency_matches_brute_force_voxel_scan(self, rng):
+        """Every pair of distinct kept patches owning two voxels that touch
+        (26-connectivity) is an edge, and no other pair is. The cloud fills
+        the surface of a box, so occupied voxels lie on every face of the
+        voxel grid, where a neighbour probe leaves the occupied range."""
+        size = np.array([0.4, 0.3, 0.2])
+        pts = rng.uniform(0.0, 1.0, (6000, 3)) * size
+        face = rng.integers(0, 3, 6000)
+        pts[np.arange(6000), face] = rng.integers(0, 2, 6000) * size[face]
+        cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=10)
+        params = OversegParams(voxel_resolution=0.02, seed_resolution=0.06,
+                               min_patch_points=5)
+        graph = oversegment(cloud, params)
+
+        ijk = np.floor(cloud.positions / params.voxel_resolution).astype(np.int64)
+        vox, first = np.unique(ijk, axis=0, return_index=True)
+        for axis in range(3):
+            assert (vox[:, axis] == vox[:, axis].min()).sum() > 1
+            assert (vox[:, axis] == vox[:, axis].max()).sum() > 1
+        vox_patch = graph.point_to_patch[first]
+        touch = np.abs(vox[:, None, :] - vox[None, :, :]).max(axis=2) == 1
+        a, b = np.nonzero(np.triu(touch))
+        pa, pb = vox_patch[a], vox_patch[b]
+        keep = (pa != pb) & (pa >= 0) & (pb >= 0)
+        expected = {(int(min(x, y)), int(max(x, y))) for x, y in zip(pa[keep], pb[keep])}
+        assert len(graph.patches) > 10 and len(expected) > 10
+        assert graph.adjacency == expected
+        assert graph.edges.shape == (len(expected), 2)
+        np.testing.assert_array_equal(graph.edges, np.array(sorted(expected)))
 
     def test_partition_and_adjacency_invariants(self, rng):
         cloud = _dense_plane_cloud(rng)

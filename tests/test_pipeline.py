@@ -3,7 +3,8 @@ import pytest
 
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
 from indoorseg.errors import InputError
-from indoorseg.evalkit import prepare_frames
+from indoorseg import overseg
+from indoorseg.evalkit import prepare_frames, train_from_preps
 from indoorseg.ground import plane_from_pose
 from indoorseg.labels import Label
 from indoorseg.pipeline import (
@@ -11,6 +12,7 @@ from indoorseg.pipeline import (
     patch_majority_labels,
     resolve_ground_plane,
     run_stages,
+    segment_cloud,
 )
 from indoorseg.synth import SceneSpec, generate_scene
 
@@ -106,3 +108,24 @@ class TestStages:
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(a.patch_gt, b.patch_gt)
             np.testing.assert_array_equal(a.point_to_feature, b.point_to_feature)
+
+    def test_knn_thread_count_does_not_change_results(self, monkeypatch):
+        preps, _ = prepare_frames([small_scene(1)], CFG)
+        model = train_from_preps(preps, CFG)
+        cloud = small_scene(0)
+        # several normals query chunks, the last one short
+        assert len(cloud) > overseg._KNN_CHUNK
+        assert len(cloud) % overseg._KNN_CHUNK != 0
+        parallel = segment_cloud(cloud, model, CFG)
+
+        class SerialTree(overseg.cKDTree):
+            def query(self, *args, **kwargs):
+                return super().query(*args, **{**kwargs, "workers": 1})
+
+        monkeypatch.setattr(overseg, "cKDTree", SerialTree)
+        serial = segment_cloud(cloud, model, CFG)
+        np.testing.assert_array_equal(serial.point_labels, parallel.point_labels)
+        np.testing.assert_array_equal(serial.stage_output.graph.edges,
+                                      parallel.stage_output.graph.edges)
+        np.testing.assert_array_equal(serial.stage_output.cloud.normals,
+                                      parallel.stage_output.cloud.normals)
