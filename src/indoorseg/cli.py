@@ -156,9 +156,9 @@ def _cmd_segment(args) -> int:
         "lbp_iterations": int(result.labeling.iterations),
         "patches": [
             {"patch": int(pid),
-             "map_label": int(result.map_labels[i]),
+             "map_label": int(result.labeling.assignment[i]),
              "distribution": [round(float(v), 6) for v in result.distributions[i]]}
-            for i, pid in enumerate(result.feature_ids)
+            for i, pid in enumerate(result.stage_output.feature_ids)
         ],
     }
     probs_path = Path(args.patch_probs) if args.patch_probs else \

@@ -111,7 +111,12 @@ class PointCloud:
         if not np.isfinite(positions).all():
             raise InputError("positions contain non-finite values")
         n = positions.shape[0]
-        colors = np.ascontiguousarray(self.colors, dtype=np.uint8)
+        colors = self.colors
+        if getattr(colors, "dtype", None) != np.uint8:
+            colors = np.asarray(colors)
+            if colors.size and not ((colors >= 0) & (colors <= 255)).all():
+                raise InputError("color values must lie in 0..255")
+        colors = np.ascontiguousarray(colors, dtype=np.uint8)
         if colors.shape != (n, 3):
             raise InputError(f"colors must have shape ({n}, 3), got {colors.shape}")
         object.__setattr__(self, "positions", _freeze(positions))

@@ -19,13 +19,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import mrf
 from .cloud import PointCloud
 from .errors import EvaluationError, FrameDiscardError, InputError
-from .forest import ForestModel, TrainingSet, predict_batch, train_forest
+from .forest import ForestModel, TrainingSet, train_forest
 from .labels import LABEL_NAMES, NUM_TRAINABLE, Label
 from .pipeline import (
     PipelineConfig,
+    classify,
     patch_majority_labels,
     run_stages,
 )
@@ -99,12 +99,6 @@ class ConfusionMatrix:
         return float(self.total / denom)
 
 
-def accumulate(cm: ConfusionMatrix, ground_truth: np.ndarray,
-               predicted: np.ndarray) -> ConfusionMatrix:
-    """Functional spelling of ConfusionMatrix.add."""
-    return cm.add(ground_truth, predicted)
-
-
 def kfold_split(frame_ids: Sequence, k: int = 5, seed: int = 0) -> list[list]:
     """Disjoint folds covering all ids, sizes within 1, fixed by the seed."""
     ids = list(frame_ids)
@@ -127,7 +121,7 @@ class FramePrep:
     features: np.ndarray          # (F, 14)
     patch_gt: np.ndarray          # (F,) majority ground truth per patch
     edges: np.ndarray             # (E, 2) into feature rows
-    edge_weights_distance: np.ndarray  # (E,) centroid distances (meters)
+    edge_lengths: np.ndarray      # (E,) centroid distances (meters)
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -137,33 +131,14 @@ def prepare_frame(cloud: PointCloud, config: PipelineConfig,
     if cloud.labels is None:
         raise InputError("evaluation needs ground-truth labeled clouds")
     stages = run_stages(cloud, config)
-    graph = stages.graph
-    patch_gt_all = patch_majority_labels(graph, stages.cloud)
-    feature_ids = stages.feature_ids
-
-    index_of = np.full(len(graph.patches), -1, dtype=np.int64)
-    index_of[feature_ids] = np.arange(feature_ids.shape[0])
-    edges = graph.edges
-    if edges.shape[0]:
-        a, b = index_of[edges[:, 0]], index_of[edges[:, 1]]
-        keep = (a >= 0) & (b >= 0)
-        sub_edges = np.stack([a[keep], b[keep]], axis=1)
-        centroids = graph.centroids()[feature_ids]
-        dists = np.linalg.norm(
-            centroids[sub_edges[:, 0]] - centroids[sub_edges[:, 1]], axis=1)
-    else:
-        sub_edges = np.zeros((0, 2), dtype=np.int64)
-        dists = np.zeros(0)
-
     return FramePrep(
         frame_id=frame_id or stages.cloud.meta.source_id,
         point_gt=stages.cloud.labels.copy(),
         point_to_feature=stages.point_to_feature,
         features=stages.features,
-        patch_gt=patch_gt_all[feature_ids] if feature_ids.shape[0] else
-        np.zeros(0, dtype=np.int64),
-        edges=sub_edges,
-        edge_weights_distance=dists,
+        patch_gt=patch_majority_labels(stages.graph, stages.cloud)[stages.feature_ids],
+        edges=stages.edges,
+        edge_lengths=stages.edge_lengths,
         timings=stages.timings,
     )
 
@@ -186,26 +161,10 @@ def train_from_preps(preps: Sequence[FramePrep], config: PipelineConfig,
 
 def score_prep(prep: FramePrep, model: ForestModel, config: PipelineConfig,
                cm_mrf: ConfusionMatrix, cm_unary: ConfusionMatrix) -> None:
-    """Predict one cached frame and accumulate both confusion matrices."""
-    if prep.features.shape[0] == 0:
-        cm_mrf.add(prep.point_gt, np.full_like(prep.point_gt, int(Label.UNKNOWN)))
-        cm_unary.add(prep.point_gt, np.full_like(prep.point_gt, int(Label.UNKNOWN)))
-        return
-    probs = predict_batch(model, prep.features)
-    unary = config.mrf_lambda * (1.0 - probs)
-    problem = mrf.MrfProblem(
-        unary=unary, edges=prep.edges,
-        weights=np.exp(-prep.edge_weights_distance / config.mrf_sigma),
-        lam=config.mrf_lambda, sigma=config.mrf_sigma)
-    labeling = mrf.solve_map_lbp(problem, max_iters=config.lbp_max_iters,
-                                 damping=config.lbp_damping, tol=config.lbp_tol)
-
-    covered = prep.point_to_feature >= 0
-    for cm, patch_labels in ((cm_mrf, labeling.assignment),
-                             (cm_unary, np.argmin(unary, axis=1))):
-        pred = np.full(prep.point_gt.shape[0], int(Label.UNKNOWN), dtype=np.uint8)
-        pred[covered] = patch_labels[prep.point_to_feature[covered]].astype(np.uint8)
-        cm.add(prep.point_gt, pred)
+    """Classify one cached frame and accumulate both confusion matrices."""
+    result = classify(prep, model, config)
+    cm_mrf.add(prep.point_gt, result.point_labels)
+    cm_unary.add(prep.point_gt, result.unary_point_labels)
 
 
 @dataclass

@@ -28,8 +28,8 @@ import numpy as np
 
 from .cloud import FRAME_GRAVITY, PointCloud
 from .colorspace import srgb_to_lab
-from .errors import FeatureError, InputError
-from .overseg import Patch, PatchGraph, canonicalize_hemisphere, eigvals_3x3
+from .errors import InputError
+from .overseg import PatchGraph, canonicalize_hemisphere, eigvals_3x3
 
 log = logging.getLogger(__name__)
 
@@ -47,67 +47,18 @@ _CIRC_STD_MAX = 4.0  # sqrt(-2 ln e^-8)
 _R_CLAMP = np.exp(-8.0)
 
 
-def spectral_features(patch: Patch, cloud: PointCloud) -> tuple[float, float, float]:
-    """(pointness, surfaceness, linearness) from the patch scatter matrix."""
-    pts = cloud.positions[patch.point_indices]
-    return _spectral_from_points(pts)
-
-
-def _spectral_from_points(pts: np.ndarray) -> tuple[float, float, float]:
-    if pts.shape[0] < 3:
-        raise FeatureError(f"spectral features need >= 3 points, got {pts.shape[0]}")
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / pts.shape[0]
-    l0, l1, l2 = np.linalg.eigvalsh(cov)
-    return max(float(l0), 0.0), max(float(l1 - l0), 0.0), max(float(l2 - l1), 0.0)
-
-
-def height_features(patch: Patch, cloud: PointCloud) -> tuple[float, float, float]:
-    """(centroid height, lowest height, highest height); gravity frame only."""
-    if cloud.frame != FRAME_GRAVITY:
-        raise InputError("height features require a gravity-aligned cloud")
-    z = cloud.positions[patch.point_indices, 2]
-    lo, hi = float(z.min()), float(z.max())
-    return min(max(float(z.mean()), lo), hi), lo, hi
-
-
-def normal_features(patch: Patch, cloud: PointCloud) -> tuple[float, float]:
-    """(mean-normal angle to the ground plane, circular std of point angles)."""
-    if cloud.normals is None:
-        raise InputError("normal features require per-point normals")
-    normals = cloud.normals[patch.point_indices]
-    canon = canonicalize_hemisphere(normals)
-    mean_vec = canon.sum(axis=0)
-    norm = np.linalg.norm(mean_vec)
-    if norm < 1e-12:
-        return 0.0, _CIRC_STD_MAX
-    mean_angle = float(np.arcsin(np.clip(abs(mean_vec[2]) / norm, 0.0, 1.0)))
-
-    theta = np.arcsin(np.clip(np.abs(normals[:, 2]), 0.0, 1.0))
-    resultant = np.array([np.cos(2.0 * theta).mean(), np.sin(2.0 * theta).mean()])
-    r = max(float(np.linalg.norm(resultant)), _R_CLAMP)
-    r = min(r, 1.0)
-    circ_std = float(np.sqrt(-2.0 * np.log(r)))
-    return mean_angle, circ_std
-
-
-def color_features(patch: Patch, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std of the member colors in CIELAB."""
-    lab = srgb_to_lab(cloud.colors[patch.point_indices])
-    return lab.mean(axis=0), lab.std(axis=0)
-
-
-def extract_features(graph: PatchGraph, cloud: PointCloud) -> list[tuple[int, np.ndarray]]:
-    """One 14-entry vector per patch, in patch-id order.
+def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """(patch ids, (F, 14) matrix): one 14-entry vector per patch, in
+    patch-id order.
 
     Patches that cannot produce features (fewer than 3 points) are skipped
     with a logged warning count rather than failing the whole frame. All
     patches are reduced together with grouped array operations, so the cost
     is a handful of passes over the cloud rather than per-patch slicing.
     """
-    n_patches = len(graph.patches)
+    n_patches = len(graph)
     if n_patches == 0:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros((0, FEATURE_DIM))
     if cloud.frame != FRAME_GRAVITY:
         raise InputError("feature extraction requires a gravity-aligned cloud")
     if cloud.normals is None:
@@ -183,13 +134,5 @@ def extract_features(graph: PatchGraph, cloud: PointCloud) -> list[tuple[int, np
     skipped = int((~valid).sum())
     if skipped:
         log.warning("skipped %d patches too small for features", skipped)
-    return [(p, matrix[p]) for p in np.nonzero(valid)[0]]
-
-
-def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """(patch ids, (P, 14) matrix) convenience form of extract_features."""
-    pairs = extract_features(graph, cloud)
-    if not pairs:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, FEATURE_DIM))
-    ids = np.array([p for p, _ in pairs], dtype=np.int64)
-    return ids, np.stack([v for _, v in pairs])
+    ids = np.nonzero(valid)[0]
+    return ids, matrix[ids]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ModelFormatError, PredictionError, TrainingError
 from .features import FEATURE_CONTRACT_VERSION, FEATURE_DIM
-from .labels import LABEL_NAMES, NUM_TRAINABLE, Label
+from .labels import LABEL_NAMES, NUM_TRAINABLE
 
 FORMAT_VERSION = 1
 
@@ -305,6 +305,10 @@ def predict_batch(model: ForestModel, xs: np.ndarray) -> np.ndarray:
             n = node[at_split]
             vals = xs[r, tree.feature[n]]
             node[at_split] = np.where(vals < tree.threshold[n], tree.left[n], tree.right[n])
+        if (tree.kind[node] == KIND_SPLIT).any():
+            raise PredictionError(
+                f"a tree routes rows past max_depth={model.params.max_depth} "
+                "without reaching a leaf")
         acc += tree.distribution[node]
     return acc / len(model.trees)
 
@@ -420,7 +424,8 @@ def _tree_from_doc(tdoc: dict, tree_index: int, path) -> FlatTree:
                 raise ModelFormatError(f"{path}: field 'threshold' invalid in {where_n}")
             left[i] = node.get("left", -1)
             right[i] = node.get("right", -1)
-            if not (0 <= left[i] < n and 0 <= right[i] < n):
+            # the writer emits preorder, so children follow their parent
+            if not (i < left[i] < n and i < right[i] < n):
                 raise ModelFormatError(f"{path}: child index out of range in {where_n}")
         elif k == "leaf":
             kind[i] = KIND_LEAF
@@ -436,5 +441,12 @@ def _tree_from_doc(tdoc: dict, tree_index: int, path) -> FlatTree:
                 raise ModelFormatError(f"{path}: field 'support' must be >= 1 in {where_n}")
         else:
             raise ModelFormatError(f"{path}: field 'kind' invalid in {where_n}")
+    split = kind == KIND_SPLIT
+    parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
+    orphan = np.nonzero(parents[1:] != 1)[0]
+    if orphan.shape[0]:
+        node = int(orphan[0]) + 1
+        raise ModelFormatError(
+            f"{path}: node {node} of {where} has {parents[node]} parents, expected 1")
     return FlatTree(kind=kind, feature=feature, threshold=threshold, left=left,
                     right=right, distribution=distribution, support=support)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .overseg import PatchGraph
 
 
 @dataclass(frozen=True)
@@ -51,28 +50,24 @@ class Labeling:
     iterations: int = 0
 
 
-def build_problem(graph: PatchGraph, probs: np.ndarray,
+def build_problem(probs: np.ndarray, edges: np.ndarray, edge_lengths: np.ndarray,
                   lam: float = 1.0, sigma: float = 0.1) -> MrfProblem:
-    """Unary costs from per-patch label distributions, Potts edges from adjacency."""
+    """Unary costs from per-node label distributions, Potts weights from the
+    lengths (centroid distances) of the adjacency edges."""
     if lam <= 0 or sigma <= 0:
         raise InputError("lam and sigma must be positive")
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[0] != len(graph.patches):
-        raise InputError(
-            f"need one prediction per patch: {len(graph.patches)} patches, "
-            f"got probs shape {probs.shape}")
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edge_lengths = np.asarray(edge_lengths, dtype=np.float64)
+    if probs.ndim != 2 or (edges.size and not 0 <= edges.min() <= edges.max() < len(probs)):
+        raise InputError(f"need one prediction per edge end, got probs shape {probs.shape}")
+    if edge_lengths.shape != (edges.shape[0],):
+        raise InputError(f"need one length per edge, got {edge_lengths.shape} for {len(edges)}")
     if not np.isfinite(probs).all():
         raise InputError("predictions contain non-finite values")
 
-    unary = lam * (1.0 - probs)
-    centroids = graph.centroids()
-    edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
-    if edges.shape[0]:
-        d = np.linalg.norm(centroids[edges[:, 0]] - centroids[edges[:, 1]], axis=1)
-        weights = np.exp(-d / sigma)
-    else:
-        weights = np.zeros(0)
-    return MrfProblem(unary=unary, edges=edges, weights=weights, lam=lam, sigma=sigma)
+    return MrfProblem(unary=lam * (1.0 - probs), edges=edges,
+                      weights=np.exp(-edge_lengths / sigma), lam=lam, sigma=sigma)
 
 
 def energy_of(problem: MrfProblem, assignment: np.ndarray) -> float:

@@ -7,6 +7,10 @@ disconnected assignment into separate patches so that every surviving
 patch is connected at voxel granularity (26-connectivity). The same voxel
 adjacency yields the patch adjacency graph consumed by the MRF stage.
 
+The result, `PatchGraph`, is three arrays: the point-to-patch map, the
+patch adjacency edges and the patch centroids. Patch members are not
+stored; every consumer reduces over ``point_to_patch`` directly.
+
 Normals query the k nearest neighbours in the kd-tree's own point order,
 in fixed chunks of ``_KNN_CHUNK`` points, into a (k, N) neighbour table.
 The voxel grid keeps one empty layer on every side, so every 26-neighbour
@@ -19,7 +23,7 @@ parameter set regardless of thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -55,43 +59,28 @@ class OversegParams:
 
 
 @dataclass(frozen=True)
-class Patch:
-    id: int
-    point_indices: np.ndarray
-    centroid: np.ndarray
-    mean_normal: np.ndarray
-    mean_color_lab: np.ndarray
-
-    @property
-    def n_points(self) -> int:
-        return int(self.point_indices.shape[0])
-
-
-@dataclass(frozen=True)
 class PatchGraph:
-    """Patches plus symmetric, irreflexive adjacency between them.
+    """Patches as arrays, plus their symmetric, irreflexive adjacency.
 
-    ``edges`` is an (E, 2) int array with edges[i, 0] < edges[i, 1], sorted
-    and unique. ``point_to_patch`` maps every cloud point to its patch id,
-    -1 where the point belongs to no surviving patch.
+    ``point_to_patch`` maps every cloud point to its patch id, -1 where the
+    point belongs to no surviving patch. ``edges`` is an (E, 2) int array
+    with edges[i, 0] < edges[i, 1], sorted and unique. ``centroids`` is the
+    (P, 3) mean position of each patch's points.
     """
 
-    patches: tuple[Patch, ...]
-    edges: np.ndarray
     point_to_patch: np.ndarray
-    params: OversegParams = field(default_factory=OversegParams)
+    edges: np.ndarray
+    centroids: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.patches)
+        return self.centroids.shape[0]
 
     @property
-    def adjacency(self) -> set[tuple[int, int]]:
-        return {(int(a), int(b)) for a, b in self.edges}
-
-    def centroids(self) -> np.ndarray:
-        if not self.patches:
-            return np.zeros((0, 3))
-        return np.stack([p.centroid for p in self.patches])
+    def patches(self) -> range:
+        """The patch ids, ``range(P)``. Kept because the benchmark
+        (``perfbench/harness.py``, ``perfbench/tracing.py``) counts patches
+        as ``len(graph.patches)``."""
+        return range(len(self))
 
 
 def up_vector(frame: str) -> np.ndarray:
@@ -227,8 +216,8 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     points map to -1 in ``point_to_patch``.
     """
     if len(cloud) == 0:
-        return PatchGraph(patches=(), edges=np.zeros((0, 2), dtype=np.int64),
-                          point_to_patch=np.zeros(0, dtype=np.int64), params=params)
+        return PatchGraph(point_to_patch=np.zeros(0, dtype=np.int64),
+                          edges=np.zeros((0, 2), dtype=np.int64), centroids=np.zeros((0, 3)))
     if cloud.normals is None:
         raise InputError("oversegment requires per-point normals (run compute_normals)")
 
@@ -303,7 +292,6 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     comp_to_patch[kept_comps] = np.arange(n_patches)
 
     point_to_patch = comp_to_patch[point_comp]
-    patches = _build_patches(cloud.positions, canon, lab, point_to_patch, n_patches)
 
     # dedupe patch pairs as packed keys a * P + b; their sort order is (a, b)
     patch_a = comp_to_patch[comp[vox_edges[:, 0]]]
@@ -314,8 +302,8 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     edge_keys = np.unique(ea * n_patches + eb)
     edges = np.stack([edge_keys // n_patches, edge_keys % n_patches], axis=1)
 
-    return PatchGraph(patches=patches, edges=edges,
-                      point_to_patch=point_to_patch, params=params)
+    return PatchGraph(point_to_patch=point_to_patch, edges=edges,
+                      centroids=_centroids(pos, point_to_patch, n_patches))
 
 
 def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
@@ -374,63 +362,30 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.nd
     return assign
 
 
-def _patch_geometry(pos, canon, member, pid, n_patches):
-    """Per-patch point counts, centroids and unit mean normals, given the
-    point normals flipped into the +z hemisphere (``canon``)."""
-    sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
-    centroid = np.stack([
-        np.bincount(pid, weights=pos[member, c], minlength=n_patches) for c in range(3)
-    ], axis=1) / sizes[:, None]
-    normal_sum = np.stack([
-        np.bincount(pid, weights=canon[member, c], minlength=n_patches) for c in range(3)
-    ], axis=1)
-    nn = np.linalg.norm(normal_sum, axis=1)
-    flat = nn < 1e-12
-    normal_sum[flat] = _UP_GRAVITY
-    mean_normal = normal_sum / np.maximum(np.linalg.norm(normal_sum, axis=1), 1e-300)[:, None]
-    return sizes, centroid, mean_normal
-
-
-def _build_patches(pos, canon, lab, point_to_patch, n_patches) -> tuple[Patch, ...]:
-    if n_patches == 0:
-        return ()
+def _centroids(positions: np.ndarray, point_to_patch: np.ndarray,
+               n_patches: int) -> np.ndarray:
+    """(P, 3) mean position of each patch's points."""
     member = point_to_patch >= 0
     pid = point_to_patch[member]
-    idx = np.nonzero(member)[0]
-    sizes, centroid, mean_normal = _patch_geometry(pos, canon, member, pid, n_patches)
-    mean_lab = np.stack([
-        np.bincount(pid, weights=lab[member, c], minlength=n_patches) for c in range(3)
+    pos = positions[member]
+    sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
+    return np.stack([
+        np.bincount(pid, weights=pos[:, c], minlength=n_patches) for c in range(3)
     ], axis=1) / sizes[:, None]
-
-    order = np.argsort(pid, kind="stable")
-    starts = np.searchsorted(pid[order], np.arange(n_patches + 1))
-    patches = []
-    for p in range(n_patches):
-        members = idx[order[starts[p]:starts[p + 1]]]
-        patches.append(Patch(
-            id=p, point_indices=members, centroid=centroid[p],
-            mean_normal=mean_normal[p], mean_color_lab=mean_lab[p]))
-    return tuple(patches)
 
 
 def refresh_patch_stats(graph: PatchGraph, cloud: PointCloud) -> PatchGraph:
-    """Recompute patch centroids/normals from the rigidly moved cloud; members
-    and colours, hence ``mean_color_lab``, carry over unchanged."""
-    member = graph.point_to_patch >= 0
-    _, centroid, mean_normal = _patch_geometry(
-        cloud.positions, canonicalize_hemisphere(cloud.normals), member,
-        graph.point_to_patch[member], len(graph.patches))
-    patches = tuple(Patch(id=p.id, point_indices=p.point_indices, centroid=centroid[p.id],
-                          mean_normal=mean_normal[p.id], mean_color_lab=p.mean_color_lab)
-                    for p in graph.patches)
-    return PatchGraph(patches=patches, edges=graph.edges,
-                      point_to_patch=graph.point_to_patch, params=graph.params)
+    """Recompute the patch centroids on the rigidly moved cloud; members and
+    adjacency carry over unchanged."""
+    return PatchGraph(point_to_patch=graph.point_to_patch, edges=graph.edges,
+                      centroids=_centroids(cloud.positions, graph.point_to_patch,
+                                           len(graph)))
 
 
 def dump_patch_colors(graph: PatchGraph, cloud: PointCloud, seed: int = 0) -> PointCloud:
     """Debug view: each patch gets a random color; orphan points turn black."""
     rng = np.random.default_rng(seed)
-    palette = rng.integers(32, 255, size=(max(len(graph.patches), 1), 3), dtype=np.uint8)
+    palette = rng.integers(32, 255, size=(max(len(graph), 1), 3), dtype=np.uint8)
     colors = np.zeros((len(cloud), 3), dtype=np.uint8)
     mask = graph.point_to_patch >= 0
     colors[mask] = palette[graph.point_to_patch[mask]]

@@ -4,13 +4,19 @@ Stage order: normals -> oversegmentation -> gravity alignment (pose or
 label-based plane fit) -> per-patch features -> forest prediction -> MRF
 smoothing -> per-point labels. Points of discarded patches come out as
 `unknown`. Every stage is timed; the timing dict accompanies all results.
+
+`run_stages` does the model-independent part and maps patch ids to
+feature rows once: the point-to-row map, the adjacency edges between rows
+and their centroid lengths. `classify` does the rest (predict, MRF, labels
+per point) on those rows; `segment_cloud` and the evaluation harness's
+`evalkit.score_prep` both call it, so inference and scoring share one path.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +32,7 @@ from .ground import (
     estimate_ground_plane,
     gravity_align,
 )
-from .labels import NUM_TRAINABLE, Label
+from .labels import Label
 from .overseg import OversegParams, PatchGraph, compute_normals, oversegment, \
     refresh_patch_stats
 
@@ -128,10 +134,12 @@ class StageOutput:
     """Everything the classifier stage needs, in the gravity frame."""
 
     cloud: PointCloud           # aligned, with normals
-    graph: PatchGraph           # patch stats refreshed on the aligned cloud
+    graph: PatchGraph           # centroids refreshed on the aligned cloud
     feature_ids: np.ndarray     # patch ids that produced a feature vector
     features: np.ndarray        # (F, 14)
     point_to_feature: np.ndarray  # point index -> row in features, -1 if none
+    edges: np.ndarray           # (E, 2) patch adjacency between feature rows
+    edge_lengths: np.ndarray    # (E,) centroid distance per edge (meters)
     timings: dict[str, float]
 
 
@@ -154,6 +162,11 @@ def resolve_ground_plane(cloud: PointCloud, config: PipelineConfig,
         if pose_plane is None:
             raise InputError("ground_mode 'pose' needs a camera pose file")
         return pose_plane
+    if cloud.labels is None:
+        raise InputError(
+            "ground_mode 'fit' fits the floor to ground-truth labels, and this cloud "
+            "has none: pass the camera pose with --pose-file, or use --ground-mode none "
+            "for a gravity-aligned cloud")
     return estimate_ground_plane(
         cloud,
         min_floor_points=config.min_floor_points,
@@ -189,105 +202,83 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
     feature_ids, features = feature_matrix(graph, cloud)
     timings["features"] = time.perf_counter() - t0
 
-    point_to_feature = np.full(len(cloud), -1, dtype=np.int64)
-    if feature_ids.shape[0]:
-        patch_to_feature = np.full(len(graph.patches), -1, dtype=np.int64)
-        patch_to_feature[feature_ids] = np.arange(feature_ids.shape[0])
-        has_patch = graph.point_to_patch >= 0
-        point_to_feature[has_patch] = patch_to_feature[graph.point_to_patch[has_patch]]
+    # patch id -> feature row; the extra last entry maps patch -1 to row -1
+    row_of = np.full(len(graph) + 1, -1, dtype=np.int64)
+    row_of[feature_ids] = np.arange(feature_ids.shape[0])
+    a, b = row_of[graph.edges[:, 0]], row_of[graph.edges[:, 1]]
+    keep = (a >= 0) & (b >= 0)
+    edges = np.stack([a[keep], b[keep]], axis=1)
+    centroids = graph.centroids[feature_ids]
 
-    return StageOutput(cloud=cloud, graph=graph, feature_ids=feature_ids,
-                       features=features, point_to_feature=point_to_feature,
-                       timings=timings)
+    return StageOutput(
+        cloud=cloud, graph=graph, feature_ids=feature_ids, features=features,
+        point_to_feature=row_of[graph.point_to_patch], edges=edges,
+        edge_lengths=np.linalg.norm(centroids[edges[:, 0]] - centroids[edges[:, 1]], axis=1),
+        timings=timings)
 
 
 def patch_majority_labels(graph: PatchGraph, cloud: PointCloud) -> np.ndarray:
     """Ground-truth label per patch by majority vote (ties: lowest label id)."""
     if cloud.labels is None:
         raise InputError("patch labels need a ground-truth labeled cloud")
-    out = np.full(len(graph.patches), int(Label.UNKNOWN), dtype=np.int64)
-    labels = cloud.labels
-    for patch in graph.patches:
-        hist = np.bincount(labels[patch.point_indices], minlength=len(Label))
-        out[patch.id] = int(np.argmax(hist))
-    return out
+    member = graph.point_to_patch >= 0
+    votes = np.bincount(graph.point_to_patch[member] * len(Label) + cloud.labels[member],
+                        minlength=len(graph) * len(Label))
+    return np.argmax(votes.reshape(len(graph), len(Label)), axis=1)
 
 
 @dataclass
-class SegmentResult:
-    point_labels: np.ndarray        # (N,) uint8, `unknown` for orphan points
-    unary_point_labels: np.ndarray  # same, before MRF smoothing
-    feature_ids: np.ndarray         # patch ids with predictions
-    distributions: np.ndarray       # (F, 7) forest output per predicted patch
-    map_labels: np.ndarray          # (F,) MRF label per predicted patch
-    labeling: mrf.Labeling
-    stage_output: StageOutput
+class Classification:
+    distributions: np.ndarray       # (F, 7) forest output per feature row
+    labeling: mrf.Labeling          # MRF MAP labeling of the feature rows
+    point_labels: np.ndarray        # (N,) uint8, `unknown` for uncovered points
+    unary_point_labels: np.ndarray  # same, from the unary-only argmin
     timings: dict[str, float]
+
+
+def classify(frame, model: ForestModel, config: PipelineConfig) -> Classification:
+    """Forest prediction, MRF smoothing and per-point labels for one frame.
+
+    ``frame`` is a `StageOutput` or an `evalkit.FramePrep`: anything with
+    ``features``, ``edges``, ``edge_lengths`` and ``point_to_feature``.
+    """
+    timings: dict[str, float] = {}
+    t0 = time.perf_counter()
+    distributions = predict_batch(model, frame.features)
+    timings["prediction"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    problem = mrf.build_problem(distributions, frame.edges, frame.edge_lengths,
+                                lam=config.mrf_lambda, sigma=config.mrf_sigma)
+    labeling = mrf.solve_map_lbp(problem, max_iters=config.lbp_max_iters,
+                                 damping=config.lbp_damping, tol=config.lbp_tol)
+    timings["mrf"] = time.perf_counter() - t0
+
+    def to_points(row_labels):
+        # the extra last entry labels the uncovered points (row -1)
+        return np.append(row_labels.astype(np.uint8),
+                         np.uint8(Label.UNKNOWN))[frame.point_to_feature]
+
+    return Classification(
+        distributions=distributions, labeling=labeling,
+        point_labels=to_points(labeling.assignment),
+        unary_point_labels=to_points(np.argmin(problem.unary, axis=1)),
+        timings=timings)
+
+
+@dataclass
+class SegmentResult(Classification):
+    stage_output: StageOutput       # the frame the labels belong to
 
 
 def segment_cloud(cloud: PointCloud, model: ForestModel, config: PipelineConfig,
                   pose_plane: Optional[GroundPlane] = None) -> SegmentResult:
     """Full pipeline on one cloud with a trained model."""
     stages = run_stages(cloud, config, pose_plane)
-    timings = dict(stages.timings)
-
-    t0 = time.perf_counter()
-    distributions = predict_batch(model, stages.features) \
-        if stages.features.shape[0] else np.zeros((0, NUM_TRAINABLE))
-    timings["prediction"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    problem = _subset_problem(stages, distributions, config)
-    labeling = mrf.solve_map_lbp(problem, max_iters=config.lbp_max_iters,
-                                 damping=config.lbp_damping, tol=config.lbp_tol)
-    timings["mrf"] = time.perf_counter() - t0
-
-    unary_patch = np.argmin(problem.unary, axis=1) if problem.num_nodes \
-        else np.zeros(0, dtype=np.int64)
-    point_labels = _spread_to_points(stages, labeling.assignment)
-    unary_point_labels = _spread_to_points(stages, unary_patch)
+    result = classify(stages, model, config)
+    timings = {**stages.timings, **result.timings}
     timings["total"] = sum(timings.values())
-
     return SegmentResult(
-        point_labels=point_labels,
-        unary_point_labels=unary_point_labels,
-        feature_ids=stages.feature_ids,
-        distributions=distributions,
-        map_labels=labeling.assignment.astype(np.int64),
-        labeling=labeling,
-        stage_output=stages,
-        timings=timings,
-    )
-
-
-def _subset_problem(stages: StageOutput, distributions: np.ndarray,
-                    config: PipelineConfig) -> mrf.MrfProblem:
-    """MRF over the feature-bearing patches only, edges remapped."""
-    n_patches = len(stages.graph.patches)
-    feature_ids = stages.feature_ids
-    index_of = np.full(n_patches, -1, dtype=np.int64)
-    index_of[feature_ids] = np.arange(feature_ids.shape[0])
-
-    unary = config.mrf_lambda * (1.0 - distributions)
-    edges = stages.graph.edges
-    if edges.shape[0]:
-        a = index_of[edges[:, 0]]
-        b = index_of[edges[:, 1]]
-        keep = (a >= 0) & (b >= 0)
-        sub_edges = np.stack([a[keep], b[keep]], axis=1)
-        centroids = stages.graph.centroids()[feature_ids]
-        d = np.linalg.norm(centroids[sub_edges[:, 0]] - centroids[sub_edges[:, 1]], axis=1)
-        weights = np.exp(-d / config.mrf_sigma)
-    else:
-        sub_edges = np.zeros((0, 2), dtype=np.int64)
-        weights = np.zeros(0)
-    return mrf.MrfProblem(unary=unary, edges=sub_edges, weights=weights,
-                          lam=config.mrf_lambda, sigma=config.mrf_sigma)
-
-
-def _spread_to_points(stages: StageOutput, patch_labels: np.ndarray) -> np.ndarray:
-    out = np.full(len(stages.cloud), int(Label.UNKNOWN), dtype=np.uint8)
-    covered = stages.point_to_feature >= 0
-    if patch_labels.shape[0]:
-        out[covered] = patch_labels[stages.point_to_feature[covered]].astype(np.uint8)
-    return out
+        distributions=result.distributions, labeling=result.labeling,
+        point_labels=result.point_labels, unary_point_labels=result.unary_point_labels,
+        timings=timings, stage_output=stages)

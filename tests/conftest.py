@@ -28,3 +28,10 @@ def sample_plane(rng, n, extent=1.0, z=0.0):
     pts[:, 1] = rng.uniform(0.0, extent, n)
     pts[:, 2] = z
     return pts
+
+
+def patch_members(graph) -> list:
+    """Point indices of every patch, derived from ``graph.point_to_patch``."""
+    order = np.argsort(graph.point_to_patch, kind="stable")
+    bounds = np.searchsorted(graph.point_to_patch[order], np.arange(len(graph) + 1))
+    return [order[bounds[p]:bounds[p + 1]] for p in range(len(graph))]

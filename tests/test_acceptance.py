@@ -17,7 +17,6 @@ import pytest
 
 from indoorseg.cli import main as cli_main
 from indoorseg.evalkit import (
-    ConfusionMatrix,
     cross_validate,
     evaluate_split,
     prepare_frames,
@@ -27,7 +26,7 @@ from indoorseg.forest import ForestParams, TrainingSet, predict_batch, save_mode
     train_forest
 from indoorseg.labels import Label
 from indoorseg.mrf import MrfProblem, exact_map_bruteforce, solve_map_lbp
-from indoorseg.overseg import Patch, PatchGraph
+from indoorseg.overseg import PatchGraph
 from indoorseg.pipeline import PipelineConfig
 from indoorseg.ply_io import read_cloud
 from indoorseg.search import cluster_tables, search_positions
@@ -136,13 +135,8 @@ def test_criterion_2_feature_identities():
     cloud = make_cloud(pts, colors=np.vstack(colors), normals=np.vstack(normals))
     owner = np.concatenate(owner)
 
-    patches = tuple(
-        Patch(id=p, point_indices=np.nonzero(owner == p)[0],
-              centroid=np.zeros(3), mean_normal=np.array([0.0, 0.0, 1.0]),
-              mean_color_lab=np.zeros(3))
-        for p in range(n_patches))
-    graph = PatchGraph(patches=patches, edges=np.zeros((0, 2), dtype=np.int64),
-                       point_to_patch=owner)
+    graph = PatchGraph(point_to_patch=owner, edges=np.zeros((0, 2), dtype=np.int64),
+                       centroids=np.zeros((n_patches, 3)))
 
     ids, mat = feature_matrix(graph, cloud)
     assert mat.shape == (n_patches, FEATURE_DIM)
@@ -150,7 +144,7 @@ def test_criterion_2_feature_identities():
     # eigen-sum identity against an independent eigenvalue decomposition
     max_err = 0.0
     for p in range(n_patches):
-        member = cloud.positions[patches[p].point_indices]
+        member = cloud.positions[owner == p]
         centered = member - member.mean(axis=0)
         lam2 = np.linalg.eigvalsh(centered.T @ centered / member.shape[0])[-1]
         max_err = max(max_err, abs(mat[p, :3].sum() - lam2))

@@ -139,6 +139,18 @@ def test_segment_frame_discard_exit_code(workspace, tmp_path):
     assert code == 2
 
 
+def test_segment_unlabeled_camera_cloud_names_the_flags(workspace, tmp_path, capsys):
+    _, scenes, model, _ = workspace
+    cloud = read_cloud(scenes / "scene_000.ply")
+    path = tmp_path / "unlabeled.ply"
+    write_cloud(cloud.with_(labels=None, frame="camera"), path)
+    code = main(["segment", "--input", str(path), "--model", str(model),
+                 "--output", str(tmp_path / "out.ply")] + CFG)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--pose-file" in err and "--ground-mode" in err
+
+
 def test_missing_input_exit_code(workspace, tmp_path):
     _, _, model, _ = workspace
     code = main(["segment", "--input", str(tmp_path / "nope.ply"),

@@ -93,6 +93,14 @@ class TestPointCloudType:
         with pytest.raises(InputError):
             make_cloud([[0.0, 0.0, 0.0]], labels=[8])
 
+    def test_rejects_color_out_of_range(self):
+        for bad in ([[300, 0, 0]], [[0, -1, 255]], [[0.0, np.nan, 0.0]]):
+            with pytest.raises(InputError, match="0..255"):
+                PointCloud(positions=[[0.0, 0.0, 0.0]], colors=bad)
+        cloud = PointCloud(positions=[[0.0, 0.0, 0.0]], colors=[[0, 128, 255]])
+        np.testing.assert_array_equal(cloud.colors, [[0, 128, 255]])
+        assert cloud.colors.dtype == np.uint8
+
     def test_arrays_frozen(self):
         cloud = make_cloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):

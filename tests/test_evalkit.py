@@ -4,7 +4,6 @@ import pytest
 from indoorseg.errors import EvaluationError, InputError
 from indoorseg.evalkit import (
     ConfusionMatrix,
-    accumulate,
     cross_validate,
     kfold_split,
 )
@@ -16,7 +15,7 @@ from indoorseg.synth import SceneSpec, generate_scene
 class TestConfusionMatrix:
     def test_perfect_prediction(self, rng):
         gt = rng.integers(0, 7, size=100)
-        cm = accumulate(ConfusionMatrix(), gt, gt)
+        cm = ConfusionMatrix().add(gt, gt)
         assert np.trace(cm.counts) == cm.total <= 100
         assert cm.global_accuracy() == 1.0
         off_diag = cm.counts - np.diag(np.diag(cm.counts))
@@ -26,7 +25,7 @@ class TestConfusionMatrix:
         """cm [[1,1],[0,2]] -> class average (0.5 + 1.0)/2, global 3/4."""
         gt = np.array([0, 0, 1, 1])
         pred = np.array([0, 1, 1, 1])
-        cm = accumulate(ConfusionMatrix(), gt, pred)
+        cm = ConfusionMatrix().add(gt, pred)
         np.testing.assert_array_equal(cm.counts[:2, :2], [[1, 1], [0, 2]])
         assert cm.class_average() == pytest.approx(0.75)
         assert cm.global_accuracy() == pytest.approx(0.75)
@@ -34,7 +33,7 @@ class TestConfusionMatrix:
     def test_unknown_ground_truth_excluded(self):
         gt = np.full(50, int(Label.UNKNOWN))
         pred = np.zeros(50)
-        cm = accumulate(ConfusionMatrix(), gt, pred)
+        cm = ConfusionMatrix().add(gt, pred)
         assert cm.total == 0
         assert cm.excluded_unknown == 50
 
@@ -42,19 +41,19 @@ class TestConfusionMatrix:
         gt = np.zeros(10)
         pred = np.full(10, int(Label.UNKNOWN))
         pred[:4] = 0
-        cm = accumulate(ConfusionMatrix(), gt, pred)
+        cm = ConfusionMatrix().add(gt, pred)
         assert cm.total == 4
         assert cm.excluded_uncovered == 6
         assert cm.coverage() == pytest.approx(0.4)
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            accumulate(ConfusionMatrix(), np.zeros(3), np.zeros(4))
+            ConfusionMatrix().add(np.zeros(3), np.zeros(4))
 
     def test_class_average_ignores_absent_classes(self):
         gt = np.array([0, 0, 3, 3])
         pred = np.array([0, 0, 3, 0])
-        cm = accumulate(ConfusionMatrix(), gt, pred)
+        cm = ConfusionMatrix().add(gt, pred)
         acc = cm.per_class_accuracy()
         assert np.isnan(acc[1])
         assert cm.class_average() == pytest.approx((1.0 + 0.5) / 2)
@@ -68,9 +67,9 @@ class TestConfusionMatrix:
     def test_merge_is_additive(self, rng):
         gt = rng.integers(0, 7, 200)
         pred = rng.integers(0, 7, 200)
-        one = accumulate(ConfusionMatrix(), gt, pred)
-        a = accumulate(ConfusionMatrix(), gt[:100], pred[:100])
-        b = accumulate(ConfusionMatrix(), gt[100:], pred[100:])
+        one = ConfusionMatrix().add(gt, pred)
+        a = ConfusionMatrix().add(gt[:100], pred[:100])
+        b = ConfusionMatrix().add(gt[100:], pred[100:])
         np.testing.assert_array_equal(one.counts, a.merge(b).counts)
 
 

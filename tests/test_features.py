@@ -6,35 +6,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indoorseg.cloud import FRAME_GRAVITY
+from indoorseg.colorspace import srgb_to_lab
 from indoorseg.errors import FeatureError, InputError
-from indoorseg.features import (
-    FEATURE_DIM,
-    color_features,
-    extract_features,
-    feature_matrix,
-    height_features,
-    normal_features,
-    spectral_features,
-)
-from indoorseg.overseg import OversegParams, Patch, PatchGraph, compute_normals, \
-    oversegment
+from indoorseg.features import FEATURE_DIM, feature_matrix
+from indoorseg.overseg import OversegParams, PatchGraph, canonicalize_hemisphere, \
+    compute_normals, oversegment
 
-from conftest import make_cloud, sample_plane
+from conftest import make_cloud, patch_members, sample_plane
+
+# Per-patch reference implementations of the feature groups: one patch at a
+# time, straight from the definitions in the features module docstring.
+# ``indices`` selects the patch's points (default: the whole cloud).
 
 
-def patch_of(cloud, indices=None):
-    indices = np.arange(len(cloud)) if indices is None else np.asarray(indices)
-    pts = cloud.positions[indices]
-    return Patch(id=0, point_indices=indices, centroid=pts.mean(axis=0),
-                 mean_normal=np.array([0.0, 0.0, 1.0]),
-                 mean_color_lab=np.zeros(3))
+def _members(cloud, indices):
+    return np.arange(len(cloud)) if indices is None else np.asarray(indices)
 
 
-def graph_of(cloud) -> PatchGraph:
-    p2p = np.zeros(len(cloud), dtype=np.int64)
-    return PatchGraph(patches=(patch_of(cloud),),
-                      edges=np.zeros((0, 2), dtype=np.int64),
-                      point_to_patch=p2p)
+def spectral_features(cloud, indices=None) -> tuple[float, float, float]:
+    """(pointness, surfaceness, linearness) from the patch scatter matrix."""
+    pts = cloud.positions[_members(cloud, indices)]
+    if pts.shape[0] < 3:
+        raise FeatureError(f"spectral features need >= 3 points, got {pts.shape[0]}")
+    centered = pts - pts.mean(axis=0)
+    cov = centered.T @ centered / pts.shape[0]
+    l0, l1, l2 = np.linalg.eigvalsh(cov)
+    return max(float(l0), 0.0), max(float(l1 - l0), 0.0), max(float(l2 - l1), 0.0)
+
+
+def height_features(cloud, indices=None) -> tuple[float, float, float]:
+    """(centroid height, lowest height, highest height); gravity frame only."""
+    if cloud.frame != FRAME_GRAVITY:
+        raise InputError("height features require a gravity-aligned cloud")
+    z = cloud.positions[_members(cloud, indices), 2]
+    lo, hi = float(z.min()), float(z.max())
+    return min(max(float(z.mean()), lo), hi), lo, hi
+
+
+def normal_features(cloud, indices=None) -> tuple[float, float]:
+    """(mean-normal angle to the ground plane, circular std of point angles)."""
+    if cloud.normals is None:
+        raise InputError("normal features require per-point normals")
+    normals = cloud.normals[_members(cloud, indices)]
+    canon = canonicalize_hemisphere(normals)
+    mean_vec = canon.sum(axis=0)
+    norm = np.linalg.norm(mean_vec)
+    if norm < 1e-12:
+        return 0.0, 4.0
+    mean_angle = float(np.arcsin(np.clip(abs(mean_vec[2]) / norm, 0.0, 1.0)))
+
+    theta = np.arcsin(np.clip(np.abs(normals[:, 2]), 0.0, 1.0))
+    resultant = np.array([np.cos(2.0 * theta).mean(), np.sin(2.0 * theta).mean()])
+    r = min(max(float(np.linalg.norm(resultant)), np.exp(-8.0)), 1.0)
+    return mean_angle, float(np.sqrt(-2.0 * np.log(r)))
+
+
+def color_features(cloud, indices=None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of the member colors in CIELAB."""
+    lab = srgb_to_lab(cloud.colors[_members(cloud, indices)])
+    return lab.mean(axis=0), lab.std(axis=0)
 
 
 def srgb_to_lab_oracle(rgb):
@@ -56,17 +86,17 @@ def srgb_to_lab_oracle(rgb):
 class TestSpectral:
     def test_identical_points_zero(self):
         cloud = make_cloud(np.tile([1.0, 2.0, 3.0], (10, 1)))
-        assert spectral_features(patch_of(cloud), cloud) == (0.0, 0.0, 0.0)
+        assert spectral_features(cloud) == (0.0, 0.0, 0.0)
 
     def test_plane_has_no_pointness(self, rng):
         cloud = make_cloud(sample_plane(rng, 200, z=0.4))
-        pointness, _, _ = spectral_features(patch_of(cloud), cloud)
+        pointness, _, _ = spectral_features(cloud)
         assert pointness <= 1e-12
 
     def test_sum_matches_independent_eigenvalue_oracle(self, rng):
         pts = rng.normal(size=(100, 3)) * [0.2, 0.1, 0.02] + [1.0, 2.0, 0.5]
         cloud = make_cloud(pts)
-        f = spectral_features(patch_of(cloud), cloud)
+        f = spectral_features(cloud)
         # oracle via SVD of the centered coordinates (different decomposition path)
         centered = pts - pts.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False)
@@ -76,37 +106,37 @@ class TestSpectral:
     def test_too_few_points(self):
         cloud = make_cloud([[0, 0, 0], [1, 1, 1]])
         with pytest.raises(FeatureError):
-            spectral_features(patch_of(cloud), cloud)
+            spectral_features(cloud)
 
 
 class TestHeights:
     def test_floor_patch_zero(self, rng):
         cloud = make_cloud(sample_plane(rng, 50, z=0.0))
-        assert height_features(patch_of(cloud), cloud) == (0.0, 0.0, 0.0)
+        assert height_features(cloud) == (0.0, 0.0, 0.0)
 
     def test_order(self, rng):
         cloud = make_cloud(rng.uniform(-1, 3, size=(200, 3)))
-        mid, lo, hi = height_features(patch_of(cloud), cloud)
+        mid, lo, hi = height_features(cloud)
         assert lo <= mid <= hi
 
     def test_requires_gravity_frame(self, rng):
         cloud = make_cloud(sample_plane(rng, 50), frame="camera")
         with pytest.raises(InputError):
-            height_features(patch_of(cloud), cloud)
+            height_features(cloud)
 
 
 class TestNormalFeatures:
     def test_horizontal_patch(self, rng):
         cloud = make_cloud(sample_plane(rng, 40),
                            normals=np.tile([0.0, 0.0, 1.0], (40, 1)))
-        angle, circ = normal_features(patch_of(cloud), cloud)
+        angle, circ = normal_features(cloud)
         assert abs(angle - math.pi / 2) <= 1e-12
         assert circ <= 1e-9
 
     def test_vertical_wall_patch(self, rng):
         cloud = make_cloud(sample_plane(rng, 40),
                            normals=np.tile([1.0, 0.0, 0.0], (40, 1)))
-        angle, _ = normal_features(patch_of(cloud), cloud)
+        angle, _ = normal_features(cloud)
         assert abs(angle) <= 1e-12
 
     def test_two_population_circular_std(self):
@@ -117,7 +147,7 @@ class TestNormalFeatures:
         normals[:20] = [1.0, 0.0, 0.0]                      # theta = 0
         normals[20:] = [math.sqrt(0.5), 0.0, math.sqrt(0.5)]  # theta = pi/4
         cloud = make_cloud(np.zeros((n, 3)) + [0, 0, 1.0], normals=normals)
-        _, circ = normal_features(patch_of(cloud), cloud)
+        _, circ = normal_features(cloud)
         assert abs(circ - math.sqrt(math.log(2.0))) <= 1e-12
 
     def test_zero_sum_normals(self):
@@ -125,7 +155,7 @@ class TestNormalFeatures:
         # zero), so the canonical sum cancels to ~0 and the guard kicks in
         normals = np.array([[1.0, 0.0, -1e-18], [1.0, 0.0, 1e-18]] * 5)
         cloud = make_cloud(np.zeros((10, 3)), normals=normals)
-        angle, circ = normal_features(patch_of(cloud), cloud)
+        angle, circ = normal_features(cloud)
         assert angle == 0.0
         assert circ == 4.0
 
@@ -133,21 +163,21 @@ class TestNormalFeatures:
 class TestColorFeatures:
     def test_white(self):
         cloud = make_cloud(np.zeros((20, 3)), colors=np.full((20, 3), 255))
-        mean, std = color_features(patch_of(cloud), cloud)
+        mean, std = color_features(cloud)
         assert abs(mean[0] - 100.0) <= 0.01
         assert abs(mean[1]) <= 0.01 and abs(mean[2]) <= 0.01
         np.testing.assert_allclose(std, 0.0, atol=1e-9)
 
     def test_black(self):
         cloud = make_cloud(np.zeros((20, 3)), colors=np.zeros((20, 3)))
-        mean, std = color_features(patch_of(cloud), cloud)
+        mean, std = color_features(cloud)
         assert abs(mean[0]) <= 1e-9
         np.testing.assert_allclose(std, 0.0, atol=1e-9)
 
     def test_red_green_mix_matches_colorimetry_oracle(self):
         colors = np.array([[255, 0, 0]] * 10 + [[0, 255, 0]] * 10)
         cloud = make_cloud(np.zeros((20, 3)), colors=colors)
-        mean, std = color_features(patch_of(cloud), cloud)
+        mean, std = color_features(cloud)
         lab_red = srgb_to_lab_oracle([255, 0, 0])
         lab_green = srgb_to_lab_oracle([0, 255, 0])
         expected_std_l = abs(lab_red[0] - lab_green[0]) / 2.0
@@ -169,9 +199,26 @@ class TestExtract:
 
     def test_empty_graph(self):
         cloud = make_cloud(np.zeros((0, 3)))
-        graph = PatchGraph(patches=(), edges=np.zeros((0, 2), dtype=np.int64),
-                           point_to_patch=np.zeros(0, dtype=np.int64))
-        assert extract_features(graph, cloud) == []
+        graph = PatchGraph(point_to_patch=np.zeros(0, dtype=np.int64),
+                           edges=np.zeros((0, 2), dtype=np.int64), centroids=np.zeros((0, 3)))
+        ids, mat = feature_matrix(graph, cloud)
+        assert ids.shape == (0,) and ids.dtype == np.int64
+        assert mat.shape == (0, FEATURE_DIM)
+
+    def test_rows_match_per_patch_oracles(self, rng):
+        cloud, graph = self._scene_graph(rng)
+        ids, mat = feature_matrix(graph, cloud)
+        members = patch_members(graph)
+        np.testing.assert_array_equal(
+            ids, [p for p, m in enumerate(members) if m.shape[0] >= 3])
+        assert ids.shape[0] > 20
+        expected = np.array([
+            np.concatenate([spectral_features(cloud, members[p]),
+                            height_features(cloud, members[p]),
+                            normal_features(cloud, members[p]),
+                            *color_features(cloud, members[p])])
+            for p in ids])
+        np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-12)
 
     def test_floor_patch_values(self, rng):
         cloud = make_cloud(sample_plane(rng, 3000, z=0.0), frame=FRAME_GRAVITY)
@@ -228,7 +275,7 @@ def test_eigen_sum_identity_random_patches(seed):
     scale = 10.0 ** rng.uniform(-3, 0.5)
     pts = rng.normal(size=(n, 3)) * scale + rng.uniform(-5, 5, size=3)
     cloud = make_cloud(pts)
-    f0, f1, f2 = spectral_features(patch_of(cloud), cloud)
+    f0, f1, f2 = spectral_features(cloud)
     centered = pts - pts.mean(axis=0)
     lam2 = np.linalg.eigvalsh(centered.T @ centered / n)[-1]
     assert f0 + f1 + f2 == pytest.approx(lam2, abs=1e-9)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,17 @@ class TestPredict:
         np.testing.assert_allclose(out[:2], [0.5, 0.5])
         np.testing.assert_allclose(out[2:], 0.0)
 
+    def test_rows_stuck_on_a_split_rejected(self, rng):
+        # routing takes max_depth + 1 steps; a tree deeper than its params
+        # say leaves the rows of its deepest leaves on a split node
+        data = random_set(rng)
+        model = train_forest(data, ForestParams(num_trees=1, seed=0))
+        assert model.trees[0].depth() >= 2
+        shallow = dataclasses.replace(model, params=dataclasses.replace(model.params,
+                                                                        max_depth=0))
+        with pytest.raises(PredictionError, match="without reaching a leaf"):
+            predict_batch(shallow, data.features)
+
     def test_nan_rejected(self, rng):
         model = train_forest(random_set(rng), ForestParams(seed=0))
         bad = np.full(FEATURE_DIM, 0.5)
@@ -187,4 +201,29 @@ class TestSerialization:
         doc = path.read_text().replace("1.0,0.0,0.0", "0.9,0.0,0.0", 1)
         path.write_text(doc)
         with pytest.raises(ModelFormatError, match="distribution"):
+            load_model(path)
+
+    def _tree_doc(self, rng, tmp_path):
+        model = train_forest(random_set(rng, n=200, classes=4),
+                             ForestParams(num_trees=1, seed=0))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        nodes = doc["trees"][0]["nodes"]
+        splits = [i for i, node in enumerate(nodes) if node["kind"] == "split"]
+        assert 0 in splits and len(splits) > 2
+        return path, doc, nodes, splits
+
+    def test_back_pointing_child_rejected(self, rng, tmp_path):
+        path, doc, nodes, splits = self._tree_doc(rng, tmp_path)
+        nodes[splits[1]]["left"] = nodes[splits[1]]["right"] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="child index"):
+            load_model(path)
+
+    def test_shared_child_rejected(self, rng, tmp_path):
+        path, doc, nodes, splits = self._tree_doc(rng, tmp_path)
+        nodes[0]["right"] = nodes[0]["left"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="parents"):
             load_model(path)

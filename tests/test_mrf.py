@@ -11,17 +11,7 @@ from indoorseg.mrf import (
     exact_map_bruteforce,
     solve_map_lbp,
 )
-from indoorseg.overseg import Patch, PatchGraph
-
-
-def make_graph(centroids, edges):
-    centroids = np.asarray(centroids, dtype=np.float64)
-    patches = tuple(
-        Patch(id=i, point_indices=np.array([i]), centroid=centroids[i],
-              mean_normal=np.array([0.0, 0.0, 1.0]), mean_color_lab=np.zeros(3))
-        for i in range(centroids.shape[0]))
-    return PatchGraph(patches=patches, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                      point_to_patch=np.arange(centroids.shape[0]))
+NO_EDGES = np.zeros((0, 2), dtype=np.int64)
 
 
 def random_problem(rng, n_nodes, n_labels, density=0.5, tree=False):
@@ -41,37 +31,38 @@ def random_problem(rng, n_nodes, n_labels, density=0.5, tree=False):
 
 class TestBuildProblem:
     def test_unary_cost_extremes(self):
-        graph = make_graph([[0, 0, 0]], [])
         probs = np.zeros((1, 7))
         probs[0, 2] = 1.0
-        problem = build_problem(graph, probs, lam=1.0, sigma=0.1)
+        problem = build_problem(probs, NO_EDGES, np.zeros(0), lam=1.0, sigma=0.1)
         assert problem.unary[0, 2] == 0.0
         np.testing.assert_allclose(np.delete(problem.unary[0], 2), 1.0)
 
     def test_coincident_centroids_weight_one(self):
-        graph = make_graph([[1, 1, 1], [1, 1, 1]], [[0, 1]])
-        problem = build_problem(graph, np.full((2, 7), 1 / 7), lam=1.0, sigma=0.1)
+        problem = build_problem(np.full((2, 7), 1 / 7), [[0, 1]], [0.0], lam=1.0, sigma=0.1)
         assert problem.weights[0] == pytest.approx(1.0)
 
     def test_distance_sigma_gives_inverse_e(self):
-        graph = make_graph([[0, 0, 0], [0.1, 0, 0]], [[0, 1]])
-        problem = build_problem(graph, np.full((2, 7), 1 / 7), lam=1.0, sigma=0.1)
+        problem = build_problem(np.full((2, 7), 1 / 7), [[0, 1]], [0.1], lam=1.0, sigma=0.1)
         assert problem.weights[0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_lambda_scales_unary(self):
-        graph = make_graph([[0, 0, 0]], [])
         probs = np.full((1, 7), 1 / 7)
-        problem = build_problem(graph, probs, lam=3.0, sigma=0.1)
+        problem = build_problem(probs, NO_EDGES, np.zeros(0), lam=3.0, sigma=0.1)
         np.testing.assert_allclose(problem.unary, 3.0 * (1 - 1 / 7))
 
     def test_missing_prediction_rejected(self):
-        graph = make_graph([[0, 0, 0], [1, 0, 0]], [])
         with pytest.raises(InputError):
-            build_problem(graph, np.full((1, 7), 1 / 7))
+            build_problem(np.full((1, 7), 1 / 7), [[0, 1]], [0.1])
+        with pytest.raises(InputError):
+            build_problem(np.full(7, 1 / 7), NO_EDGES, np.zeros(0))
         bad = np.full((2, 7), 1 / 7)
         bad[1, 0] = np.nan
         with pytest.raises(InputError):
-            build_problem(graph, bad)
+            build_problem(bad, [[0, 1]], [0.1])
+
+    def test_edge_lengths_must_match_edges(self):
+        with pytest.raises(InputError):
+            build_problem(np.full((2, 7), 1 / 7), [[0, 1]], [0.1, 0.2])
 
 
 class TestLbp:

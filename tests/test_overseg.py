@@ -15,7 +15,7 @@ from indoorseg.overseg import (
 )
 from indoorseg.synth import SceneSpec, generate_scene
 
-from conftest import make_cloud, sample_plane
+from conftest import make_cloud, patch_members, sample_plane
 
 
 class TestComputeNormals:
@@ -173,6 +173,7 @@ class TestOversegment:
         assert len(graph.patches) == 0
         assert graph.edges.shape == (0, 2)
         assert graph.edges.dtype == np.int64
+        assert graph.centroids.shape == (0, 3)
 
     def test_bad_resolutions(self, rng):
         with pytest.raises(InputError):
@@ -220,24 +221,41 @@ class TestOversegment:
         keep = (pa != pb) & (pa >= 0) & (pb >= 0)
         expected = {(int(min(x, y)), int(max(x, y))) for x, y in zip(pa[keep], pb[keep])}
         assert len(graph.patches) > 10 and len(expected) > 10
-        assert graph.adjacency == expected
+        assert {(int(a), int(b)) for a, b in graph.edges} == expected
         assert graph.edges.shape == (len(expected), 2)
         np.testing.assert_array_equal(graph.edges, np.array(sorted(expected)))
 
     def test_partition_and_adjacency_invariants(self, rng):
         cloud = _dense_plane_cloud(rng)
         graph = oversegment(cloud)
-        seen = np.concatenate([p.point_indices for p in graph.patches])
-        assert seen.shape[0] == np.unique(seen).shape[0]  # disjoint
-        assert seen.shape[0] <= len(cloud)
+        members = patch_members(graph)
+        assert all(m.shape[0] for m in members)  # no empty patch
+        assert graph.point_to_patch.shape == (len(cloud),)
+        assert graph.point_to_patch.min() >= -1
+        assert graph.point_to_patch.max() == len(graph) - 1
+        assert graph.patches == range(len(graph))
         # edges: a < b, unique, valid ids
         e = graph.edges
         assert (e[:, 0] < e[:, 1]).all()
         assert np.unique(e, axis=0).shape[0] == e.shape[0]
         assert e.max(initial=-1) < len(graph.patches)
-        for p in graph.patches:
+        assert graph.centroids.shape == (len(graph), 3)
+        for p, m in enumerate(members):
             np.testing.assert_allclose(
-                p.centroid, cloud.positions[p.point_indices].mean(axis=0), atol=1e-9)
+                graph.centroids[p], cloud.positions[m].mean(axis=0), atol=1e-9)
+
+    def test_refresh_patch_stats_follows_the_moved_cloud(self, rng):
+        cloud = _dense_plane_cloud(rng)
+        graph = oversegment(cloud)
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        moved = cloud.with_(positions=cloud.positions @ rot.T + [0.5, -1.0, 2.0],
+                            normals=cloud.normals @ rot.T)
+        refreshed = overseg.refresh_patch_stats(graph, moved)
+        assert refreshed.point_to_patch is graph.point_to_patch
+        assert refreshed.edges is graph.edges
+        np.testing.assert_allclose(refreshed.centroids,
+                                   graph.centroids @ rot.T + [0.5, -1.0, 2.0], atol=1e-9)
 
     def test_determinism(self, rng):
         cloud = _dense_plane_cloud(rng)
@@ -256,26 +274,25 @@ class TestOversegment:
         cloud = compute_normals(make_cloud(np.vstack([a, b]), frame=FRAME_GRAVITY), k=10)
         graph = oversegment(cloud)
         assert len(graph.patches) >= 2
-        group = np.array([cloud.positions[p.point_indices][:, 0].max() > 2.5
-                          for p in graph.patches])
+        members = patch_members(graph)
+        group = np.array([cloud.positions[m][:, 0].max() > 2.5 for m in members])
         for i, j in graph.edges:
             assert group[i] == group[j]
         # oracle on the adjacency contract: adjacent patches come within
         # voxel_resolution * sqrt(3) of each other
         for i, j in graph.edges[:20]:
-            pi = cloud.positions[graph.patches[i].point_indices]
-            pj = cloud.positions[graph.patches[j].point_indices]
+            pi = cloud.positions[members[i]]
+            pj = cloud.positions[members[j]]
             gap = np.min(np.linalg.norm(pi[:, None, :] - pj[None, :, :], axis=2))
-            assert gap <= graph.params.voxel_resolution * np.sqrt(3) + 1e-12
+            assert gap <= OversegParams().voxel_resolution * np.sqrt(3) + 1e-12
 
     def test_compactness_on_uniform_plane(self, rng):
         """Exhaustive scan: every point within 2 seed resolutions of its
         patch centroid."""
         cloud = _dense_plane_cloud(rng)
         graph = oversegment(cloud, OversegParams(seed_resolution=0.1))
-        for p in graph.patches:
-            d = np.linalg.norm(
-                cloud.positions[p.point_indices] - p.centroid, axis=1)
+        for p, m in enumerate(patch_members(graph)):
+            d = np.linalg.norm(cloud.positions[m] - graph.centroids[p], axis=1)
             assert d.max() <= 2 * 0.1
 
     def test_purity_on_noise_free_scene(self):
@@ -285,8 +302,8 @@ class TestOversegment:
         cloud = compute_normals(cloud, k=15)
         graph = oversegment(cloud, OversegParams(voxel_resolution=0.02))
         pure = 0
-        for p in graph.patches:
-            hist = np.bincount(cloud.labels[p.point_indices], minlength=8)
+        for m in patch_members(graph):
+            hist = np.bincount(cloud.labels[m], minlength=8)
             if hist.max() / hist.sum() >= 0.9:
                 pure += 1
         assert pure / len(graph.patches) >= 0.95
@@ -294,4 +311,5 @@ class TestOversegment:
     def test_min_patch_points_respected(self, rng):
         cloud = _dense_plane_cloud(rng)
         graph = oversegment(cloud, OversegParams(min_patch_points=50))
-        assert all(p.n_points >= 50 for p in graph.patches)
+        assert len(graph) > 0
+        assert (np.bincount(graph.point_to_patch[graph.point_to_patch >= 0]) >= 50).all()

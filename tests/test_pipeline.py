@@ -4,9 +4,11 @@ import pytest
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
 from indoorseg.errors import InputError
 from indoorseg import overseg
-from indoorseg.evalkit import prepare_frames, train_from_preps
+from indoorseg.evalkit import ConfusionMatrix, prepare_frame, prepare_frames, score_prep, \
+    train_from_preps
 from indoorseg.ground import plane_from_pose
 from indoorseg.labels import Label
+from indoorseg.overseg import PatchGraph
 from indoorseg.pipeline import (
     PipelineConfig,
     patch_majority_labels,
@@ -16,7 +18,7 @@ from indoorseg.pipeline import (
 )
 from indoorseg.synth import SceneSpec, generate_scene
 
-from conftest import make_cloud
+from conftest import make_cloud, patch_members
 
 
 def small_scene(seed=0):
@@ -68,6 +70,13 @@ class TestGroundModes:
         with pytest.raises(InputError):
             resolve_ground_plane(cloud, config, None)
 
+    def test_fit_without_labels_names_the_flags(self, rng):
+        cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_CAMERA)
+        for mode in ("auto", "fit"):
+            config = PipelineConfig(ground_mode=mode)
+            with pytest.raises(InputError, match="--pose-file.*--ground-mode"):
+                resolve_ground_plane(cloud, config, None)
+
     def test_auto_prefers_pose_when_given(self, rng):
         cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_CAMERA)
         pose = plane_from_pose(1.0, 0.0, 0.0)
@@ -91,12 +100,34 @@ class TestStages:
         cloud = small_scene()
         stages = run_stages(cloud, CFG)
         gt = patch_majority_labels(stages.graph, stages.cloud)
-        assert gt.shape[0] == len(stages.graph.patches)
+        assert gt.shape[0] == len(stages.graph)
         assert gt.max() < len(Label)
-        # majority label of a patch must occur among its member labels
-        for patch in stages.graph.patches[::50]:
-            members = cloud.labels[patch.point_indices]
-            assert gt[patch.id] in members
+        # the majority label is the most frequent one among the members
+        for p, members in enumerate(patch_members(stages.graph)):
+            counts = np.bincount(cloud.labels[members], minlength=len(Label))
+            assert counts[gt[p]] == counts.max()
+        # ties go to the lowest label id; orphan points (-1) never vote
+        graph = PatchGraph(point_to_patch=np.array([0, 0, 1, 1, 1, 1, -1, -1]),
+                           edges=np.zeros((0, 2), dtype=np.int64), centroids=np.zeros((2, 3)))
+        tied = make_cloud(np.zeros((8, 3)), labels=[3, 1, 5, 2, 5, 2, 0, 0])
+        np.testing.assert_array_equal(patch_majority_labels(graph, tied), [1, 2])
+
+    def test_segment_and_score_share_one_classify_path(self):
+        """segment_cloud's point labels give the confusion matrices that
+        score_prep accumulates for the same cloud and model."""
+        preps, _ = prepare_frames([small_scene(1)], CFG)
+        model = train_from_preps(preps, CFG)
+        cloud = small_scene(0)
+        result = segment_cloud(cloud, model, CFG)
+        cm_mrf, cm_unary = ConfusionMatrix(), ConfusionMatrix()
+        score_prep(prepare_frame(cloud, CFG), model, CFG, cm_mrf, cm_unary)
+        expected_mrf = ConfusionMatrix().add(cloud.labels, result.point_labels)
+        expected_unary = ConfusionMatrix().add(cloud.labels, result.unary_point_labels)
+        assert cm_mrf.total > 0
+        np.testing.assert_array_equal(cm_mrf.counts, expected_mrf.counts)
+        np.testing.assert_array_equal(cm_unary.counts, expected_unary.counts)
+        assert cm_mrf.excluded_uncovered == expected_mrf.excluded_uncovered
+        assert not np.array_equal(expected_mrf.counts, expected_unary.counts)
 
     def test_worker_pool_does_not_change_results(self):
         clouds = [small_scene(s) for s in range(2)]
