@@ -213,7 +213,8 @@ def ingest_depth_frame(
     x = (u_idx - intrinsics.cx) * z / intrinsics.fx
     y = (v_idx - intrinsics.cy) * z / intrinsics.fy
     positions = np.column_stack([x, y, z])
-    colors = rgb_image[v_idx, u_idx].astype(np.uint8)
+    # uncast, so PointCloud rejects values outside 0..255 instead of wrapping them
+    colors = rgb_image[v_idx, u_idx]
     labels = label_image[v_idx, u_idx].astype(np.uint8) if label_image is not None else None
     return PointCloud(
         positions=positions,

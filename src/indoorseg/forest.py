@@ -1,10 +1,11 @@
 """Randomized decision forest over patch feature vectors.
 
 Trees split on randomly sampled (feature, threshold) candidates scored by
-Shannon information gain; leaves store the empirical label histogram of
-the training samples that reached them. Prediction averages the leaf
-distributions over all trees. There is no bagging: randomness comes only
-from the split sampling, each tree drawing from its own derived stream.
+Shannon information gain, all thresholds of a feature in one binned pass;
+leaves store the empirical label histogram of the training samples that
+reached them. Prediction averages the leaf distributions over all trees.
+There is no bagging: randomness comes only from the split sampling, each
+tree drawing from its own derived stream.
 
 Training sorts samples lexicographically first, so sample order never
 affects the model. Models serialize to a versioned JSON file whose bytes
@@ -17,7 +18,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -110,14 +110,22 @@ class ForestModel:
         return len(self.trees)
 
 
+def _entropy(hist: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of an (R, 7) histogram."""
+    p = hist / hist.sum(axis=1, keepdims=True)
+    return -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1)
+
+
 class _TreeBuilder:
-    def __init__(self, x: np.ndarray, y: np.ndarray, params: ForestParams,
-                 rng: np.random.Generator, class_weights: Optional[np.ndarray]):
-        self.x = x
+    def __init__(self, columns: np.ndarray, y: np.ndarray, params: ForestParams,
+                 rng: np.random.Generator, class_weights: np.ndarray,
+                 weight_sums: np.ndarray):
+        self.columns = columns  # (14, N): one contiguous row per feature
         self.y = y
         self.params = params
         self.rng = rng
         self.class_weights = class_weights
+        self.weight_sums = weight_sums
         self.kind: list[int] = []
         self.feature: list[int] = []
         self.threshold: list[float] = []
@@ -136,19 +144,6 @@ class _TreeBuilder:
         self.support.append(0)
         return len(self.kind) - 1
 
-    def _entropy(self, hist: np.ndarray) -> float:
-        total = hist.sum()
-        if total <= 0:
-            return 0.0
-        p = hist[hist > 0] / total
-        return float(-(p * np.log2(p)).sum())
-
-    def _weighted_hist(self, labels: np.ndarray) -> np.ndarray:
-        hist = np.bincount(labels, minlength=NUM_TRAINABLE).astype(np.float64)
-        if self.class_weights is not None:
-            hist *= self.class_weights
-        return hist
-
     def grow(self, indices: np.ndarray, depth: int) -> int:
         node = self._add_node()
         labels = self.y[indices]
@@ -166,7 +161,7 @@ class _TreeBuilder:
             return node
 
         feat, thr = split
-        go_left = self.x[indices, feat] < thr
+        go_left = self.columns[feat][indices] < thr
         self.kind[node] = KIND_SPLIT
         self.feature[node] = feat
         self.threshold[node] = thr
@@ -176,42 +171,41 @@ class _TreeBuilder:
 
     def _best_split(self, indices: np.ndarray, labels: np.ndarray):
         params = self.params
-        n_feat = self.x.shape[1]
+        n = indices.shape[0]
+        n_feat = self.columns.shape[0]
+        n_thr = params.thresholds_per_candidate
         cand_feats = np.sort(self.rng.choice(
             n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
 
-        parent_hist = self._weighted_hist(labels)
+        parent_hist = np.bincount(labels, minlength=NUM_TRAINABLE) * self.class_weights
         parent_total = parent_hist.sum()
-        parent_entropy = self._entropy(parent_hist)
-
-        # per-sample weighted one-hot rows, cumulated along each sort order,
-        # so every threshold costs one searchsorted instead of one bincount
-        onehot = np.zeros((labels.shape[0], NUM_TRAINABLE))
-        onehot[np.arange(labels.shape[0]), labels] = 1.0
-        if self.class_weights is not None:
-            onehot *= self.class_weights[labels][:, None]
+        parent_entropy = _entropy(parent_hist[None, :])[0]
+        classes = np.arange(NUM_TRAINABLE)
 
         best = None  # (gain, feature, threshold); ties keep the earliest
         for feat in cand_feats:
-            values = self.x[indices, feat]
+            values = self.columns[feat][indices]
             lo, hi = values.min(), values.max()
             if not hi > lo:
                 continue
-            thresholds = np.sort(self.rng.uniform(lo, hi, size=params.thresholds_per_candidate))
-            order = np.argsort(values, kind="stable")
-            cum = np.cumsum(onehot[order], axis=0)
-            positions = np.searchsorted(values[order], thresholds, side="left")
-            for thr, p in zip(thresholds, positions):
-                if p <= 0 or p >= values.shape[0]:
-                    continue
-                left_hist = cum[p - 1]
-                right_hist = parent_hist - left_hist
-                gain = parent_entropy - (
-                    left_hist.sum() * self._entropy(left_hist)
-                    + right_hist.sum() * self._entropy(right_hist)
-                ) / parent_total
+            thresholds = np.sort(self.rng.uniform(lo, hi, size=n_thr))
+            # bin b counts the thresholds <= value, so threshold j sends
+            # bins 0..j left (value < threshold) and the rest right
+            bins = np.searchsorted(thresholds, values, side="right")
+            counts = np.bincount(bins * NUM_TRAINABLE + labels,
+                                 minlength=(n_thr + 1) * NUM_TRAINABLE)
+            left_counts = np.cumsum(counts.reshape(n_thr + 1, NUM_TRAINABLE)[:n_thr], axis=0)
+            n_left = left_counts.sum(axis=1)
+            both_sides = (n_left > 0) & (n_left < n)
+            left_hist = self.weight_sums[left_counts[both_sides], classes]
+            right_hist = parent_hist - left_hist
+            gains = parent_entropy - (
+                left_hist.sum(axis=1) * _entropy(left_hist)
+                + right_hist.sum(axis=1) * _entropy(right_hist)
+            ) / parent_total
+            for gain, thr in zip(gains.tolist(), thresholds[both_sides].tolist()):
                 if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
-                    best = (gain, int(feat), float(thr))
+                    best = (gain, int(feat), thr)
         if best is None:
             return None
         return best[1], best[2]
@@ -235,15 +229,21 @@ def train_forest(data: TrainingSet, params: ForestParams = ForestParams()) -> Fo
     x = data.features[order]
     y = data.labels[order]
 
-    class_weights = None
+    class_weights = np.ones(NUM_TRAINABLE)
     if params.class_balanced:
         counts = np.bincount(y, minlength=NUM_TRAINABLE).astype(np.float64)
         class_weights = np.where(counts > 0, counts.sum() / np.maximum(counts, 1.0), 0.0)
+    # weight_sums[k, c]: k class-c weights added one at a time, as a running
+    # sum over sorted samples adds them; k * w rounds differently
+    weight_sums = np.zeros((x.shape[0] + 1, NUM_TRAINABLE))
+    np.cumsum(np.full((x.shape[0], NUM_TRAINABLE), class_weights), axis=0, out=weight_sums[1:])
 
+    columns = np.ascontiguousarray(x.T)
     streams = np.random.SeedSequence(params.seed).spawn(params.num_trees)
     trees = []
     for t in range(params.num_trees):
-        builder = _TreeBuilder(x, y, params, np.random.default_rng(streams[t]), class_weights)
+        builder = _TreeBuilder(columns, y, params, np.random.default_rng(streams[t]),
+                               class_weights, weight_sums)
         builder.grow(np.arange(x.shape[0]), depth=0)
         trees.append(builder.finish())
 

@@ -143,9 +143,10 @@ class StageOutput:
     timings: dict[str, float]
 
 
-def resolve_ground_plane(cloud: PointCloud, config: PipelineConfig,
-                         pose_plane: Optional[GroundPlane]) -> Optional[GroundPlane]:
-    """Which plane to align with; None means the cloud is already aligned."""
+def _ground_mode(cloud: PointCloud, config: PipelineConfig,
+                 pose_plane: Optional[GroundPlane]) -> str:
+    """'none', 'pose' or 'fit'; raises InputError if that mode cannot align
+    the cloud. Reads only the cloud's frame and whether it has labels."""
     mode = config.ground_mode
     if mode == "auto":
         if pose_plane is not None:
@@ -154,19 +155,26 @@ def resolve_ground_plane(cloud: PointCloud, config: PipelineConfig,
             mode = "none"
         else:
             mode = "fit"
-    if mode == "none":
-        if cloud.frame != FRAME_GRAVITY:
-            raise InputError("ground_mode 'none' needs a gravity-aligned cloud")
-        return None
-    if mode == "pose":
-        if pose_plane is None:
-            raise InputError("ground_mode 'pose' needs a camera pose file")
-        return pose_plane
-    if cloud.labels is None:
+    if mode == "none" and cloud.frame != FRAME_GRAVITY:
+        raise InputError("ground_mode 'none' needs a gravity-aligned cloud")
+    if mode == "pose" and pose_plane is None:
+        raise InputError("ground_mode 'pose' needs a camera pose file")
+    if mode == "fit" and cloud.labels is None:
         raise InputError(
             "ground_mode 'fit' fits the floor to ground-truth labels, and this cloud "
             "has none: pass the camera pose with --pose-file, or use --ground-mode none "
             "for a gravity-aligned cloud")
+    return mode
+
+
+def resolve_ground_plane(cloud: PointCloud, config: PipelineConfig,
+                         pose_plane: Optional[GroundPlane]) -> Optional[GroundPlane]:
+    """Which plane to align with; None means the cloud is already aligned."""
+    mode = _ground_mode(cloud, config, pose_plane)
+    if mode == "none":
+        return None
+    if mode == "pose":
+        return pose_plane
     return estimate_ground_plane(
         cloud,
         min_floor_points=config.min_floor_points,
@@ -180,6 +188,10 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
                pose_plane: Optional[GroundPlane] = None) -> StageOutput:
     """Normals, oversegmentation, alignment and features for one cloud."""
     timings: dict[str, float] = {}
+    # reject a cloud that cannot be aligned before any work. The floor fit
+    # itself stays after oversegmentation: run first, its large temporaries
+    # raise glibc's mmap threshold and the normals then peak ~10 MB higher
+    _ground_mode(cloud, config, pose_plane)
 
     t0 = time.perf_counter()
     cloud = compute_normals(cloud, k=config.normals_k)

@@ -70,6 +70,18 @@ class TestIngest:
         assert len(cloud) == int((depth > 0).sum())
         assert cloud.frame == FRAME_CAMERA
 
+    def test_colors_out_of_range_rejected(self):
+        depth, rgb = _frame({(2, 3): 1000, (4, 5): 1200})
+        for bad in (300, -1):
+            image = rgb.astype(np.int64)
+            image[4, 5, 1] = bad
+            with pytest.raises(InputError, match="0..255"):
+                ingest_depth_frame(depth, image, None, INTR)
+        rgb[2, 3] = [0, 128, 255]
+        cloud = ingest_depth_frame(depth, rgb, None, INTR)
+        np.testing.assert_array_equal(cloud.colors, [[0, 128, 255], [0, 0, 0]])
+        assert cloud.colors.dtype == np.uint8
+
     def test_backprojection_invertible(self, rng):
         depth = rng.integers(400, 5000, size=(60, 80)).astype(np.uint16)
         rgb = np.zeros((60, 80, 3), dtype=np.uint8)

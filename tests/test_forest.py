@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from indoorseg import forest
 from indoorseg.errors import ModelFormatError, PredictionError, TrainingError
 from indoorseg.features import FEATURE_DIM
 from indoorseg.forest import (
@@ -16,7 +17,7 @@ from indoorseg.forest import (
     save_model,
     train_forest,
 )
-from indoorseg.labels import Label
+from indoorseg.labels import NUM_TRAINABLE, Label
 
 
 def random_set(rng, n=200, classes=3):
@@ -33,6 +34,87 @@ def separable_set(rng, n=400):
     y = np.zeros(n, dtype=np.int64)
     y[n // 2:] = 1
     return TrainingSet(features=x, labels=y)
+
+
+def peel_set(rng, scale=300):
+    """Seven classes of 1-3x `scale` samples; feature c alone separates class c.
+
+    Under class balancing every class weighs about N, so peeling off any one
+    class gives the same gain up to rounding, and the split chosen depends on
+    the exact weight sums (at ~4,000 samples, `count * weight` already picks
+    differently from the running sum).
+    """
+    y = np.repeat(np.arange(NUM_TRAINABLE), rng.integers(scale, 3 * scale, NUM_TRAINABLE))
+    x = rng.uniform(0.0, 0.1, size=(y.shape[0], FEATURE_DIM))
+    x[np.arange(y.shape[0]), y] += 0.9
+    return TrainingSet(features=x, labels=y)
+
+
+def tie_heavy_set(rng, n=400, offset=0.0):
+    """Features with 4 integer values; at offset 2**52 the float spacing is 1,
+    so drawn thresholds land exactly on feature values."""
+    x = offset + rng.integers(0, 4, size=(n, FEATURE_DIM)).astype(np.float64)
+    return TrainingSet(features=x, labels=rng.integers(0, 5, size=n))
+
+
+class ReferenceTreeBuilder(forest._TreeBuilder):
+    """The per-threshold split search: one stable sort and one running sum
+    of weighted one-hot rows per candidate, two scalar entropies per
+    threshold. Same RNG draws as the binned search, so the same model."""
+
+    @staticmethod
+    def _entropy(hist):
+        total = hist.sum()
+        if total <= 0:
+            return 0.0
+        p = hist[hist > 0] / total
+        return float(-(p * np.log2(p)).sum())
+
+    def _best_split(self, indices, labels):
+        params = self.params
+        n_feat = self.columns.shape[0]
+        cand_feats = np.sort(self.rng.choice(
+            n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
+        parent_hist = np.bincount(labels, minlength=NUM_TRAINABLE) * self.class_weights
+        parent_total = parent_hist.sum()
+        parent_entropy = self._entropy(parent_hist)
+        onehot = np.zeros((labels.shape[0], NUM_TRAINABLE))
+        onehot[np.arange(labels.shape[0]), labels] = 1.0
+        onehot *= self.class_weights[labels][:, None]
+
+        best = None
+        for feat in cand_feats:
+            values = self.columns[feat][indices]
+            lo, hi = values.min(), values.max()
+            if not hi > lo:
+                continue
+            thresholds = np.sort(self.rng.uniform(lo, hi, size=params.thresholds_per_candidate))
+            order = np.argsort(values, kind="stable")
+            cum = np.cumsum(onehot[order], axis=0)
+            positions = np.searchsorted(values[order], thresholds, side="left")
+            for thr, p in zip(thresholds, positions):
+                if p <= 0 or p >= values.shape[0]:
+                    continue
+                left_hist = cum[p - 1]
+                right_hist = parent_hist - left_hist
+                gain = parent_entropy - (
+                    left_hist.sum() * self._entropy(left_hist)
+                    + right_hist.sum() * self._entropy(right_hist)
+                ) / parent_total
+                if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
+                    best = (gain, int(feat), float(thr))
+        return None if best is None else best[1:]
+
+
+def reference_forest(data, params):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest, "_TreeBuilder", ReferenceTreeBuilder)
+        return train_forest(data, params)
+
+
+def model_bytes(model, path):
+    save_model(model, path)
+    return path.read_bytes()
 
 
 class TestTrainingSet:
@@ -98,6 +180,33 @@ class TestTraining:
         data = random_set(rng, n=500, classes=6)
         model = train_forest(data, ForestParams(num_trees=4, max_depth=3, seed=0))
         assert all(t.depth() <= 3 for t in model.trees)
+
+
+class TestSplitSearchOracle:
+    """`train_forest` writes the same model file as the per-threshold search."""
+
+    CASES = {
+        "random-3": (lambda r: random_set(r, n=300, classes=3), {}),
+        "random-7-shallow": (lambda r: random_set(r, n=500, classes=7),
+                             {"max_depth": 4, "candidates_per_node": 14}),
+        "integers": (tie_heavy_set, {}),
+        "integers-on-thresholds": (lambda r: tie_heavy_set(r, offset=2.0 ** 52), {}),
+        "one-threshold": (lambda r: random_set(r, n=300, classes=4),
+                          {"thresholds_per_candidate": 1}),
+        "one-threshold-integers": (tie_heavy_set, {"thresholds_per_candidate": 1}),
+        "balanced-random": (lambda r: random_set(r, n=400, classes=6),
+                            {"class_balanced": True}),
+        "balanced-peel": (peel_set, {"class_balanced": True, "num_trees": 4}),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_model_bytes_match_reference(self, case, seed, tmp_path):
+        make, overrides = self.CASES[case]
+        data = make(np.random.default_rng(seed))
+        params = ForestParams(seed=seed, **{"num_trees": 3, **overrides})
+        assert model_bytes(train_forest(data, params), tmp_path / "fast.json") == \
+            model_bytes(reference_forest(data, params), tmp_path / "reference.json")
 
 
 class TestPredict:

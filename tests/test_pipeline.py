@@ -3,7 +3,7 @@ import pytest
 
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
 from indoorseg.errors import InputError
-from indoorseg import overseg
+from indoorseg import overseg, pipeline
 from indoorseg.evalkit import ConfusionMatrix, prepare_frame, prepare_frames, score_prep, \
     train_from_preps
 from indoorseg.ground import plane_from_pose
@@ -76,6 +76,16 @@ class TestGroundModes:
             config = PipelineConfig(ground_mode=mode)
             with pytest.raises(InputError, match="--pose-file.*--ground-mode"):
                 resolve_ground_plane(cloud, config, None)
+
+    def test_run_stages_rejects_before_normals(self, rng, monkeypatch):
+        def no_normals(*args, **kwargs):
+            raise AssertionError("normals computed for a cloud that cannot be aligned")
+
+        monkeypatch.setattr(pipeline, "compute_normals", no_normals)
+        cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_CAMERA)
+        for mode in ("auto", "fit", "pose", "none"):
+            with pytest.raises(InputError):
+                run_stages(cloud, PipelineConfig(ground_mode=mode))
 
     def test_auto_prefers_pose_when_given(self, rng):
         cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_CAMERA)
