@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .cloud import Intrinsics, ingest_depth_frame
-from .errors import InputError, PipelineError
+from .errors import InputError, PipelineError, field_types
 from .evalkit import (
     EvalReport,
     cross_validate,
@@ -38,31 +38,23 @@ from .search import cluster_tables, search_positions, write_positions
 from .synth import DEFAULT_FURNITURE_COUNTS, SceneSpec, generate_scene
 
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+_CONFIG_TYPES = field_types(PipelineConfig)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipeline config (overrides --config)")
     group.add_argument("--config", type=Path, default=None,
                        help="JSON config file to start from")
-    for name, f in _CONFIG_FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        if isinstance(f.default, bool):
-            group.add_argument(flag, dest=name, default=None,
-                               action=argparse.BooleanOptionalAction)
-        elif isinstance(f.default, int):
-            group.add_argument(flag, dest=name, type=int, default=None)
-        elif isinstance(f.default, float):
-            group.add_argument(flag, dest=name, type=float, default=None)
-        else:
-            group.add_argument(flag, dest=name, type=str, default=None)
+    for name, kind in _CONFIG_TYPES.items():
+        how = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+        group.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **how)
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     overrides = {
         name: getattr(args, name)
-        for name in _CONFIG_FIELDS
+        for name in _CONFIG_TYPES
         if getattr(args, name, None) is not None
     }
     if overrides:

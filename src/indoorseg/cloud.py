@@ -10,9 +10,9 @@ gravity-aligned frame has the ground plane at z = 0 and +z pointing up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,26 +44,30 @@ class Intrinsics:
 
     @classmethod
     def load(cls, path: str | Path) -> "Intrinsics":
-        """Read a text file of `key value` (or `key=value`) lines."""
-        values = {}
-        for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace("=", " ").split()
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'key value', got {raw_line!r}")
-            values[parts[0]] = float(parts[1])
-        missing = {"fx", "fy", "cx", "cy"} - values.keys()
-        if missing:
-            raise InputError(f"{path}: missing intrinsics keys {sorted(missing)}")
-        return cls(
-            fx=values["fx"],
-            fy=values["fy"],
-            cx=values["cx"],
-            cy=values["cy"],
-            depth_scale=values.get("depth_scale", DEFAULT_DEPTH_SCALE),
-        )
+        values = read_key_values(path, ("fx", "fy", "cx", "cy"))
+        return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+
+
+def read_key_values(path: str | Path, required: Sequence[str]) -> dict[str, float]:
+    """The `key value` (or `key=value`) lines of a text file, with `#`
+    comments, as finite numbers; every key in ``required`` must be there."""
+    values = {}
+    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            key, text = line.replace("=", " ").split()
+            values[key] = float(text)
+            if not np.isfinite(values[key]):
+                raise ValueError
+        except ValueError:
+            raise InputError(
+                f"{path}:{lineno}: expected 'key number', got {raw_line!r}") from None
+    missing = set(required) - values.keys()
+    if missing:
+        raise InputError(f"{path}: missing keys {sorted(missing)}")
+    return values
 
 
 class Point(NamedTuple):
@@ -122,11 +126,15 @@ class PointCloud:
         object.__setattr__(self, "positions", _freeze(positions))
         object.__setattr__(self, "colors", _freeze(colors))
         if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
+            # checked before the cast, which would wrap 256 to 0 and cut 2.7 to 2
+            labels = np.asarray(self.labels)
+            valid = labels.max(initial=0) < NUM_LABELS if labels.dtype == np.uint8 \
+                else np.isin(labels, np.arange(NUM_LABELS)).all()
+            if not valid:
+                raise InputError(f"label ids must be integers in 0..{NUM_LABELS - 1}")
+            labels = np.ascontiguousarray(labels, dtype=np.uint8)
             if labels.shape != (n,):
                 raise InputError(f"labels must have shape ({n},), got {labels.shape}")
-            if labels.size and labels.max() >= NUM_LABELS:
-                raise InputError(f"label ids must be < {NUM_LABELS}, got max {labels.max()}")
             object.__setattr__(self, "labels", _freeze(labels))
         if self.normals is not None:
             normals = np.ascontiguousarray(self.normals, dtype=np.float64)
@@ -213,9 +221,9 @@ def ingest_depth_frame(
     x = (u_idx - intrinsics.cx) * z / intrinsics.fx
     y = (v_idx - intrinsics.cy) * z / intrinsics.fy
     positions = np.column_stack([x, y, z])
-    # uncast, so PointCloud rejects values outside 0..255 instead of wrapping them
+    # uncast, so PointCloud rejects out-of-range values instead of wrapping them
     colors = rgb_image[v_idx, u_idx]
-    labels = label_image[v_idx, u_idx].astype(np.uint8) if label_image is not None else None
+    labels = label_image[v_idx, u_idx] if label_image is not None else None
     return PointCloud(
         positions=positions,
         colors=colors,

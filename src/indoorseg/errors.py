@@ -1,9 +1,17 @@
-"""Exception hierarchy shared by all pipeline stages.
+"""Exception hierarchy shared by all pipeline stages, and the checked reader
+of parameter objects.
 
 Two top-level families map onto CLI exit codes: ``InputError`` (exit 1)
 covers bad files, parameters, and contract mismatches; ``PipelineError``
 (exit 2) covers runtime failures of an otherwise well-formed run.
+
+A parameter dataclass (`PipelineConfig`, `ForestParams`, ...) types each
+field by its default. `field_types` reads that map once for the CLI flags,
+and `checked_fields` checks a JSON object from a config or model file
+against it.
 """
+
+from dataclasses import fields
 
 
 class IndoorSegError(Exception):
@@ -58,3 +66,33 @@ class FeatureError(PipelineError):
 
 class EvaluationError(PipelineError):
     """Evaluation could not produce a report (e.g. every frame discarded)."""
+
+
+# JSON value types accepted per field type: an int passes for a float field
+# and is kept as it is; a bool (an int subclass) never passes for a number
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def field_types(cls) -> dict:
+    """Field name -> type of its default, in declaration order."""
+    return {f.name: type(f.default) for f in fields(cls)}
+
+
+def checked_fields(cls, data, where: str, error=InputError, required: bool = False) -> dict:
+    """``data`` if it is a JSON object whose every key is a field of ``cls``
+    with a value of that field's type; with ``required``, every field must
+    be present. Otherwise raises ``error`` naming ``where`` and the field."""
+    if not isinstance(data, dict):
+        raise error(f"{where}: expected a JSON object")
+    types = field_types(cls)
+    unknown = sorted(set(data) - set(types))
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}")
+    for name, kind in types.items():
+        if name not in data:
+            if required:
+                raise error(f"{where}: missing field {name!r}")
+        elif type(data[name]) not in _JSON_TYPES[kind]:
+            raise error(f"{where}: field {name!r} must be {kind.__name__}, "
+                        f"got {type(data[name]).__name__}")
+    return data

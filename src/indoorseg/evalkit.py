@@ -34,13 +34,8 @@ from .pipeline import (
 class ConfusionMatrix:
     """7x7 pointwise counts; rows are ground truth, columns predictions."""
 
-    def __init__(self, counts: Optional[np.ndarray] = None):
-        self.counts = np.zeros((NUM_TRAINABLE, NUM_TRAINABLE), dtype=np.int64) \
-            if counts is None else np.asarray(counts, dtype=np.int64)
-        if self.counts.shape != (NUM_TRAINABLE, NUM_TRAINABLE):
-            raise InputError(f"confusion matrix must be 7x7, got {self.counts.shape}")
-        if (self.counts < 0).any():
-            raise InputError("confusion matrix counts must be >= 0")
+    def __init__(self):
+        self.counts = np.zeros((NUM_TRAINABLE, NUM_TRAINABLE), dtype=np.int64)
         self.excluded_unknown = 0
         self.excluded_uncovered = 0
 
@@ -249,11 +244,8 @@ def prepare_frames(clouds: Sequence[PointCloud], config: PipelineConfig,
         except FrameDiscardError:
             return None
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(prep_one, zip(clouds, ids)))
-    else:
-        results = [prep_one(p) for p in zip(clouds, ids)]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        results = list(pool.map(prep_one, zip(clouds, ids)))
     preps = [r for r in results if r is not None]
     return preps, len(ids) - len(preps)
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFormatError, PredictionError, TrainingError
+from .errors import ModelFormatError, PredictionError, TrainingError, checked_fields
 from .features import FEATURE_CONTRACT_VERSION, FEATURE_DIM
 from .labels import LABEL_NAMES, NUM_TRAINABLE
 
@@ -255,32 +255,6 @@ def train_forest(data: TrainingSet, params: ForestParams = ForestParams()) -> Fo
     return ForestModel(trees=trees, params=params, training_meta=meta)
 
 
-def _check_vector(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (FEATURE_DIM,):
-        raise PredictionError(f"feature vector must have shape ({FEATURE_DIM},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise PredictionError("feature vector contains non-finite values")
-    return x
-
-
-def predict(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """Label distribution for one feature vector: mean of reached leaves."""
-    if model.feature_contract_version != FEATURE_CONTRACT_VERSION:
-        raise PredictionError(
-            f"model feature contract v{model.feature_contract_version} != "
-            f"v{FEATURE_CONTRACT_VERSION}")
-    x = _check_vector(x)
-    acc = np.zeros(NUM_TRAINABLE)
-    for tree in model.trees:
-        node = 0
-        while tree.kind[node] == KIND_SPLIT:
-            node = tree.left[node] if x[tree.feature[node]] < tree.threshold[node] \
-                else tree.right[node]
-        acc += tree.distribution[node]
-    return acc / len(model.trees)
-
-
 def predict_batch(model: ForestModel, xs: np.ndarray) -> np.ndarray:
     """(M, 7) distributions for M feature vectors (vectorized routing)."""
     if model.feature_contract_version != FEATURE_CONTRACT_VERSION:
@@ -318,15 +292,7 @@ def save_model(model: ForestModel, path: str | Path) -> None:
         "format_version": FORMAT_VERSION,
         "feature_contract_version": model.feature_contract_version,
         "labels": list(model.label_names),
-        "params": {
-            "num_trees": model.params.num_trees,
-            "max_depth": model.params.max_depth,
-            "candidates_per_node": model.params.candidates_per_node,
-            "thresholds_per_candidate": model.params.thresholds_per_candidate,
-            "min_samples_split": model.params.min_samples_split,
-            "seed": model.params.seed,
-            "class_balanced": model.params.class_balanced,
-        },
+        "params": asdict(model.params),
         "training_meta": model.training_meta,
         "trees": [_tree_to_doc(t) for t in model.trees],
     }
@@ -355,54 +321,44 @@ def load_model(path: str | Path) -> ForestModel:
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"{path}: invalid JSON at position {e.pos}: {e.msg}") from None
 
-    def need(mapping, key, where):
-        if not isinstance(mapping, dict) or key not in mapping:
-            raise ModelFormatError(f"{path}: missing field {key!r} in {where}")
-        return mapping[key]
+    def need(key):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ModelFormatError(f"{path}: missing field {key!r} in document")
+        return doc[key]
 
-    fmt = need(doc, "format_version", "document")
+    fmt = need("format_version")
     if fmt != FORMAT_VERSION:
         raise ModelFormatError(
             f"{path}: field 'format_version' is {fmt}, expected {FORMAT_VERSION}")
-    contract = need(doc, "feature_contract_version", "document")
+    contract = need("feature_contract_version")
     if contract != FEATURE_CONTRACT_VERSION:
         raise ModelFormatError(
             f"{path}: field 'feature_contract_version' is {contract}, "
             f"expected {FEATURE_CONTRACT_VERSION}")
-    labels = need(doc, "labels", "document")
-    if list(labels) != list(LABEL_NAMES[:NUM_TRAINABLE]):
+    if need("labels") != list(LABEL_NAMES[:NUM_TRAINABLE]):
         raise ModelFormatError(f"{path}: field 'labels' does not match {LABEL_NAMES[:NUM_TRAINABLE]}")
+    params = ForestParams(**checked_fields(ForestParams, need("params"), f"{path}: params",
+                                           ModelFormatError, required=True))
 
-    pdoc = need(doc, "params", "document")
-    params = ForestParams(
-        num_trees=int(need(pdoc, "num_trees", "params")),
-        max_depth=int(need(pdoc, "max_depth", "params")),
-        candidates_per_node=int(need(pdoc, "candidates_per_node", "params")),
-        thresholds_per_candidate=int(need(pdoc, "thresholds_per_candidate", "params")),
-        min_samples_split=int(need(pdoc, "min_samples_split", "params")),
-        seed=int(need(pdoc, "seed", "params")),
-        class_balanced=bool(need(pdoc, "class_balanced", "params")),
-    )
-
-    trees_doc = need(doc, "trees", "document")
-    if len(trees_doc) != params.num_trees:
+    trees_doc = need("trees")
+    if not isinstance(trees_doc, list) or len(trees_doc) != params.num_trees:
         raise ModelFormatError(
-            f"{path}: field 'trees' has {len(trees_doc)} entries, params say "
-            f"{params.num_trees}")
-    trees = [_tree_from_doc(tdoc, i, path) for i, tdoc in enumerate(trees_doc)]
-    model = ForestModel(trees=trees, params=params,
-                        training_meta=doc.get("training_meta", {}))
+            f"{path}: field 'trees' must be a list of {params.num_trees} trees, as params say")
+    trees = [_tree_from_doc(tdoc, f"{path}: tree {i}") for i, tdoc in enumerate(trees_doc)]
     for i, tree in enumerate(trees):
         if tree.depth() > params.max_depth:
             raise ModelFormatError(f"{path}: tree {i} deeper than max_depth")
-    return model
+    return ForestModel(trees=trees, params=params, training_meta=doc.get("training_meta", {}))
 
 
-def _tree_from_doc(tdoc: dict, tree_index: int, path) -> FlatTree:
-    where = f"tree {tree_index}"
-    if "nodes" not in tdoc or not tdoc["nodes"]:
-        raise ModelFormatError(f"{path}: missing or empty field 'nodes' in {where}")
-    nodes = tdoc["nodes"]
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON integer; bool is not one
+
+
+def _tree_from_doc(tdoc, where: str) -> FlatTree:
+    nodes = tdoc.get("nodes") if isinstance(tdoc, dict) else None
+    if not isinstance(nodes, list) or not nodes:
+        raise ModelFormatError(f"{where}: field 'nodes' missing, empty or not a list")
     n = len(nodes)
     kind = np.zeros(n, dtype=np.uint8)
     feature = np.full(n, -1, dtype=np.int16)
@@ -412,41 +368,39 @@ def _tree_from_doc(tdoc: dict, tree_index: int, path) -> FlatTree:
     distribution = np.zeros((n, NUM_TRAINABLE))
     support = np.zeros(n, dtype=np.int64)
     for i, node in enumerate(nodes):
-        where_n = f"{where} node {i}"
-        k = node.get("kind")
+        if not isinstance(node, dict):
+            raise ModelFormatError(f"{where} node {i}: not a JSON object")
+
+        def get(key, valid):
+            value = node.get(key)
+            if not valid(value):
+                raise ModelFormatError(f"{where} node {i}: field {key!r} missing or invalid")
+            return value
+
+        k = get("kind", lambda v: v in ("split", "leaf"))
         if k == "split":
             kind[i] = KIND_SPLIT
-            feature[i] = node.get("feature", -1)
-            if not 0 <= feature[i] < FEATURE_DIM:
-                raise ModelFormatError(f"{path}: field 'feature' out of range in {where_n}")
-            threshold[i] = node.get("threshold", np.nan)
-            if not np.isfinite(threshold[i]):
-                raise ModelFormatError(f"{path}: field 'threshold' invalid in {where_n}")
-            left[i] = node.get("left", -1)
-            right[i] = node.get("right", -1)
+            feature[i] = get("feature", lambda v: _is_int(v) and 0 <= v < FEATURE_DIM)
+            threshold[i] = get("threshold", lambda v: type(v) is float and np.isfinite(v))
             # the writer emits preorder, so children follow their parent
-            if not (i < left[i] < n and i < right[i] < n):
-                raise ModelFormatError(f"{path}: child index out of range in {where_n}")
-        elif k == "leaf":
-            kind[i] = KIND_LEAF
-            dist = np.asarray(node.get("distribution", []), dtype=np.float64)
-            if dist.shape != (NUM_TRAINABLE,):
-                raise ModelFormatError(f"{path}: field 'distribution' invalid in {where_n}")
-            if dist.min() < 0 or abs(dist.sum() - 1.0) > 1e-9:
-                raise ModelFormatError(
-                    f"{path}: field 'distribution' not a probability vector in {where_n}")
-            distribution[i] = dist
-            support[i] = int(node.get("support", 0))
-            if support[i] < 1:
-                raise ModelFormatError(f"{path}: field 'support' must be >= 1 in {where_n}")
+            left[i] = get("left", lambda v: _is_int(v) and i < v < n)
+            right[i] = get("right", lambda v: _is_int(v) and i < v < n)
         else:
-            raise ModelFormatError(f"{path}: field 'kind' invalid in {where_n}")
+            kind[i] = KIND_LEAF
+            dist = np.array(get("distribution", lambda v: isinstance(v, list)
+                                and len(v) == NUM_TRAINABLE
+                                and all(type(p) is float for p in v)))
+            # also rejects NaN, which Python's JSON reader accepts
+            if not ((dist >= 0).all() and abs(dist.sum() - 1.0) <= 1e-9):
+                raise ModelFormatError(
+                    f"{where} node {i}: field 'distribution' not a probability vector")
+            distribution[i] = dist
+            support[i] = get("support", lambda v: _is_int(v) and 1 <= v < 2 ** 63)
     split = kind == KIND_SPLIT
     parents = np.bincount(np.concatenate([left[split], right[split]]), minlength=n)
     orphan = np.nonzero(parents[1:] != 1)[0]
     if orphan.shape[0]:
         node = int(orphan[0]) + 1
-        raise ModelFormatError(
-            f"{path}: node {node} of {where} has {parents[node]} parents, expected 1")
+        raise ModelFormatError(f"{where} node {node}: {parents[node]} parents, expected 1")
     return FlatTree(kind=kind, feature=feature, threshold=threshold, left=left,
                     right=right, distribution=distribution, support=support)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import FRAME_CAMERA, FRAME_GRAVITY, PointCloud
+from .cloud import FRAME_CAMERA, FRAME_GRAVITY, PointCloud, read_key_values
 from .errors import FrameDiscardError, InputError
 from .labels import Label
 
@@ -140,16 +140,5 @@ def plane_from_pose(camera_height: float, pitch: float, roll: float) -> GroundPl
 
 def load_camera_pose(path: str | Path) -> GroundPlane:
     """Read a pose file with keys height, pitch, roll."""
-    values = {}
-    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace("=", " ").split()
-        if len(parts) != 2:
-            raise InputError(f"{path}:{lineno}: expected 'key value', got {raw_line!r}")
-        values[parts[0]] = float(parts[1])
-    missing = {"height", "pitch", "roll"} - values.keys()
-    if missing:
-        raise InputError(f"{path}: missing pose keys {sorted(missing)}")
+    values = read_key_values(path, ("height", "pitch", "roll"))
     return plane_from_pose(values["height"], values["pitch"], values["roll"])

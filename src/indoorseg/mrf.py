@@ -30,8 +30,6 @@ class MrfProblem:
     unary: np.ndarray    # (P, L) costs, row i = cost per label at node i
     edges: np.ndarray    # (E, 2) int, a < b, unique
     weights: np.ndarray  # (E,) pairwise penalty for disagreeing labels
-    lam: float = 1.0
-    sigma: float = 0.1
 
     @property
     def num_nodes(self) -> int:
@@ -67,7 +65,7 @@ def build_problem(probs: np.ndarray, edges: np.ndarray, edge_lengths: np.ndarray
         raise InputError("predictions contain non-finite values")
 
     return MrfProblem(unary=lam * (1.0 - probs), edges=edges,
-                      weights=np.exp(-edge_lengths / sigma), lam=lam, sigma=sigma)
+                      weights=np.exp(-edge_lengths / sigma))
 
 
 def energy_of(problem: MrfProblem, assignment: np.ndarray) -> float:

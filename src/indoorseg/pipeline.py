@@ -24,7 +24,7 @@ import numpy as np
 
 from . import mrf
 from .cloud import FRAME_GRAVITY, PointCloud
-from .errors import InputError
+from .errors import InputError, checked_fields
 from .features import feature_matrix
 from .forest import ForestModel, ForestParams, predict_batch
 from .ground import (
@@ -83,36 +83,17 @@ class PipelineConfig:
             raise InputError("mrf_lambda and mrf_sigma must be positive")
 
     def overseg_params(self) -> OversegParams:
-        return OversegParams(
-            voxel_resolution=self.voxel_resolution,
-            seed_resolution=self.seed_resolution,
-            w_spatial=self.w_spatial,
-            w_normal=self.w_normal,
-            w_color=self.w_color,
-            min_patch_points=self.min_patch_points,
-        )
+        return _copy_fields(OversegParams, self)
 
     def forest_params(self) -> ForestParams:
-        return ForestParams(
-            num_trees=self.num_trees,
-            max_depth=self.max_depth,
-            candidates_per_node=self.candidates_per_node,
-            thresholds_per_candidate=self.thresholds_per_candidate,
-            min_samples_split=self.min_samples_split,
-            seed=self.seed,
-            class_balanced=self.class_balanced,
-        )
+        return _copy_fields(ForestParams, self)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+    def from_dict(cls, data: dict, where: str = "config") -> "PipelineConfig":
+        return cls(**checked_fields(cls, data, where))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -124,9 +105,12 @@ class PipelineConfig:
             data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as e:
             raise InputError(f"{path}: invalid config JSON at position {e.pos}") from None
-        if not isinstance(data, dict):
-            raise InputError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(data, str(path))
+
+
+def _copy_fields(cls, source):
+    """A ``cls`` built from the same-named fields of ``source``."""
+    return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
 
 @dataclass

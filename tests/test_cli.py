@@ -268,3 +268,44 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"seed": "x"}, "seed"), ({"voxel_resolution": None}, "voxel_resolution"),
+    ({"normals_k": "15"}, "normals_k"), ({"num_trees": True}, "num_trees"),
+])
+def test_bad_config_value_exits_1(workspace, tmp_path, capsys, data, field):
+    _, scenes, model, _ = workspace
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = main(["segment", "--input", str(scenes / "scene_000.ply"),
+                 "--model", str(model), "--output", str(tmp_path / "o.ply"),
+                 "--config", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"bad.json: field '{field}'" in err
+
+
+@pytest.mark.parametrize("value", ["abc", None])
+def test_bad_model_param_exits_1(workspace, tmp_path, capsys, value):
+    _, scenes, model, _ = workspace
+    doc = json.loads(model.read_text())
+    doc["params"]["num_trees"] = value
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["segment", "--input", str(scenes / "scene_000.ply"),
+                 "--model", str(bad), "--output", str(tmp_path / "o.ply")] + CFG)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "params: field 'num_trees'" in err
+
+
+def test_bad_pose_file_exits_1(workspace, tmp_path, capsys):
+    _, scenes, model, _ = workspace
+    pose = tmp_path / "pose.txt"
+    pose.write_text("height 1.2\npitch abc\nroll 0.0\n")
+    code = main(["segment", "--input", str(scenes / "scene_000.ply"), "--model", str(model),
+                 "--output", str(tmp_path / "o.ply"), "--pose-file", str(pose)] + CFG)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "pose.txt:2: expected 'key number'" in err

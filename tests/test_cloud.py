@@ -7,6 +7,7 @@ from indoorseg.cloud import (
     PointCloud,
     ingest_depth_frame,
     project_to_pixels,
+    read_key_values,
 )
 from indoorseg.errors import EmptyCloudError, InputError
 
@@ -82,6 +83,17 @@ class TestIngest:
         np.testing.assert_array_equal(cloud.colors, [[0, 128, 255], [0, 0, 0]])
         assert cloud.colors.dtype == np.uint8
 
+    def test_labels_out_of_range_rejected(self):
+        depth, rgb = _frame({(2, 3): 1000, (4, 5): 1200}, h=8, w=8)
+        labels = np.zeros((8, 8), dtype=np.int64)
+        labels[4, 5] = 256  # a uint8 cast would wrap it to floor (0)
+        with pytest.raises(InputError, match="label ids"):
+            ingest_depth_frame(depth, rgb, labels, INTR)
+        labels[4, 5] = 3
+        cloud = ingest_depth_frame(depth, rgb, labels, INTR)
+        np.testing.assert_array_equal(cloud.labels, [0, 3])
+        assert cloud.labels.dtype == np.uint8
+
     def test_backprojection_invertible(self, rng):
         depth = rng.integers(400, 5000, size=(60, 80)).astype(np.uint16)
         rgb = np.zeros((60, 80, 3), dtype=np.uint8)
@@ -104,6 +116,19 @@ class TestPointCloudType:
     def test_rejects_label_out_of_range(self):
         with pytest.raises(InputError):
             make_cloud([[0.0, 0.0, 0.0]], labels=[8])
+
+    @pytest.mark.parametrize("bad", [np.array([256, 257]), [256, 0], [-1, 0], [2.7, 1],
+                                     np.array([8, 0], dtype=np.uint8)])
+    def test_rejects_labels_before_the_uint8_cast(self, bad):
+        with pytest.raises(InputError, match="label ids must be integers in 0..7"):
+            PointCloud(positions=np.zeros((2, 3)), colors=np.zeros((2, 3)), labels=bad)
+
+    def test_accepts_integral_labels_of_any_type(self):
+        for labels in ([7, 0], np.array([7.0, 0.0]), np.array([7, 0], dtype=np.int16)):
+            cloud = PointCloud(positions=np.zeros((2, 3)), colors=np.zeros((2, 3)),
+                               labels=labels)
+            np.testing.assert_array_equal(cloud.labels, [7, 0])
+            assert cloud.labels.dtype == np.uint8
 
     def test_rejects_color_out_of_range(self):
         for bad in ([[300, 0, 0]], [[0, -1, 255]], [[0.0, np.nan, 0.0]]):
@@ -153,3 +178,24 @@ class TestIntrinsics:
         path.write_text("fx 525.0\n")
         with pytest.raises(InputError):
             Intrinsics.load(path)
+
+    def test_load_ignores_other_keys(self, tmp_path):
+        path = tmp_path / "intr.txt"
+        path.write_text("# kinect\nfx 525.0\nfy 520.0  # measured\ncx 319.5\ncy 239.5\nk1 0.2\n")
+        assert Intrinsics.load(path) == Intrinsics(fx=525.0, fy=520.0, cx=319.5, cy=239.5)
+
+
+class TestReadKeyValues:
+    @pytest.mark.parametrize("line", ["fy abc", "fy", "fy 1 2", "fy nan", "fy=inf"])
+    def test_bad_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "kv.txt"
+        path.write_text(f"fx 1.0\n{line}\n")
+        with pytest.raises(InputError, match=f"kv.txt:2: expected 'key number', got '{line}'"):
+            read_key_values(path, ())
+
+    def test_missing_keys_named(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("a=1\n\n  # only a comment\nb 2e-3\n")
+        assert read_key_values(path, ("a", "b")) == {"a": 1.0, "b": 0.002}
+        with pytest.raises(InputError, match=r"missing keys \['c', 'd'\]"):
+            read_key_values(path, ("d", "a", "c"))

@@ -1,23 +1,50 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from indoorseg import forest
 from indoorseg.errors import ModelFormatError, PredictionError, TrainingError
-from indoorseg.features import FEATURE_DIM
+from indoorseg.features import FEATURE_CONTRACT_VERSION, FEATURE_DIM
 from indoorseg.forest import (
     KIND_LEAF,
     ForestParams,
     TrainingSet,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train_forest,
 )
 from indoorseg.labels import NUM_TRAINABLE, Label
+
+
+def _check_vector(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (FEATURE_DIM,):
+        raise PredictionError(f"feature vector must have shape ({FEATURE_DIM},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise PredictionError("feature vector contains non-finite values")
+    return x
+
+
+def predict(model, x: np.ndarray) -> np.ndarray:
+    """Oracle for `predict_batch`: one feature vector walked down each tree
+    node by node, the mean of the reached leaves."""
+    if model.feature_contract_version != FEATURE_CONTRACT_VERSION:
+        raise PredictionError(
+            f"model feature contract v{model.feature_contract_version} != "
+            f"v{FEATURE_CONTRACT_VERSION}")
+    x = _check_vector(x)
+    acc = np.zeros(NUM_TRAINABLE)
+    for tree in model.trees:
+        node = 0
+        while tree.kind[node] == forest.KIND_SPLIT:
+            node = tree.left[node] if x[tree.feature[node]] < tree.threshold[node] \
+                else tree.right[node]
+        acc += tree.distribution[node]
+    return acc / len(model.trees)
 
 
 def random_set(rng, n=200, classes=3):
@@ -327,7 +354,7 @@ class TestSerialization:
         path, doc, nodes, splits = self._tree_doc(rng, tmp_path)
         nodes[splits[1]]["left"] = nodes[splits[1]]["right"] = 0
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="child index"):
+        with pytest.raises(ModelFormatError, match="field 'left'"):
             load_model(path)
 
     def test_shared_child_rejected(self, rng, tmp_path):
@@ -335,4 +362,60 @@ class TestSerialization:
         nodes[0]["right"] = nodes[0]["left"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="parents"):
+            load_model(path)
+
+    def test_load_save_round_trip_is_byte_identical(self, rng, tmp_path):
+        model = train_forest(random_set(rng, n=250, classes=6),
+                             ForestParams(num_trees=3, seed=4, class_balanced=True))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text())["params"] == dataclasses.asdict(model.params)
+
+    @pytest.mark.parametrize("value", ["abc", None, True, 2.0])
+    def test_wrong_param_type_rejected(self, rng, tmp_path, value):
+        path, doc, _, _ = self._tree_doc(rng, tmp_path)
+        doc["params"]["num_trees"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="params: field 'num_trees' must be int"):
+            load_model(path)
+
+    def test_params_need_every_field(self, rng, tmp_path):
+        path, doc, _, _ = self._tree_doc(rng, tmp_path)
+        del doc["params"]["class_balanced"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="params: missing field 'class_balanced'"):
+            load_model(path)
+        doc["params"].update(class_balanced=False, bagging=True)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=r"params: unknown keys \['bagging'\]"):
+            load_model(path)
+
+    @pytest.mark.parametrize("target, key, value, message", [
+        ("doc", "trees", 3, "field 'trees'"),
+        ("tree", "nodes", [], "tree 0: field 'nodes'"),
+        ("split", None, 7, "tree 0 node {split}: not a JSON object"),
+        ("split", "feature", "x", "tree 0 node {split}: field 'feature'"),
+        ("split", "feature", 3.0, "tree 0 node {split}: field 'feature'"),
+        ("split", "threshold", "x", "tree 0 node {split}: field 'threshold'"),
+        ("split", "right", 2 ** 40, "tree 0 node {split}: field 'right'"),
+        ("leaf", "support", "x", "tree 0 node {leaf}: field 'support'"),
+        ("leaf", "support", 2 ** 70, "tree 0 node {leaf}: field 'support'"),
+        ("leaf", "distribution", ["x"] * 7, "tree 0 node {leaf}: field 'distribution'"),
+        ("leaf", "kind", None, "tree 0 node {leaf}: field 'kind'"),
+    ])
+    def test_malformed_tree_names_tree_node_and_field(self, rng, tmp_path, target, key,
+                                                      value, message):
+        path, doc, nodes, splits = self._tree_doc(rng, tmp_path)
+        index = {"split": splits[1],
+                 "leaf": next(i for i, node in enumerate(nodes) if node["kind"] == "leaf")}
+        if key is None:
+            nodes[index[target]] = value
+        else:
+            containers = {"doc": doc, "tree": doc["trees"][0], "split": nodes[index["split"]],
+                          "leaf": nodes[index["leaf"]]}
+            containers[target][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=re.escape(message.format(**index))):
             load_model(path)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from indoorseg import mrf
 from indoorseg.errors import InputError
 from indoorseg.mrf import (
     MrfProblem,
@@ -170,6 +171,45 @@ class TestBruteForce:
             b = exact_map_bruteforce(scaled)
             np.testing.assert_array_equal(a.assignment, b.assignment)
             assert b.energy == pytest.approx(2.5 * a.energy, rel=1e-12)
+
+
+class TestBruteForceChunked:
+    """The chunked search, forced on small problems, against the full grid.
+
+    3^5 = 243 assignments in chunks of 7: 34 full chunks and a short last
+    one of 5."""
+
+    @staticmethod
+    def chunked(problem, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(mrf, "_GRID_LIMIT", 0)
+            mp.setattr(mrf, "_CHUNK", 7)
+            return exact_map_bruteforce(problem)
+
+    def test_matches_grid_on_random_problems(self, rng, monkeypatch):
+        for density in (0.0, 0.3, 0.7, 1.0):
+            for _ in range(5):
+                problem = random_problem(rng, 5, 3, density=density)
+                grid = exact_map_bruteforce(problem)
+                chunked = self.chunked(problem, monkeypatch)
+                np.testing.assert_array_equal(chunked.assignment, grid.assignment)
+                assert chunked.energy == grid.energy
+
+    @pytest.mark.parametrize("first_costs, expected", [
+        ([0.0, 0.0, 0.0], [0, 0, 0, 0, 0]),  # every assignment ties
+        # node 0 rules out label 0: the ties start at code 81, in chunk 11,
+        # and go on in every later chunk, the short last one included
+        ([1.0, 0.0, 0.0], [1, 0, 0, 0, 0]),
+    ])
+    def test_ties_break_lexicographically_across_chunks(self, first_costs, expected,
+                                                        monkeypatch):
+        unary = np.zeros((5, 3))
+        unary[0] = first_costs
+        problem = MrfProblem(unary=unary, edges=NO_EDGES, weights=np.zeros(0))
+        chunked = self.chunked(problem, monkeypatch)
+        assert list(chunked.assignment) == expected
+        np.testing.assert_array_equal(chunked.assignment,
+                                      exact_map_bruteforce(problem).assignment)
 
 
 class TestLoopyQuality:

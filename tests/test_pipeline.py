@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
-from indoorseg.errors import InputError
+from indoorseg.errors import InputError, field_types
 from indoorseg import overseg, pipeline
 from indoorseg.evalkit import ConfusionMatrix, prepare_frame, prepare_frames, score_prep, \
     train_from_preps
+from indoorseg.forest import ForestParams
 from indoorseg.ground import plane_from_pose
 from indoorseg.labels import Label
-from indoorseg.overseg import PatchGraph
+from indoorseg.overseg import OversegParams, PatchGraph
 from indoorseg.pipeline import (
     PipelineConfig,
     patch_majority_labels,
@@ -39,8 +42,57 @@ class TestConfig:
         assert PipelineConfig.load(path) == config
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(InputError, match="unknown config keys"):
+        with pytest.raises(InputError, match=r"config: unknown keys \['selfdestruct'\]"):
             PipelineConfig.from_dict({"selfdestruct": True})
+
+    @pytest.mark.parametrize("data, field", [
+        ({"seed": "x"}, "seed"), ({"voxel_resolution": None}, "voxel_resolution"),
+        ({"normals_k": "15"}, "normals_k"), ({"num_trees": True}, "num_trees"),
+        ({"mrf_lambda": False}, "mrf_lambda"), ({"class_balanced": 1}, "class_balanced"),
+        ({"normals_k": 15.0}, "normals_k"), ({"ground_mode": ["fit"]}, "ground_mode"),
+    ])
+    def test_wrong_json_types_rejected(self, tmp_path, data, field):
+        with pytest.raises(InputError, match=f"config: field '{field}' must be"):
+            PipelineConfig.from_dict(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputError, match=f"config.json: field '{field}'"):
+            PipelineConfig.load(path)
+
+    def test_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(InputError, match="config.json: expected a JSON object"):
+            PipelineConfig.load(path)
+
+    def test_int_accepted_for_float_and_written_back(self, tmp_path):
+        config = PipelineConfig.from_dict({"mrf_lambda": 2, "voxel_resolution": 0.02})
+        assert config.mrf_lambda == 2 and type(config.mrf_lambda) is int
+        path = tmp_path / "config.json"
+        config.save(path)
+        assert '"mrf_lambda": 2,' in path.read_text()
+        assert PipelineConfig.load(path) == config
+
+    def test_stage_params_are_config_fields(self):
+        assert PipelineConfig().overseg_params() == OversegParams()
+        assert PipelineConfig().forest_params() == ForestParams()
+        config_types = field_types(PipelineConfig)
+        for cls in (OversegParams, ForestParams):
+            for name, kind in field_types(cls).items():
+                assert config_types.get(name) is kind, f"{cls.__name__}.{name}"
+
+    def test_stage_params_copy_the_config(self):
+        config = PipelineConfig(
+            voxel_resolution=0.02, seed_resolution=0.3, w_spatial=0.5, w_normal=2.0,
+            w_color=0.1, min_patch_points=4, num_trees=3, max_depth=5,
+            candidates_per_node=2, thresholds_per_candidate=7, min_samples_split=3,
+            seed=11, class_balanced=True)
+        assert config.overseg_params() == OversegParams(
+            voxel_resolution=0.02, seed_resolution=0.3, w_spatial=0.5, w_normal=2.0,
+            w_color=0.1, min_patch_points=4)
+        assert config.forest_params() == ForestParams(
+            num_trees=3, max_depth=5, candidates_per_node=2, thresholds_per_candidate=7,
+            min_samples_split=3, seed=11, class_balanced=True)
 
     def test_bounds_validated(self):
         with pytest.raises(InputError):
