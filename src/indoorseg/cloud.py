@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyCloudError, InputError
+from .errors import EmptyCloudError, InputError, read_text
 from .labels import NUM_LABELS, Label
 
 FRAME_CAMERA = "camera"
@@ -52,7 +52,7 @@ def read_key_values(path: str | Path, required: Sequence[str]) -> dict[str, floa
     """The `key value` (or `key=value`) lines of a text file, with `#`
     comments, as finite numbers; every key in ``required`` must be there."""
     values = {}
-    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw_line in enumerate(read_text(path).splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

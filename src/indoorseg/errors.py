@@ -8,10 +8,12 @@ covers bad files, parameters, and contract mismatches; ``PipelineError``
 A parameter dataclass (`PipelineConfig`, `ForestParams`, ...) types each
 field by its default. `field_types` reads that map once for the CLI flags,
 and `checked_fields` checks a JSON object from a config or model file
-against it.
+against it. `read_text` reads a config, model or other text file and
+turns bytes that are not UTF-8 into an ``InputError`` naming the file.
 """
 
 from dataclasses import fields
+from pathlib import Path
 
 
 class IndoorSegError(Exception):
@@ -96,3 +98,12 @@ def checked_fields(cls, data, where: str, error=InputError, required: bool = Fal
             raise error(f"{where}: field {name!r} must be {kind.__name__}, "
                         f"got {type(data[name]).__name__}")
     return data
+
+
+def read_text(path, error=InputError) -> str:
+    """The UTF-8 text of ``path``; raises ``error`` naming the file if its
+    bytes are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text (byte {e.start})") from None

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFormatError, PredictionError, TrainingError, checked_fields
+from .errors import ModelFormatError, PredictionError, TrainingError, checked_fields, \
+    read_text
 from .features import FEATURE_CONTRACT_VERSION, FEATURE_DIM
 from .labels import LABEL_NAMES, NUM_TRAINABLE
 
@@ -315,7 +316,7 @@ def _tree_to_doc(tree: FlatTree) -> dict:
 
 def load_model(path: str | Path) -> ForestModel:
     """Parse and validate a model file; raises ModelFormatError on any defect."""
-    text = Path(path).read_text()
+    text = read_text(path, ModelFormatError)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

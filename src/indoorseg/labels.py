@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, read_text
 
 
 class Label(enum.IntEnum):
@@ -47,7 +47,7 @@ def load_label_mapping(path: str | Path) -> dict[int, Label]:
     table only needs to list ids with a known target.
     """
     mapping: dict[int, Label] = {}
-    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw_line in enumerate(read_text(path).splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

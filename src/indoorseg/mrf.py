@@ -10,10 +10,13 @@ each undirected edge whose endpoints disagree, a distance-decayed penalty
 Each undirected edge contributes once. Unary costs come from classifier
 confidence: unary[i][y] = lam * (1 - p(y | x_i)).
 
-``solve_map_lbp`` runs synchronous, damped min-sum message passing and
-never returns a labeling worse than the unary-only argmin (it falls back
-if the propagated one loses). ``exact_map_bruteforce`` is the exhaustive
-reference for small problems.
+``solve_map_lbp`` runs synchronous, damped min-sum message passing with
+the O(L) Potts message update (Felzenszwalb & Huttenlocher, "Efficient
+Belief Propagation for Early Vision", IJCV 2006) and never returns a
+labeling worse than the unary-only argmin (it falls back if the
+propagated one loses). Messages and per-node sums are held label-major,
+``(L, 2E)`` and ``(L, n)`` C-contiguous, so every per-edge minimum runs
+over L contiguous rows; the loop writes into preallocated buffers.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def build_problem(probs: np.ndarray, edges: np.ndarray, edge_lengths: np.ndarray
                   lam: float = 1.0, sigma: float = 0.1) -> MrfProblem:
     """Unary costs from per-node label distributions, Potts weights from the
     lengths (centroid distances) of the adjacency edges."""
-    if lam <= 0 or sigma <= 0:
+    if not (lam > 0 and sigma > 0):
         raise InputError("lam and sigma must be positive")
     probs = np.asarray(probs, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -100,46 +103,56 @@ def solve_map_lbp(problem: MrfProblem, max_iters: int = 50,
         return Labeling(assignment=best_assignment, energy=best_energy)
 
     # directed edges: d and d + n_edges are the two directions of edge d,
-    # so the reverse of message block [0:E] is block [E:2E] and vice versa
+    # so the reverse of message block [:, :E] is block [:, E:] and vice versa
     src = np.concatenate([problem.edges[:, 0], problem.edges[:, 1]])
     dst = np.concatenate([problem.edges[:, 1], problem.edges[:, 0]])
-    w = np.concatenate([problem.weights, problem.weights])[:, None]
-    unary_src = problem.unary[src]
+    w = np.concatenate([problem.weights, problem.weights])
+    unary = np.ascontiguousarray(problem.unary.T)  # (L, n)
+    bins = (np.arange(num_labels)[:, None] * n + dst).ravel()
 
-    def sum_incoming(msgs):
-        return np.stack([
-            np.bincount(dst, weights=msgs[:, label], minlength=n)
-            for label in range(num_labels)
-        ], axis=1)
+    def beliefs(msgs):
+        # unary plus incoming messages, (L, n); bin (label, node) sums its
+        # edges in edge order, as a per-label bincount over dst would
+        incoming = np.bincount(bins, weights=msgs.ravel(), minlength=num_labels * n)
+        return unary + incoming.reshape(num_labels, n)
 
-    def consider(incoming):
+    def consider(belief):
         nonlocal best_assignment, best_energy
-        assignment = np.argmin(problem.unary + incoming, axis=1)
+        assignment = np.argmin(belief, axis=0)
         energy = energy_of(problem, assignment)
         if energy < best_energy:
             best_assignment, best_energy = assignment, energy
 
-    messages = np.zeros((2 * n_edges, num_labels))
+    messages = np.zeros((num_labels, 2 * n_edges))
+    new = np.empty_like(messages)
+    h = np.empty_like(messages)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        incoming = sum_incoming(messages)
+        belief = beliefs(messages)
         if iterations > 1:
-            consider(incoming)
-        reverse = np.concatenate([messages[n_edges:], messages[:n_edges]])
-        h = unary_src + incoming[src] - reverse
-        new = np.minimum(h, h.min(axis=1, keepdims=True) + w)
-        new = damping * messages + (1.0 - damping) * new
-        new -= new.min(axis=1, keepdims=True)
-        delta = float(np.abs(new - messages).max())
-        messages = new
+            consider(belief)
+        # not belief[:, src]: fancy indexing returns Fortran order, and
+        # every row-wise reduction below would then run strided; "clip"
+        # writes straight into h (energy_of above has indexed with src)
+        np.take(belief, src, axis=1, out=h, mode="clip")
+        h[:, :n_edges] -= messages[:, n_edges:]
+        h[:, n_edges:] -= messages[:, :n_edges]
+        np.minimum(h, h.min(axis=0) + w, out=h)
+        np.multiply(messages, damping, out=new)
+        h *= 1.0 - damping
+        new += h
+        new -= new.min(axis=0)
+        np.subtract(new, messages, out=h)
+        delta = float(np.abs(h, out=h).max())
+        messages, new = new, messages
         if delta < tol:
             converged = True
             break
 
-    consider(sum_incoming(messages))
+    consider(beliefs(messages))
     best_assignment, best_energy = _local_descent(problem, best_assignment,
-                                                  best_energy, dst, src, w[:, 0])
+                                                  best_energy, dst, src, w)
     return Labeling(assignment=best_assignment, energy=best_energy,
                     converged=converged, iterations=iterations)
 
@@ -162,67 +175,3 @@ def _local_descent(problem, assignment, energy, dst, src, w, max_rounds=10):
             break
         assignment, energy = candidate, cand_energy
     return assignment, energy
-
-
-_BRUTEFORCE_MAX_NODES = 12
-_GRID_LIMIT = 16_000_000  # full-grid path below this many assignments
-_CHUNK = 1 << 18
-
-
-def exact_map_bruteforce(problem: MrfProblem) -> Labeling:
-    """Exhaustive minimum-energy assignment; ties resolve to the
-    lexicographically smallest assignment. Limited to 12 nodes."""
-    n, num_labels = problem.unary.shape
-    if n > _BRUTEFORCE_MAX_NODES:
-        raise InputError(f"brute force limited to {_BRUTEFORCE_MAX_NODES} nodes, got {n}")
-    if n == 0:
-        return Labeling(assignment=np.zeros(0, dtype=np.int64), energy=0.0)
-
-    total = num_labels ** n
-    if total <= _GRID_LIMIT:
-        assignment = _bruteforce_grid(problem, n, num_labels)
-    else:
-        assignment = _bruteforce_chunked(problem, n, num_labels, total)
-    return Labeling(assignment=assignment, energy=energy_of(problem, assignment))
-
-
-def _bruteforce_grid(problem: MrfProblem, n: int, num_labels: int) -> np.ndarray:
-    """Energy over the full L^n grid via broadcasting; axis j = node j, so the
-    C-order argmin is the lexicographically smallest minimizer."""
-    shape = (num_labels,) * n
-    energy = np.zeros(shape)
-    for j in range(n):
-        axis_shape = [1] * n
-        axis_shape[j] = num_labels
-        energy += problem.unary[j].reshape(axis_shape)
-    disagree = 1.0 - np.eye(num_labels)  # symmetric, so axis order is free
-    for (a, b), w in zip(problem.edges, problem.weights):
-        pair_shape = [1] * n
-        pair_shape[a] = num_labels
-        pair_shape[b] = num_labels
-        energy += (w * disagree).reshape(pair_shape)
-    flat = int(np.argmin(energy))
-    return np.array(np.unravel_index(flat, shape), dtype=np.int64)
-
-
-def _bruteforce_chunked(problem: MrfProblem, n: int, num_labels: int,
-                        total: int) -> np.ndarray:
-    place = num_labels ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    ea, eb = (problem.edges[:, 0], problem.edges[:, 1]) if problem.edges.shape[0] \
-        else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    best_energy = np.inf
-    best_code = -1
-    for start in range(0, total, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        labels = (codes[:, None] // place[None, :]) % num_labels
-        energy = np.zeros(codes.shape[0])
-        for j in range(n):
-            energy += problem.unary[j, labels[:, j]]
-        if ea.shape[0]:
-            disagree = labels[:, ea] != labels[:, eb]
-            energy += disagree @ problem.weights
-        i = int(np.argmin(energy))  # first minimum = lexicographically smallest
-        if energy[i] < best_energy:
-            best_energy = float(energy[i])
-            best_code = int(codes[i])
-    return ((best_code // place) % num_labels).astype(np.int64)

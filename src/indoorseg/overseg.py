@@ -48,12 +48,16 @@ class OversegParams:
     min_patch_points: int = 10
 
     def __post_init__(self):
-        if self.voxel_resolution <= 0 or self.seed_resolution <= 0:
+        # written as `not x > 0` so that NaN fails them too
+        if not (self.voxel_resolution > 0 and self.seed_resolution > 0):
             raise InputError("resolutions must be positive")
-        if self.seed_resolution <= self.voxel_resolution:
+        if not self.seed_resolution > self.voxel_resolution:
             raise InputError(
                 f"seed_resolution ({self.seed_resolution}) must exceed "
                 f"voxel_resolution ({self.voxel_resolution})")
+        if not all(0 <= w < float("inf") for w in (self.w_spatial, self.w_normal,
+                                                   self.w_color)):
+            raise InputError("w_spatial, w_normal and w_color must be finite and >= 0")
         if self.min_patch_points < 1:
             raise InputError("min_patch_points must be >= 1")
 

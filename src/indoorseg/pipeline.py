@@ -24,7 +24,7 @@ import numpy as np
 
 from . import mrf
 from .cloud import FRAME_GRAVITY, PointCloud
-from .errors import InputError, checked_fields
+from .errors import InputError, checked_fields, read_text
 from .features import feature_matrix
 from .forest import ForestModel, ForestParams, predict_batch
 from .ground import (
@@ -79,8 +79,15 @@ class PipelineConfig:
         # remaining bounds are enforced by the stage parameter types
         self.overseg_params()
         self.forest_params()
-        if self.mrf_lambda <= 0 or self.mrf_sigma <= 0:
-            raise InputError("mrf_lambda and mrf_sigma must be positive")
+        # written as `not x > 0` so that NaN fails them too
+        if not (self.ransac_threshold > 0 and self.mrf_lambda > 0 and self.mrf_sigma > 0):
+            raise InputError("ransac_threshold, mrf_lambda and mrf_sigma must be positive")
+        if self.lbp_max_iters < 1:
+            raise InputError("lbp_max_iters must be >= 1")
+        if not 0 <= self.lbp_damping < 1:
+            raise InputError("lbp_damping must be in [0, 1)")
+        if not 0 <= self.lbp_tol < float("inf"):
+            raise InputError("lbp_tol must be finite and >= 0")
 
     def overseg_params(self) -> OversegParams:
         return _copy_fields(OversegParams, self)
@@ -102,7 +109,7 @@ class PipelineConfig:
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(read_text(path))
         except json.JSONDecodeError as e:
             raise InputError(f"{path}: invalid config JSON at position {e.pos}") from None
         return cls.from_dict(data, str(path))

@@ -48,7 +48,7 @@ def cluster_tables(cloud: PointCloud, radius: float = 0.05,
         raise InputError("table clustering requires a gravity-aligned cloud")
     if cloud.labels is None:
         raise InputError("table clustering requires a labeled cloud")
-    if radius <= 0:
+    if not radius > 0:
         raise InputError("radius must be positive")
 
     table_idx = np.nonzero(cloud.labels == int(Label.TABLE))[0]
@@ -115,7 +115,7 @@ def _orient(v: np.ndarray, toward_y: bool) -> np.ndarray:
 
 def search_positions(cluster: TableCluster, distance: float) -> list[SearchPosition]:
     """Two positions on the minor axis, ``distance`` outside the table edge."""
-    if distance < 0:
+    if not distance >= 0:
         raise InputError("security distance must be >= 0")
     reach = cluster.half_extent_minor + distance
     out = []

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from indoorseg import mrf
 from indoorseg.cloud import FRAME_GRAVITY, PointCloud
+from indoorseg.errors import InputError
+from indoorseg.mrf import Labeling, MrfProblem, energy_of
 
 
 @pytest.fixture
@@ -35,3 +38,128 @@ def patch_members(graph) -> list:
     order = np.argsort(graph.point_to_patch, kind="stable")
     bounds = np.searchsorted(graph.point_to_patch[order], np.arange(len(graph) + 1))
     return [order[bounds[p]:bounds[p + 1]] for p in range(len(graph))]
+
+
+# ---------------------------------------------------------------- MRF oracles
+
+_BRUTEFORCE_MAX_NODES = 12
+_GRID_LIMIT = 16_000_000  # full-grid path below this many assignments
+_CHUNK = 1 << 18
+
+
+def exact_map_bruteforce(problem: MrfProblem) -> Labeling:
+    """Exhaustive minimum-energy assignment; ties resolve to the
+    lexicographically smallest assignment. Limited to 12 nodes."""
+    n, num_labels = problem.unary.shape
+    if n > _BRUTEFORCE_MAX_NODES:
+        raise InputError(f"brute force limited to {_BRUTEFORCE_MAX_NODES} nodes, got {n}")
+    if n == 0:
+        return Labeling(assignment=np.zeros(0, dtype=np.int64), energy=0.0)
+
+    total = num_labels ** n
+    if total <= _GRID_LIMIT:
+        assignment = _bruteforce_grid(problem, n, num_labels)
+    else:
+        assignment = _bruteforce_chunked(problem, n, num_labels, total)
+    return Labeling(assignment=assignment, energy=energy_of(problem, assignment))
+
+
+def _bruteforce_grid(problem: MrfProblem, n: int, num_labels: int) -> np.ndarray:
+    """Energy over the full L^n grid via broadcasting; axis j = node j, so the
+    C-order argmin is the lexicographically smallest minimizer."""
+    shape = (num_labels,) * n
+    energy = np.zeros(shape)
+    for j in range(n):
+        axis_shape = [1] * n
+        axis_shape[j] = num_labels
+        energy += problem.unary[j].reshape(axis_shape)
+    disagree = 1.0 - np.eye(num_labels)  # symmetric, so axis order is free
+    for (a, b), w in zip(problem.edges, problem.weights):
+        pair_shape = [1] * n
+        pair_shape[a] = num_labels
+        pair_shape[b] = num_labels
+        energy += (w * disagree).reshape(pair_shape)
+    flat = int(np.argmin(energy))
+    return np.array(np.unravel_index(flat, shape), dtype=np.int64)
+
+
+def _bruteforce_chunked(problem: MrfProblem, n: int, num_labels: int,
+                        total: int) -> np.ndarray:
+    place = num_labels ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    ea, eb = (problem.edges[:, 0], problem.edges[:, 1]) if problem.edges.shape[0] \
+        else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    best_energy = np.inf
+    best_code = -1
+    for start in range(0, total, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        labels = (codes[:, None] // place[None, :]) % num_labels
+        energy = np.zeros(codes.shape[0])
+        for j in range(n):
+            energy += problem.unary[j, labels[:, j]]
+        if ea.shape[0]:
+            disagree = labels[:, ea] != labels[:, eb]
+            energy += disagree @ problem.weights
+        i = int(np.argmin(energy))  # first minimum = lexicographically smallest
+        if energy[i] < best_energy:
+            best_energy = float(energy[i])
+            best_code = int(codes[i])
+    return ((best_code // place) % num_labels).astype(np.int64)
+
+
+def reference_lbp(problem: MrfProblem, max_iters: int = 50,
+                  damping: float = 0.5, tol: float = 1e-5) -> Labeling:
+    """Edge-major min-sum LBP: messages are ``(2E, L)`` and every step
+    allocates fresh arrays. The same schedule and float operations as
+    ``mrf.solve_map_lbp``, so their labelings must match bit for bit."""
+    n, num_labels = problem.unary.shape
+    if n == 0:
+        return Labeling(assignment=np.zeros(0, dtype=np.int64), energy=0.0)
+
+    best_assignment = np.argmin(problem.unary, axis=1)
+    best_energy = energy_of(problem, best_assignment)
+
+    n_edges = problem.edges.shape[0]
+    if n_edges == 0:
+        return Labeling(assignment=best_assignment, energy=best_energy)
+
+    src = np.concatenate([problem.edges[:, 0], problem.edges[:, 1]])
+    dst = np.concatenate([problem.edges[:, 1], problem.edges[:, 0]])
+    w = np.concatenate([problem.weights, problem.weights])[:, None]
+    unary_src = problem.unary[src]
+
+    def sum_incoming(msgs):
+        return np.stack([
+            np.bincount(dst, weights=msgs[:, label], minlength=n)
+            for label in range(num_labels)
+        ], axis=1)
+
+    def consider(incoming):
+        nonlocal best_assignment, best_energy
+        assignment = np.argmin(problem.unary + incoming, axis=1)
+        energy = energy_of(problem, assignment)
+        if energy < best_energy:
+            best_assignment, best_energy = assignment, energy
+
+    messages = np.zeros((2 * n_edges, num_labels))
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        incoming = sum_incoming(messages)
+        if iterations > 1:
+            consider(incoming)
+        reverse = np.concatenate([messages[n_edges:], messages[:n_edges]])
+        h = unary_src + incoming[src] - reverse
+        new = np.minimum(h, h.min(axis=1, keepdims=True) + w)
+        new = damping * messages + (1.0 - damping) * new
+        new -= new.min(axis=1, keepdims=True)
+        delta = float(np.abs(new - messages).max())
+        messages = new
+        if delta < tol:
+            converged = True
+            break
+
+    consider(sum_incoming(messages))
+    best_assignment, best_energy = mrf._local_descent(problem, best_assignment,
+                                                      best_energy, dst, src, w[:, 0])
+    return Labeling(assignment=best_assignment, energy=best_energy,
+                    converged=converged, iterations=iterations)

@@ -25,14 +25,14 @@ from indoorseg.features import FEATURE_DIM, feature_matrix
 from indoorseg.forest import ForestParams, TrainingSet, predict_batch, save_model, \
     train_forest
 from indoorseg.labels import Label
-from indoorseg.mrf import MrfProblem, exact_map_bruteforce, solve_map_lbp
+from indoorseg.mrf import MrfProblem, solve_map_lbp
 from indoorseg.overseg import PatchGraph
 from indoorseg.pipeline import PipelineConfig
 from indoorseg.ply_io import read_cloud
 from indoorseg.search import cluster_tables, search_positions
 from indoorseg.synth import SceneSpec, generate_scene
 
-from conftest import make_cloud
+from conftest import exact_map_bruteforce, make_cloud
 
 BENCHMARK_CONFIG = PipelineConfig(
     voxel_resolution=0.025,

@@ -309,3 +309,45 @@ def test_bad_pose_file_exits_1(workspace, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "pose.txt:2: expected 'key number'" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("voxel_resolution", float("nan")), ("seed_resolution", float("nan")),
+    ("w_spatial", float("nan")), ("w_color", -0.1), ("w_normal", float("inf")),
+    ("ransac_threshold", float("nan")),
+    ("mrf_lambda", float("nan")), ("mrf_sigma", float("nan")),
+    ("lbp_damping", float("nan")), ("lbp_damping", 1.5), ("lbp_damping", 1.0),
+    ("lbp_damping", -0.1), ("lbp_tol", float("nan")), ("lbp_tol", float("inf")),
+    ("lbp_tol", -1e-5), ("lbp_max_iters", 0),
+])
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_out_of_bounds_config_exits_1(workspace, tmp_path, capsys, field, value, source):
+    _, scenes, model, _ = workspace
+    if source == "file":
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({field: value}))  # NaN and Infinity literals
+        extra = ["--config", str(bad)]
+    else:
+        extra = ["--" + field.replace("_", "-") + f"={value}"]
+    code = main(["segment", "--input", str(scenes / "scene_000.ply"),
+                 "--model", str(model), "--output", str(tmp_path / "o.ply")] + extra)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not (tmp_path / "o.ply").exists()
+
+
+@pytest.mark.parametrize("which", ["config", "model", "pose"])
+def test_non_utf8_file_exits_1(workspace, tmp_path, capsys, which):
+    _, scenes, model, _ = workspace
+    bad = tmp_path / f"{which}.bin"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    args = ["segment", "--input", str(scenes / "scene_000.ply"),
+            "--output", str(tmp_path / "o.ply")] + CFG
+    args += {"config": ["--config", str(bad), "--model", str(model)],
+             "model": ["--model", str(bad)],
+             "pose": ["--model", str(model), "--pose-file", str(bad)]}[which]
+    code = main(args)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"{which}.bin: not UTF-8" in err
+    assert "Traceback" not in err

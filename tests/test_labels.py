@@ -38,6 +38,9 @@ def test_mapping_rejects_bad_lines(tmp_path):
     path.write_text("3,sofa\n")
     with pytest.raises(InputError):
         load_label_mapping(path)
+    path.write_bytes(b"\xff\xfe3,table\n")
+    with pytest.raises(InputError, match="map.txt: not UTF-8"):
+        load_label_mapping(path)
 
 
 def test_reduce_listed_id_maps_directly():

@@ -3,15 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from indoorseg import mrf
 from indoorseg.errors import InputError
+from indoorseg.evalkit import prepare_frame
 from indoorseg.mrf import (
     MrfProblem,
     build_problem,
     energy_of,
-    exact_map_bruteforce,
     solve_map_lbp,
 )
+from indoorseg.pipeline import PipelineConfig
+from indoorseg.synth import SceneSpec, generate_scene
+
+import conftest
+from conftest import exact_map_bruteforce, reference_lbp
 NO_EDGES = np.zeros((0, 2), dtype=np.int64)
 
 
@@ -60,6 +64,12 @@ class TestBuildProblem:
         bad[1, 0] = np.nan
         with pytest.raises(InputError):
             build_problem(bad, [[0, 1]], [0.1])
+
+    @pytest.mark.parametrize("lam, sigma", [(0.0, 0.1), (1.0, -0.1),
+                                            (np.nan, 0.1), (1.0, np.nan)])
+    def test_lambda_and_sigma_must_be_positive(self, lam, sigma):
+        with pytest.raises(InputError):
+            build_problem(np.full((2, 7), 1 / 7), [[0, 1]], [0.1], lam=lam, sigma=sigma)
 
     def test_edge_lengths_must_match_edges(self):
         with pytest.raises(InputError):
@@ -127,6 +137,88 @@ class TestLbp:
         assert out.energy == 0.0
 
 
+def assert_same_labeling(problem, **kwargs):
+    """The label-major solver against the edge-major reference loop: same
+    bytes, same energy, same schedule. Also checks that it leaves the
+    problem's arrays as it found them."""
+    before = [a.copy() for a in (problem.unary, problem.weights, problem.edges)]
+    out = solve_map_lbp(problem, **kwargs)
+    ref = reference_lbp(problem, **kwargs)
+    assert out.assignment.tobytes() == ref.assignment.tobytes()
+    assert out.assignment.dtype == ref.assignment.dtype
+    assert out.energy == ref.energy
+    assert out.iterations == ref.iterations
+    assert out.converged == ref.converged
+    for old, now in zip(before, (problem.unary, problem.weights, problem.edges)):
+        assert old.tobytes() == now.tobytes()
+    return out
+
+
+class TestMatchesReferenceLoop:
+    def test_seeded_random_graphs(self, rng):
+        for n, labels, density in [(10, 7, 0.5), (30, 4, 0.2), (60, 7, 0.08),
+                                   (200, 7, 0.02), (9, 2, 1.0)]:
+            for _ in range(4):
+                assert_same_labeling(random_problem(rng, n, labels, density=density))
+
+    def test_seeded_random_trees(self, rng):
+        for _ in range(10):
+            assert_same_labeling(random_problem(rng, int(rng.integers(2, 40)), 7, tree=True))
+
+    def test_isolated_nodes(self, rng):
+        # nodes 3..7 touch no edge: they get no messages and keep the
+        # unary argmin
+        unary = rng.uniform(0.0, 1.0, size=(8, 7))
+        problem = MrfProblem(unary=unary, edges=np.array([[0, 1], [1, 2], [0, 2]]),
+                             weights=np.array([0.4, 0.7, 0.2]))
+        out = assert_same_labeling(problem)
+        np.testing.assert_array_equal(out.assignment[3:], np.argmin(unary[3:], axis=1))
+
+    def test_single_edge(self, rng):
+        for weight in (0.0, 0.05, 0.5, 5.0):
+            problem = MrfProblem(unary=rng.uniform(0.0, 1.0, size=(2, 7)),
+                                 edges=np.array([[0, 1]]), weights=np.array([weight]))
+            assert_same_labeling(problem)
+
+    def test_tied_unaries(self, rng):
+        flat = random_problem(rng, 12, 7, density=0.4)
+        assert_same_labeling(MrfProblem(unary=np.zeros_like(flat.unary),
+                                        edges=flat.edges, weights=flat.weights))
+        # two labels tie at every node's minimum
+        unary = rng.uniform(0.5, 1.0, size=(12, 7))
+        unary[:, 2] = unary[:, 5] = 0.1
+        assert_same_labeling(MrfProblem(unary=unary, edges=flat.edges,
+                                        weights=flat.weights))
+
+    def test_no_damping(self, rng):
+        for _ in range(5):
+            assert_same_labeling(random_problem(rng, 20, 7, density=0.3), damping=0.0)
+
+    def test_one_iteration(self, rng):
+        for _ in range(5):
+            out = assert_same_labeling(random_problem(rng, 20, 7, density=0.3),
+                                       max_iters=1)
+            assert out.iterations == 1
+
+    def test_frame_sized_problem(self):
+        """A problem of a real frame's shape: the patch graph of a small
+        synthetic scene, with noisy confidences around its ground truth."""
+        cloud = generate_scene(SceneSpec(
+            seed=3, room_extent=(3.6, 3.0, 2.2), points_per_m2=900.0,
+            furniture_counts={"table": 1, "chair": 1, "cabinet": 1, "object": 1}))
+        prep = prepare_frame(cloud, PipelineConfig(voxel_resolution=0.03,
+                                                   seed_resolution=0.15,
+                                                   min_floor_points=200))
+        rng = np.random.default_rng(7)
+        probs = rng.dirichlet(np.ones(7), size=len(prep.features))
+        probs[np.arange(len(probs)), prep.patch_gt] += 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        problem = build_problem(probs, prep.edges, prep.edge_lengths, lam=2.0, sigma=0.1)
+        assert problem.num_nodes > 100 and problem.edges.shape[0] > problem.num_nodes
+        out = assert_same_labeling(problem)
+        assert out.iterations > 1
+
+
 class TestBruteForce:
     def test_empty_edges_separable(self, rng):
         problem = random_problem(rng, 6, 4, density=0.0)
@@ -182,8 +274,8 @@ class TestBruteForceChunked:
     @staticmethod
     def chunked(problem, monkeypatch):
         with monkeypatch.context() as mp:
-            mp.setattr(mrf, "_GRID_LIMIT", 0)
-            mp.setattr(mrf, "_CHUNK", 7)
+            mp.setattr(conftest, "_GRID_LIMIT", 0)
+            mp.setattr(conftest, "_CHUNK", 7)
             return exact_map_bruteforce(problem)
 
     def test_matches_grid_on_random_problems(self, rng, monkeypatch):

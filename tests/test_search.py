@@ -96,6 +96,14 @@ class TestSearchPositions:
         with pytest.raises(InputError):
             search_positions(cluster, distance=-0.1)
 
+    def test_nan_distance_and_radius_rejected(self):
+        cloud = table_cloud(rect_grid(1.0, 1.0))
+        (cluster,) = cluster_tables(cloud, min_points=100)
+        with pytest.raises(InputError):
+            search_positions(cluster, distance=float("nan"))
+        with pytest.raises(InputError):
+            cluster_tables(cloud, radius=float("nan"), min_points=100)
+
     def test_heading_points_at_centroid(self):
         cloud = table_cloud(rect_grid(2.0, 1.0, center=(3.0, -1.0)))
         (cluster,) = cluster_tables(cloud, min_points=100)
