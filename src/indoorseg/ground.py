@@ -68,12 +68,18 @@ def estimate_ground_plane(
     normals = normals[usable] / norms[usable, None]
     offsets = -np.einsum("ij,ij->i", normals, p1[usable])
 
-    # score all hypotheses at once, chunked over points to bound memory
+    # score all hypotheses at once, chunked over points to bound memory.
+    # Every chunk's distances are built in place in one reused buffer, so the
+    # scoring holds one (chunk, hypotheses) float block instead of three; the
+    # float ops are those of `np.abs(block @ normals.T + offsets)`
     counts = np.zeros(normals.shape[0], dtype=np.int64)
     chunk = max(1, int(4e6) // normals.shape[0])
+    buffer = np.empty((min(chunk, m), normals.shape[0]))
     for start in range(0, m, chunk):
         block = floor[start:start + chunk]
-        dist = np.abs(block @ normals.T + offsets)
+        dist = np.matmul(block, normals.T, out=buffer[:block.shape[0]])
+        dist += offsets
+        np.abs(dist, out=dist)
         counts += (dist <= threshold).sum(axis=0)
     best = int(np.argmax(counts))
     best_normal, best_offset = normals[best], float(offsets[best])

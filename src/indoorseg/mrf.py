@@ -116,9 +116,16 @@ def solve_map_lbp(problem: MrfProblem, max_iters: int = 50,
         incoming = np.bincount(bins, weights=msgs.ravel(), minlength=num_labels * n)
         return unary + incoming.reshape(num_labels, n)
 
+    scored = None  # the assignment `consider` scored last
+
     def consider(belief):
-        nonlocal best_assignment, best_energy
+        # an assignment equal to the last one scored has its energy, which
+        # was already compared with the best
+        nonlocal best_assignment, best_energy, scored
         assignment = np.argmin(belief, axis=0)
+        if scored is not None and np.array_equal(assignment, scored):
+            return
+        scored = assignment
         energy = energy_of(problem, assignment)
         if energy < best_energy:
             best_assignment, best_energy = assignment, energy
@@ -134,7 +141,8 @@ def solve_map_lbp(problem: MrfProblem, max_iters: int = 50,
             consider(belief)
         # not belief[:, src]: fancy indexing returns Fortran order, and
         # every row-wise reduction below would then run strided; "clip"
-        # writes straight into h (energy_of above has indexed with src)
+        # writes straight into h (the first energy_of call has indexed with
+        # these edges, so src is in range)
         np.take(belief, src, axis=1, out=h, mode="clip")
         h[:, :n_edges] -= messages[:, n_edges:]
         h[:, n_edges:] -= messages[:, :n_edges]

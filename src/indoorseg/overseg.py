@@ -11,19 +11,27 @@ The result, `PatchGraph`, is three arrays: the point-to-patch map, the
 patch adjacency edges and the patch centroids. Patch members are not
 stored; every consumer reduces over ``point_to_patch`` directly.
 
-Normals query the k nearest neighbours in the kd-tree's own point order,
-in fixed chunks of ``_KNN_CHUNK`` points, into a (k, N) neighbour table.
+The two kNN stages stream. Normals walk the cloud in the kd-tree's own
+point order, and the seed assignment walks the voxels, in fixed slices of
+``_KNN_CHUNK``: query, moments, eigenpair and orientation (or seed scores)
+run on one slice and go straight into the output arrays, so no (k, N)
+neighbour table or (V, k, 3) gather is ever built. `_prefetched` runs the
+next slice's kNN query on one helper thread while the caller does the
+current slice's math. A query's result does not depend on the thread that
+runs it, and slices are consumed in order, so every float op sees the same
+operands in the same order: the output is byte-identical to a serial run,
+whatever the thread count.
+
 The voxel grid keeps one empty layer on every side, so every 26-neighbour
 of an occupied voxel lies inside the grid and its packed key is the
 voxel's key plus a constant per offset.
-
-Everything is vectorized; results are deterministic for a given cloud and
-parameter set regardless of thread count.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
@@ -35,7 +43,7 @@ from .errors import InputError
 
 _UP_CAMERA = np.array([0.0, -1.0, 0.0])
 _UP_GRAVITY = np.array([0.0, 0.0, 1.0])
-_KNN_CHUNK = 1 << 15  # normals kNN query points per call
+_KNN_CHUNK = 1 << 15  # points (or voxels) per kNN query slice
 
 
 @dataclass(frozen=True)
@@ -110,51 +118,79 @@ def compute_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     n_points = len(cloud)
     if n_points < k:
         raise InputError(f"cloud has {n_points} points, need at least k={k}")
-    pos = cloud.positions
-    tree = cKDTree(pos, leafsize=32, balanced_tree=False)
-    # query in the tree's own point order, one chunk at a time: neighbouring
-    # queries walk the same leaves, and no (N, k) distance array is built
-    nbr = np.empty((k, n_points), dtype=np.intp)
-    for start in range(0, n_points, _KNN_CHUNK):
-        rows = tree.indices[start:start + _KNN_CHUNK]
-        nbr[:, rows] = tree.query(pos[rows], k=k, workers=-1)[1].T
-
-    # accumulate neighbor moments in query-point-local coordinates, one
-    # neighbor rank at a time on contiguous per-axis arrays
-    x, y, z = (np.ascontiguousarray(pos[:, c]) for c in range(3))
-    moments = np.zeros((9, n_points))
-    sx, sy, sz, sxx, syy, szz, sxy, sxz, syz = moments
-    for row in nbr:
-        gx, gy, gz = x[row] - x, y[row] - y, z[row] - z
-        sx += gx
-        sy += gy
-        sz += gz
-        sxx += gx * gx
-        syy += gy * gy
-        szz += gz * gz
-        sxy += gx * gy
-        sxz += gx * gz
-        syz += gy * gz
-    moments /= float(k)
-    cov = (sxx - sx * sx, sxy - sx * sy, sxz - sx * sz,
-           syy - sy * sy, syz - sy * sz, szz - sz * sz)
-
-    l0, l1, l2, vec, vec_ok = _smallest_eigenpair_3x3(*cov)
-    # the closed-form eigenvalues carry ~1e-8 relative rounding error, so the
-    # rank test needs a matching tolerance
-    degenerate = (~vec_ok) | (l1 <= np.maximum(l2 * 1e-6, 1e-16))
-
-    if cloud.frame == FRAME_CAMERA:
-        # flip toward the sensor at the origin
-        toward = np.einsum("ij,ij->i", vec, pos)
-        flip = (toward > 0) | ((toward == 0) & (vec[:, 1] > 0))
-        vec[flip] *= -1.0
-    else:
-        vec = canonicalize_hemisphere(vec)
-
+    tree = cKDTree(cloud.positions, leafsize=32, balanced_tree=False)
+    # everything below runs in the tree's own point order: a slice of
+    # neighbouring queries walks the same leaves, and the neighbours' entries
+    # sit close together in the per-axis arrays
+    order = tree.indices
+    rank = np.empty(n_points, dtype=np.intp)
+    rank[order] = np.arange(n_points)
+    xyz = np.take(cloud.positions.T, order, axis=1)
+    x, y, z = xyz
     up = up_vector(cloud.frame)
-    vec[degenerate] = up
-    return cloud.with_(normals=vec, normal_flags=degenerate)
+    normals = np.empty((n_points, 3))
+    flags = np.empty(n_points, dtype=bool)
+
+    def points(here):
+        return np.ascontiguousarray(xyz[:, here].T)
+
+    def query(start):
+        idx = tree.query(points(slice(start, start + _KNN_CHUNK)), k=k, workers=-1)[1]
+        return idx.reshape(-1, k)
+
+    for start, idx in _prefetched(query, range(0, n_points, _KNN_CHUNK)):
+        here = slice(start, start + idx.shape[0])
+        # accumulate neighbor moments in query-point-local coordinates, one
+        # neighbor rank at a time on contiguous per-axis arrays
+        xs, ys, zs = x[here], y[here], z[here]
+        moments = np.zeros((9, idx.shape[0]))
+        sx, sy, sz, sxx, syy, szz, sxy, sxz, syz = moments
+        for row in rank.take(idx.T):
+            gx, gy, gz = x[row] - xs, y[row] - ys, z[row] - zs
+            sx += gx
+            sy += gy
+            sz += gz
+            sxx += gx * gx
+            syy += gy * gy
+            szz += gz * gz
+            sxy += gx * gy
+            sxz += gx * gz
+            syz += gy * gz
+        moments /= float(k)
+        cov = (sxx - sx * sx, sxy - sx * sy, sxz - sx * sz,
+               syy - sy * sy, syz - sy * sz, szz - sz * sz)
+
+        l0, l1, l2, vec, vec_ok = _smallest_eigenpair_3x3(*cov)
+        # the closed-form eigenvalues carry ~1e-8 relative rounding error, so
+        # the rank test needs a matching tolerance
+        degenerate = (~vec_ok) | (l1 <= np.maximum(l2 * 1e-6, 1e-16))
+
+        if cloud.frame == FRAME_CAMERA:
+            # flip toward the sensor at the origin
+            toward = np.einsum("ij,ij->i", vec, points(here))
+            flip = (toward > 0) | ((toward == 0) & (vec[:, 1] > 0))
+            vec[flip] *= -1.0
+        else:
+            vec = canonicalize_hemisphere(vec)
+        vec[degenerate] = up
+        normals[order[here]] = vec
+        flags[order[here]] = degenerate
+    return cloud.with_(normals=normals, normal_flags=flags)
+
+
+def _prefetched(fn, starts):
+    """``(start, fn(start))`` for each of ``starts``, in order. The call for
+    the next start runs on one helper thread while the caller works on the
+    current result, so a kNN query overlaps the math on the slice before it."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = None
+        for start in starts:
+            future = pool.submit(fn, start)
+            if pending is not None:
+                yield pending[0], pending[1].result()
+            pending = start, future
+        if pending is not None:
+            yield pending[0], pending[1].result()
 
 
 def eigvals_3x3(a00, a01, a02, a11, a12, a22):
@@ -230,12 +266,15 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     seed_res = params.seed_resolution
 
     # one empty layer on every side of the grid: a neighbour of an occupied
-    # voxel is then always inside it, so its key is the voxel's plus a delta
+    # voxel is then always inside it, so its key is the voxel's plus a delta.
+    # Per-point arrays are deleted once used up: they set this stage's peak
     ijk = np.floor(pos / res).astype(np.int64)
     ijk -= ijk.min(axis=0) - 1
     dims = ijk.max(axis=0) + 2
     keys = _pack_grid(ijk, dims)
+    del ijk
     uniq_keys, vox_of_point = np.unique(keys, return_inverse=True)
+    del keys
     n_vox = uniq_keys.shape[0]
 
     counts = np.bincount(vox_of_point, minlength=n_vox).astype(np.float64)
@@ -254,34 +293,45 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
         starts = np.searchsorted(vox_of_point[order], np.arange(n_vox))
         vox_normal[weak] = canon[order[starts[weak]]]
         norm = np.linalg.norm(vox_normal, axis=1)
+    del canon
     vox_normal /= np.maximum(norm, 1e-300)[:, None]
 
     lab = srgb_to_lab(cloud.colors)
     vox_lab = np.stack([
         np.bincount(vox_of_point, weights=lab[:, c], minlength=n_vox) for c in range(3)
     ], axis=1) / counts[:, None]
+    del lab
 
     seed_vox = _select_seeds(vox_centroid, seed_res)
     assign = _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params)
 
-    # voxel adjacency (26-connectivity), as undirected index pairs
-    pairs = []
+    # voxel adjacency (26-connectivity) as undirected index pairs, kept apart
+    # by whether both ends went to the same seed: only the former join
+    # voxels into patches, and two touching voxels of one seed end up in one
+    # patch, so only the latter (border pairs) can link two patches
+    same_a, same_b, border = [], [], []
     for delta in _pack_grid(_OFFSETS, dims):
         cand_keys = uniq_keys + delta
         loc = np.minimum(np.searchsorted(uniq_keys, cand_keys), n_vox - 1)
         hit = np.nonzero(uniq_keys[loc] == cand_keys)[0]
-        pairs.append(np.stack([hit, loc[hit]], axis=1))
-    vox_edges = np.concatenate(pairs)
+        nbr = loc[hit]
+        same = assign[hit] == assign[nbr]
+        same_a.append(hit[same])
+        same_b.append(nbr[same])
+        border.append(np.stack([hit[~same], nbr[~same]], axis=1))
+    border = np.concatenate(border)
 
     # split spatially disconnected assignments into separate patches
-    same = assign[vox_edges[:, 0]] == assign[vox_edges[:, 1]]
-    same_edges = vox_edges[same]
+    same_a = np.concatenate(same_a)
+    same_b = np.concatenate(same_b)
     graph = sparse.csr_matrix(
-        (np.ones(same_edges.shape[0], dtype=np.int8), (same_edges[:, 0], same_edges[:, 1])),
-        shape=(n_vox, n_vox))
+        (np.ones(same_a.shape[0], dtype=np.int8), (same_a, same_b)), shape=(n_vox, n_vox))
+    del same_a, same_b
     _, comp = connected_components(graph, directed=False)
+    del graph
 
     point_comp = comp[vox_of_point]
+    del vox_of_point
     n_comp = comp.max() + 1
     comp_sizes = np.bincount(point_comp, minlength=n_comp)
     keep = comp_sizes >= params.min_patch_points
@@ -296,10 +346,11 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     comp_to_patch[kept_comps] = np.arange(n_patches)
 
     point_to_patch = comp_to_patch[point_comp]
+    del point_comp
 
     # dedupe patch pairs as packed keys a * P + b; their sort order is (a, b)
-    patch_a = comp_to_patch[comp[vox_edges[:, 0]]]
-    patch_b = comp_to_patch[comp[vox_edges[:, 1]]]
+    patch_a = comp_to_patch[comp[border[:, 0]]]
+    patch_b = comp_to_patch[comp[border[:, 1]]]
     cross = (patch_a != patch_b) & (patch_a >= 0) & (patch_b >= 0)
     ea = np.minimum(patch_a[cross], patch_b[cross])
     eb = np.maximum(patch_a[cross], patch_b[cross])
@@ -333,33 +384,38 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.nd
     seed_res = params.seed_resolution
     tree = cKDTree(vox_centroid[seed_vox], leafsize=32, balanced_tree=False)
     k = min(12, n_seeds)
-    dist, cand = tree.query(vox_centroid, k=k, distance_upper_bound=2.0 * seed_res,
-                            workers=-1)
-    if k == 1:
-        dist = dist[:, None]
-        cand = cand[:, None]
-    valid = np.isfinite(dist)
-    cand_safe = np.where(valid, cand, 0)
+
+    def query(start):
+        dist, cand = tree.query(vox_centroid[start:start + _KNN_CHUNK], k=k,
+                                distance_upper_bound=2.0 * seed_res, workers=-1)
+        return dist.reshape(-1, k), cand.reshape(-1, k)
 
     # distances are O(1); float32 keeps the big gathers cheap
     seed_normal = vox_normal[seed_vox].astype(np.float32)
     seed_lab = vox_lab[seed_vox].astype(np.float32)
-    vn = vox_normal.astype(np.float32)
-    vl = vox_lab.astype(np.float32)
-    d_spatial = (dist / (np.sqrt(3.0) * seed_res)).astype(np.float32)
-    dots = np.abs(np.einsum("vkc,vc->vk", seed_normal[cand_safe], vn))
-    d_normal = 1.0 - np.minimum(dots, 1.0)
-    diff = seed_lab[cand_safe] - vl[:, None, :]
-    d_color = np.sqrt(np.einsum("vkc,vkc->vk", diff, diff)) / 100.0
+    assign = np.empty(n_vox, dtype=np.intp)
+    unreached = np.empty(n_vox, dtype=bool)
+    for start, (dist, cand) in _prefetched(query, range(0, n_vox, _KNN_CHUNK)):
+        here = slice(start, start + dist.shape[0])
+        valid = np.isfinite(dist)
+        cand_safe = np.where(valid, cand, 0)
+        vn = vox_normal[here].astype(np.float32)
+        vl = vox_lab[here].astype(np.float32)
+        d_spatial = (dist / (np.sqrt(3.0) * seed_res)).astype(np.float32)
+        dots = np.abs(np.einsum("vkc,vc->vk", seed_normal[cand_safe], vn))
+        d_normal = 1.0 - np.minimum(dots, 1.0)
+        diff = seed_lab[cand_safe] - vl[:, None, :]
+        d_color = np.sqrt(np.einsum("vkc,vkc->vk", diff, diff)) / 100.0
 
-    score = (np.float32(params.w_spatial) * d_spatial
-             + np.float32(params.w_normal) * d_normal
-             + np.float32(params.w_color) * d_color)
-    score[~valid] = np.inf
-    best = np.argmin(score, axis=1)
-    assign = cand_safe[np.arange(n_vox), best]
+        score = (np.float32(params.w_spatial) * d_spatial
+                 + np.float32(params.w_normal) * d_normal
+                 + np.float32(params.w_color) * d_color)
+        score[~valid] = np.inf
+        best = np.argmin(score, axis=1)
+        rows = np.arange(best.shape[0])
+        assign[here] = cand_safe[rows, best]
+        unreached[here] = ~valid[rows, best]
 
-    unreached = ~valid[np.arange(n_vox), best]
     if unreached.any():
         _, nearest = tree.query(vox_centroid[unreached], k=1, workers=-1)
         assign[unreached] = nearest

@@ -88,6 +88,10 @@ class PipelineConfig:
             raise InputError("lbp_damping must be in [0, 1)")
         if not 0 <= self.lbp_tol < float("inf"):
             raise InputError("lbp_tol must be finite and >= 0")
+        if not (self.table_cluster_radius > 0 and self.security_distance > 0):
+            raise InputError("table_cluster_radius and security_distance must be positive")
+        if self.table_min_points < 1:
+            raise InputError("table_min_points must be >= 1")
 
     def overseg_params(self) -> OversegParams:
         return _copy_fields(OversegParams, self)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from indoorseg import mrf
 from indoorseg.cloud import FRAME_GRAVITY, PointCloud
@@ -38,6 +39,49 @@ def patch_members(graph) -> list:
     order = np.argsort(graph.point_to_patch, kind="stable")
     bounds = np.searchsorted(graph.point_to_patch[order], np.arange(len(graph) + 1))
     return [order[bounds[p]:bounds[p + 1]] for p in range(len(graph))]
+
+
+# ------------------------------------------------------ oversegmentation oracle
+
+def assign_voxels_whole(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.ndarray:
+    """`overseg._assign_voxels` as one whole-array pass: a single kNN query
+    for every voxel and (V, k, 3) seed gathers. The streamed version must
+    give the same assignment bit for bit."""
+    n_vox = vox_centroid.shape[0]
+    n_seeds = seed_vox.shape[0]
+    seed_res = params.seed_resolution
+    tree = cKDTree(vox_centroid[seed_vox], leafsize=32, balanced_tree=False)
+    k = min(12, n_seeds)
+    dist, cand = tree.query(vox_centroid, k=k, distance_upper_bound=2.0 * seed_res,
+                            workers=-1)
+    if k == 1:
+        dist = dist[:, None]
+        cand = cand[:, None]
+    valid = np.isfinite(dist)
+    cand_safe = np.where(valid, cand, 0)
+
+    seed_normal = vox_normal[seed_vox].astype(np.float32)
+    seed_lab = vox_lab[seed_vox].astype(np.float32)
+    vn = vox_normal.astype(np.float32)
+    vl = vox_lab.astype(np.float32)
+    d_spatial = (dist / (np.sqrt(3.0) * seed_res)).astype(np.float32)
+    dots = np.abs(np.einsum("vkc,vc->vk", seed_normal[cand_safe], vn))
+    d_normal = 1.0 - np.minimum(dots, 1.0)
+    diff = seed_lab[cand_safe] - vl[:, None, :]
+    d_color = np.sqrt(np.einsum("vkc,vkc->vk", diff, diff)) / 100.0
+
+    score = (np.float32(params.w_spatial) * d_spatial
+             + np.float32(params.w_normal) * d_normal
+             + np.float32(params.w_color) * d_color)
+    score[~valid] = np.inf
+    best = np.argmin(score, axis=1)
+    assign = cand_safe[np.arange(n_vox), best]
+
+    unreached = ~valid[np.arange(n_vox), best]
+    if unreached.any():
+        _, nearest = tree.query(vox_centroid[unreached], k=1, workers=-1)
+        assign[unreached] = nearest
+    return assign
 
 
 # ---------------------------------------------------------------- MRF oracles

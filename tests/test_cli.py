@@ -319,6 +319,9 @@ def test_bad_pose_file_exits_1(workspace, tmp_path, capsys):
     ("lbp_damping", float("nan")), ("lbp_damping", 1.5), ("lbp_damping", 1.0),
     ("lbp_damping", -0.1), ("lbp_tol", float("nan")), ("lbp_tol", float("inf")),
     ("lbp_tol", -1e-5), ("lbp_max_iters", 0),
+    ("table_cluster_radius", float("nan")), ("table_cluster_radius", -0.05),
+    ("table_cluster_radius", 0.0), ("security_distance", float("nan")),
+    ("security_distance", -0.4), ("security_distance", 0.0), ("table_min_points", 0),
 ])
 @pytest.mark.parametrize("source", ["file", "flag"])
 def test_out_of_bounds_config_exits_1(workspace, tmp_path, capsys, field, value, source):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from indoorseg.overseg import (
 )
 from indoorseg.synth import SceneSpec, generate_scene
 
-from conftest import make_cloud, patch_members, sample_plane
+from conftest import assign_voxels_whole, make_cloud, patch_members, sample_plane
 
 
 class TestComputeNormals:
@@ -153,6 +155,92 @@ class TestNormalsOracle:
         assert flags[-40:].all() and not flags.all()
         np.testing.assert_array_equal(got.normals, normals)
         np.testing.assert_array_equal(got.normal_flags, flags)
+
+
+def _small_scene(frame):
+    """A furnished synthetic room, in the camera frame if asked."""
+    cloud = generate_scene(SceneSpec(
+        seed=5, room_extent=(3.6, 3.0, 2.2), points_per_m2=1000.0,
+        furniture_counts={"table": 1, "chair": 2, "cabinet": 1, "object": 2}))
+    if frame == FRAME_CAMERA:
+        pos = cloud.positions[:, [1, 2, 0]] * [1.0, -1.0, 1.0] + [0.0, 1.2, 0.3]
+        cloud = cloud.with_(positions=pos, frame=FRAME_CAMERA)
+    return cloud
+
+
+def _serial(fn, starts):
+    """`overseg._prefetched` without the helper thread."""
+    for start in starts:
+        yield start, fn(start)
+
+
+def _assert_same_graph(got, want):
+    for name in ("point_to_patch", "edges", "centroids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestStreaming:
+    """Normals and seed assignment stream over `_KNN_CHUNK` slices with the
+    next kNN query prefetched; none of that may change a single bit."""
+
+    PARAMS = OversegParams(voxel_resolution=0.025, seed_resolution=0.15)
+
+    @pytest.mark.parametrize("frame", [FRAME_GRAVITY, FRAME_CAMERA])
+    def test_short_slices_match_whole_array_assignment(self, frame, monkeypatch):
+        cloud = _small_scene(frame)
+        want_cloud = compute_normals(cloud, k=15)
+        with monkeypatch.context() as m:
+            m.setattr(overseg, "_assign_voxels", assign_voxels_whole)
+            want = oversegment(want_cloud, self.PARAMS)
+
+        # many short slices of points and of voxels, the last one partial
+        monkeypatch.setattr(overseg, "_KNN_CHUNK", 997)
+        got_cloud = compute_normals(cloud, k=15)
+        voxels = np.unique(np.floor(cloud.positions / self.PARAMS.voxel_resolution), axis=0)
+        assert len(cloud) % 997 and len(voxels) % 997 and len(voxels) > 4 * 997
+        assert got_cloud.normals.tobytes() == want_cloud.normals.tobytes()
+        assert got_cloud.normal_flags.tobytes() == want_cloud.normal_flags.tobytes()
+        got = oversegment(got_cloud, self.PARAMS)
+        assert len(got) > 50 and got.edges.shape[0] > 50
+        _assert_same_graph(got, want)
+
+    def test_same_bytes_without_the_prefetch_thread(self, monkeypatch):
+        cloud = _small_scene(FRAME_CAMERA)
+        monkeypatch.setattr(overseg, "_KNN_CHUNK", 997)
+        threaded = compute_normals(cloud, k=15)
+        threaded_graph = oversegment(threaded, self.PARAMS)
+        monkeypatch.setattr(overseg, "_prefetched", _serial)
+        serial = compute_normals(cloud, k=15)
+        assert serial.normals.tobytes() == threaded.normals.tobytes()
+        assert serial.normal_flags.tobytes() == threaded.normal_flags.tobytes()
+        _assert_same_graph(oversegment(serial, self.PARAMS), threaded_graph)
+
+    def test_prefetched_yields_every_start_in_order(self):
+        starts = range(0, 50, 7)
+        assert list(overseg._prefetched(lambda s: s * s, starts)) == \
+            [(s, s * s) for s in starts]
+        assert list(overseg._prefetched(lambda s: s, [])) == []
+
+    def test_normals_peak_memory_stays_bounded(self):
+        """A (k, N) neighbour table alone would take 37 MB here: the bound
+        keeps whole-cloud neighbour tables and gathers out of this stage."""
+        cloud = generate_scene(SceneSpec(seed=77, points_per_m2=4000.0,
+                                         max_points=307200))
+        assert len(cloud) > 250_000
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            compute_normals(cloud, k=15)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
 
 
 def _dense_plane_cloud(rng, extent=1.0, density=12000, z=0.0):
