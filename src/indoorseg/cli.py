@@ -147,10 +147,11 @@ def _cmd_segment(args) -> int:
         "lbp_converged": bool(result.labeling.converged),
         "lbp_iterations": int(result.labeling.iterations),
         "patches": [
-            {"patch": int(pid),
-             "map_label": int(result.labeling.assignment[i]),
-             "distribution": [round(float(v), 6) for v in result.distributions[i]]}
-            for i, pid in enumerate(result.stage_output.feature_ids)
+            {"patch": i,
+             "map_label": int(label),
+             "distribution": [round(float(v), 6) for v in distribution]}
+            for i, (label, distribution) in enumerate(
+                zip(result.labeling.assignment, result.distributions))
         ],
     }
     probs_path = Path(args.patch_probs) if args.patch_probs else \
@@ -162,9 +163,8 @@ def _cmd_segment(args) -> int:
                                   seed=config.seed)
         write_cloud(debug, args.dump_patches)
 
-    for stage in ("normals", "oversegmentation", "ground", "features",
-                  "prediction", "mrf", "total"):
-        print(f"{stage}: {1000.0 * result.timings[stage]:.1f} ms")
+    for stage, seconds in result.timings.items():
+        print(f"{stage}: {1000.0 * seconds:.1f} ms")
     print(f"labeled cloud -> {out_path}")
     return 0
 

@@ -12,18 +12,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptyCloudError, InputError, read_text
-from .labels import NUM_LABELS, Label
+from .labels import NUM_LABELS
 
 FRAME_CAMERA = "camera"
 FRAME_GRAVITY = "gravity_aligned"
 _VALID_FRAMES = (FRAME_CAMERA, FRAME_GRAVITY)
+_UP_CAMERA = np.array([0.0, -1.0, 0.0])
+_UP_GRAVITY = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_DEPTH_SCALE = 0.001  # Kinect raw units are millimeters
+
+
+def up_vector(frame: str) -> np.ndarray:
+    """The unit vector pointing away from the floor in the given frame."""
+    return _UP_CAMERA if frame == FRAME_CAMERA else _UP_GRAVITY
 
 
 @dataclass(frozen=True)
@@ -68,15 +75,6 @@ def read_key_values(path: str | Path, required: Sequence[str]) -> dict[str, floa
     if missing:
         raise InputError(f"{path}: missing keys {sorted(missing)}")
     return values
-
-
-class Point(NamedTuple):
-    """Single-point view, for inspection and small fixtures."""
-
-    position: np.ndarray
-    color: np.ndarray
-    label: Optional[Label]
-    normal: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -156,31 +154,9 @@ class PointCloud:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def point(self, i: int) -> Point:
-        return Point(
-            position=self.positions[i],
-            color=self.colors[i],
-            label=Label(int(self.labels[i])) if self.labels is not None else None,
-            normal=self.normals[i] if self.normals is not None else None,
-        )
-
     def with_(self, **kwargs) -> "PointCloud":
         """Return a copy with the given fields replaced (re-validated)."""
         return replace(self, **kwargs)
-
-    def select(self, indices: np.ndarray) -> "PointCloud":
-        """Subset cloud by point indices or boolean mask."""
-        return PointCloud(
-            positions=self.positions[indices].copy(),
-            colors=self.colors[indices].copy(),
-            labels=self.labels[indices].copy() if self.labels is not None else None,
-            normals=self.normals[indices].copy() if self.normals is not None else None,
-            normal_flags=(
-                self.normal_flags[indices].copy() if self.normal_flags is not None else None
-            ),
-            frame=self.frame,
-            meta=self.meta,
-        )
 
 
 def ingest_depth_frame(

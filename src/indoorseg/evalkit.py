@@ -112,10 +112,10 @@ class FramePrep:
 
     frame_id: str
     point_gt: np.ndarray          # (N,) ground-truth ids, 0..7
-    point_to_feature: np.ndarray  # (N,) row into features, -1 if uncovered
-    features: np.ndarray          # (F, 14)
-    patch_gt: np.ndarray          # (F,) majority ground truth per patch
-    edges: np.ndarray             # (E, 2) into feature rows
+    point_to_feature: np.ndarray  # (N,) patch (= feature row), -1 if uncovered
+    features: np.ndarray          # (P, 14)
+    patch_gt: np.ndarray          # (P,) majority ground truth per patch
+    edges: np.ndarray             # (E, 2) patch adjacency
     edge_lengths: np.ndarray      # (E,) centroid distances (meters)
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -131,7 +131,7 @@ def prepare_frame(cloud: PointCloud, config: PipelineConfig,
         point_gt=stages.cloud.labels.copy(),
         point_to_feature=stages.point_to_feature,
         features=stages.features,
-        patch_gt=patch_majority_labels(stages.graph, stages.cloud)[stages.feature_ids],
+        patch_gt=patch_majority_labels(stages.graph, stages.cloud),
         edges=stages.edges,
         edge_lengths=stages.edge_lengths,
         timings=stages.timings,

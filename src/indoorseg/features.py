@@ -18,20 +18,20 @@ the three spectral entries always sum to its largest eigenvalue. Normal
 angles are axial (a plane flipped upside down is the same plane), hence
 the circular statistics run on doubled angles, and the mean resultant
 length is clamped at e^-8, capping the dispersion at 4.0 rad.
+
+Patches and feature rows share one index space: row p describes patch p.
+Every patch has at least 3 points (`OversegParams.min_patch_points`
+enforces it), so every patch has a scatter matrix and a row.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
 from .cloud import FRAME_GRAVITY, PointCloud
 from .colorspace import srgb_to_lab
-from .errors import InputError
+from .errors import FeatureError, InputError
 from .overseg import PatchGraph, canonicalize_hemisphere, eigvals_3x3
-
-log = logging.getLogger(__name__)
 
 FEATURE_DIM = 14
 FEATURE_CONTRACT_VERSION = 1
@@ -48,13 +48,13 @@ _R_CLAMP = np.exp(-8.0)
 
 
 def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """(patch ids, (F, 14) matrix): one 14-entry vector per patch, in
-    patch-id order.
+    """(patch ids, (P, 14) matrix): row p is the 14-entry vector of patch p.
 
-    Patches that cannot produce features (fewer than 3 points) are skipped
-    with a logged warning count rather than failing the whole frame. All
-    patches are reduced together with grouped array operations, so the cost
-    is a handful of passes over the cloud rather than per-patch slicing.
+    The ids are always ``arange(P)``. They stay in the return value because
+    the benchmark's tracer (``perfbench/tracing.py``) counts the rows from
+    its first entry. A patch with fewer than 3 points raises FeatureError.
+    All patches are reduced together with grouped array operations, so the
+    cost is a handful of passes over the cloud rather than per-patch slicing.
     """
     n_patches = len(graph)
     if n_patches == 0:
@@ -71,20 +71,21 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
     lab = srgb_to_lab(cloud.colors[member])
 
     sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
-    valid = sizes >= 3
-    sizes_safe = np.maximum(sizes, 1.0)
+    if sizes.min() < 3:
+        raise FeatureError(f"patch {int(np.argmin(sizes))} has {int(sizes.min())} points; "
+                           "its scatter features need at least 3")
 
     def group_mean(values: np.ndarray) -> np.ndarray:
         return np.stack([
             np.bincount(pid, weights=values[:, c], minlength=n_patches)
             for c in range(values.shape[1])
-        ], axis=1) / sizes_safe[:, None]
+        ], axis=1) / sizes[:, None]
 
     # spectral: centered second moments -> batched 3x3 eigenvalues
     mean_pos = group_mean(pos)
     d = pos - mean_pos[pid]
     l0, l1, l2 = eigvals_3x3(*(
-        np.bincount(pid, weights=d[:, i] * d[:, j], minlength=n_patches) / sizes_safe
+        np.bincount(pid, weights=d[:, i] * d[:, j], minlength=n_patches) / sizes
         for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))))
     spectral = np.stack([np.maximum(l0, 0.0),
                          np.maximum(l1 - l0, 0.0),
@@ -108,8 +109,8 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
     angle = np.arcsin(np.clip(np.abs(normal_sum[:, 2]) / np.maximum(sum_norm, 1e-300),
                               0.0, 1.0))
     theta = np.arcsin(np.clip(np.abs(normals[:, 2]), 0.0, 1.0))
-    r_cos = np.bincount(pid, weights=np.cos(2.0 * theta), minlength=n_patches) / sizes_safe
-    r_sin = np.bincount(pid, weights=np.sin(2.0 * theta), minlength=n_patches) / sizes_safe
+    r_cos = np.bincount(pid, weights=np.cos(2.0 * theta), minlength=n_patches) / sizes
+    r_sin = np.bincount(pid, weights=np.sin(2.0 * theta), minlength=n_patches) / sizes
     r = np.clip(np.hypot(r_cos, r_sin), _R_CLAMP, 1.0)
     circ = np.sqrt(-2.0 * np.log(r))
     angle[zero_sum] = 0.0
@@ -120,19 +121,13 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
     dl = lab - mean_lab[pid]
     var_lab = np.stack([
         np.bincount(pid, weights=dl[:, c] ** 2, minlength=n_patches) for c in range(3)
-    ], axis=1) / sizes_safe[:, None]
+    ], axis=1) / sizes[:, None]
     std_lab = np.sqrt(np.maximum(var_lab, 0.0))
 
-    matrix = np.concatenate([
+    return np.arange(n_patches, dtype=np.int64), np.concatenate([
         spectral,
         np.stack([mid_h, min_h, max_h], axis=1),
         np.stack([angle, circ], axis=1),
         mean_lab,
         std_lab,
     ], axis=1)
-
-    skipped = int((~valid).sum())
-    if skipped:
-        log.warning("skipped %d patches too small for features", skipped)
-    ids = np.nonzero(valid)[0]
-    return ids, matrix[ids]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import FRAME_CAMERA, FRAME_GRAVITY, PointCloud, read_key_values
+from .cloud import FRAME_GRAVITY, PointCloud, read_key_values, up_vector
 from .errors import FrameDiscardError, InputError
 from .labels import Label
 
@@ -96,9 +96,7 @@ def estimate_ground_plane(
     # fit threshold of the plane (a gravity-frame cloud's floor passes through
     # it) gives no reliable sign, so the frame's up vector decides instead
     if abs(offset) <= threshold:
-        up = np.array([0.0, -1.0, 0.0]) if cloud.frame == FRAME_CAMERA \
-            else np.array([0.0, 0.0, 1.0])
-        if normal @ up < 0:
+        if normal @ up_vector(cloud.frame) < 0:
             normal, offset = -normal, -offset
     elif offset < 0:
         normal, offset = -normal, -offset

@@ -37,12 +37,10 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .cloud import FRAME_CAMERA, PointCloud
+from .cloud import FRAME_CAMERA, PointCloud, up_vector
 from .colorspace import srgb_to_lab
 from .errors import InputError
 
-_UP_CAMERA = np.array([0.0, -1.0, 0.0])
-_UP_GRAVITY = np.array([0.0, 0.0, 1.0])
 _KNN_CHUNK = 1 << 15  # points (or voxels) per kNN query slice
 
 
@@ -66,8 +64,10 @@ class OversegParams:
         if not all(0 <= w < float("inf") for w in (self.w_spatial, self.w_normal,
                                                    self.w_color)):
             raise InputError("w_spatial, w_normal and w_color must be finite and >= 0")
-        if self.min_patch_points < 1:
-            raise InputError("min_patch_points must be >= 1")
+        if self.min_patch_points < 3:
+            raise InputError(
+                "min_patch_points must be >= 3: a patch needs 3 points for its "
+                "scatter features")
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,6 @@ class PatchGraph:
         (``perfbench/harness.py``, ``perfbench/tracing.py``) counts patches
         as ``len(graph.patches)``."""
         return range(len(self))
-
-
-def up_vector(frame: str) -> np.ndarray:
-    return _UP_CAMERA if frame == FRAME_CAMERA else _UP_GRAVITY
 
 
 def canonicalize_hemisphere(normals: np.ndarray) -> np.ndarray:

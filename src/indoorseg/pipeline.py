@@ -5,11 +5,13 @@ label-based plane fit) -> per-patch features -> forest prediction -> MRF
 smoothing -> per-point labels. Points of discarded patches come out as
 `unknown`. Every stage is timed; the timing dict accompanies all results.
 
-`run_stages` does the model-independent part and maps patch ids to
-feature rows once: the point-to-row map, the adjacency edges between rows
-and their centroid lengths. `classify` does the rest (predict, MRF, labels
-per point) on those rows; `segment_cloud` and the evaluation harness's
-`evalkit.score_prep` both call it, so inference and scoring share one path.
+`run_stages` does the model-independent part. Its patches are the one
+index space of the classifier: patch p is feature row p and MRF node p,
+so the point-to-row map and the edges are the patch graph's own arrays,
+and the edge lengths are its centroid distances. `classify` does the rest
+(predict, MRF, labels per point) on those rows; `segment_cloud` and the
+evaluation harness's `evalkit.score_prep` both call it, so inference and
+scoring share one path.
 """
 
 from __future__ import annotations
@@ -130,10 +132,9 @@ class StageOutput:
 
     cloud: PointCloud           # aligned, with normals
     graph: PatchGraph           # centroids refreshed on the aligned cloud
-    feature_ids: np.ndarray     # patch ids that produced a feature vector
-    features: np.ndarray        # (F, 14)
-    point_to_feature: np.ndarray  # point index -> row in features, -1 if none
-    edges: np.ndarray           # (E, 2) patch adjacency between feature rows
+    features: np.ndarray        # (P, 14), row p for patch p
+    point_to_feature: np.ndarray  # graph.point_to_patch: row per point, -1 if none
+    edges: np.ndarray           # graph.edges: (E, 2) patch adjacency
     edge_lengths: np.ndarray    # (E,) centroid distance per edge (meters)
     timings: dict[str, float]
 
@@ -201,25 +202,16 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
     if plane is not None:
         cloud = gravity_align(cloud, plane)
         graph = refresh_patch_stats(graph, cloud)
-    elif cloud.frame != FRAME_GRAVITY:
-        raise InputError("cloud is not gravity-aligned and no plane was resolved")
     timings["ground"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    feature_ids, features = feature_matrix(graph, cloud)
+    _, features = feature_matrix(graph, cloud)
     timings["features"] = time.perf_counter() - t0
 
-    # patch id -> feature row; the extra last entry maps patch -1 to row -1
-    row_of = np.full(len(graph) + 1, -1, dtype=np.int64)
-    row_of[feature_ids] = np.arange(feature_ids.shape[0])
-    a, b = row_of[graph.edges[:, 0]], row_of[graph.edges[:, 1]]
-    keep = (a >= 0) & (b >= 0)
-    edges = np.stack([a[keep], b[keep]], axis=1)
-    centroids = graph.centroids[feature_ids]
-
+    edges, centroids = graph.edges, graph.centroids
     return StageOutput(
-        cloud=cloud, graph=graph, feature_ids=feature_ids, features=features,
-        point_to_feature=row_of[graph.point_to_patch], edges=edges,
+        cloud=cloud, graph=graph, features=features,
+        point_to_feature=graph.point_to_patch, edges=edges,
         edge_lengths=np.linalg.norm(centroids[edges[:, 0]] - centroids[edges[:, 1]], axis=1),
         timings=timings)
 
@@ -236,8 +228,8 @@ def patch_majority_labels(graph: PatchGraph, cloud: PointCloud) -> np.ndarray:
 
 @dataclass
 class Classification:
-    distributions: np.ndarray       # (F, 7) forest output per feature row
-    labeling: mrf.Labeling          # MRF MAP labeling of the feature rows
+    distributions: np.ndarray       # (P, 7) forest output per patch
+    labeling: mrf.Labeling          # MRF MAP labeling of the patches
     point_labels: np.ndarray        # (N,) uint8, `unknown` for uncovered points
     unary_point_labels: np.ndarray  # same, from the unary-only argmin
     timings: dict[str, float]

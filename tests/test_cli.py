@@ -82,6 +82,8 @@ def test_segment_outputs(workspace):
     for stage in ("normals", "oversegmentation", "ground", "features",
                   "prediction", "mrf", "total"):
         assert stage in patches["timing_ms"]
+    # one entry per patch, in patch-id order
+    assert [e["patch"] for e in patches["patches"]] == list(range(len(patches["patches"])))
     entry = patches["patches"][0]
     assert set(entry) == {"patch", "map_label", "distribution"}
     assert len(entry["distribution"]) == 7
@@ -322,6 +324,7 @@ def test_bad_pose_file_exits_1(workspace, tmp_path, capsys):
     ("table_cluster_radius", float("nan")), ("table_cluster_radius", -0.05),
     ("table_cluster_radius", 0.0), ("security_distance", float("nan")),
     ("security_distance", -0.4), ("security_distance", 0.0), ("table_min_points", 0),
+    ("min_patch_points", 1), ("min_patch_points", 2),
 ])
 @pytest.mark.parametrize("source", ["file", "flag"])
 def test_out_of_bounds_config_exits_1(workspace, tmp_path, capsys, field, value, source):

@@ -143,20 +143,6 @@ class TestPointCloudType:
         with pytest.raises(ValueError):
             cloud.positions[0, 0] = 5.0
 
-    def test_point_view(self):
-        cloud = make_cloud([[1.0, 2.0, 3.0]], labels=[3])
-        p = cloud.point(0)
-        np.testing.assert_array_equal(p.position, [1.0, 2.0, 3.0])
-        assert p.label == 3
-        assert p.normal is None
-
-    def test_select_subsets_all_fields(self):
-        cloud = make_cloud([[0, 0, 0], [1, 1, 1], [2, 2, 2]],
-                           labels=[0, 1, 2],
-                           normals=[[0, 0, 1]] * 3)
-        sub = cloud.select(np.array([2, 0]))
-        assert len(sub) == 2
-        np.testing.assert_array_equal(sub.labels, [2, 0])
 
 
 class TestIntrinsics:

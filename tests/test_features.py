@@ -205,12 +205,21 @@ class TestExtract:
         assert ids.shape == (0,) and ids.dtype == np.int64
         assert mat.shape == (0, FEATURE_DIM)
 
+    def test_patch_under_three_points_raises(self, rng):
+        pts = np.vstack([rng.uniform(0, 1, (5, 3)), rng.uniform(2, 3, (2, 3))])
+        cloud = make_cloud(pts, frame=FRAME_GRAVITY,
+                           normals=np.tile([0.0, 0.0, 1.0], (7, 1)))
+        graph = PatchGraph(point_to_patch=np.array([0, 0, 0, 0, 0, 1, 1]),
+                           edges=np.array([[0, 1]]),
+                           centroids=np.stack([pts[:5].mean(axis=0), pts[5:].mean(axis=0)]))
+        with pytest.raises(FeatureError, match="patch 1 has 2 points"):
+            feature_matrix(graph, cloud)
+
     def test_rows_match_per_patch_oracles(self, rng):
         cloud, graph = self._scene_graph(rng)
         ids, mat = feature_matrix(graph, cloud)
         members = patch_members(graph)
-        np.testing.assert_array_equal(
-            ids, [p for p, m in enumerate(members) if m.shape[0] >= 3])
+        np.testing.assert_array_equal(ids, np.arange(len(graph)))
         assert ids.shape[0] > 20
         expected = np.array([
             np.concatenate([spectral_features(cloud, members[p]),

@@ -6,14 +6,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 from indoorseg import overseg
-from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
+from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY, up_vector
 from indoorseg.errors import InputError
 from indoorseg.overseg import (
     OversegParams,
     canonicalize_hemisphere,
     compute_normals,
     oversegment,
-    up_vector,
 )
 from indoorseg.synth import SceneSpec, generate_scene
 

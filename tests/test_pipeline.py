@@ -103,6 +103,8 @@ class TestConfig:
             PipelineConfig(mrf_sigma=0.0)
         with pytest.raises(InputError):
             PipelineConfig(workers=0)
+        with pytest.raises(InputError, match="min_patch_points must be >= 3"):
+            PipelineConfig(min_patch_points=2)
 
 
 class TestGroundModes:
@@ -150,11 +152,18 @@ class TestStages:
         cloud = small_scene()
         stages = run_stages(cloud, CFG)
         assert stages.cloud.frame == FRAME_GRAVITY
-        assert stages.features.shape[0] == stages.feature_ids.shape[0]
+        # one feature row per patch; points and edges index the patches
+        graph = stages.graph
+        assert stages.features.shape == (len(graph), 14)
+        assert stages.point_to_feature is graph.point_to_patch
+        assert stages.edges is graph.edges
         assert stages.point_to_feature.shape[0] == len(cloud)
-        covered = stages.point_to_feature >= 0
-        assert covered.any()
-        assert stages.point_to_feature[covered].max() < stages.features.shape[0]
+        assert (stages.point_to_feature >= 0).any()
+        centroids = graph.centroids
+        np.testing.assert_array_equal(
+            stages.edge_lengths,
+            np.linalg.norm(centroids[graph.edges[:, 0]] - centroids[graph.edges[:, 1]],
+                           axis=1))
         for key in ("normals", "oversegmentation", "ground", "features"):
             assert key in stages.timings
 
