@@ -23,6 +23,7 @@ from .cloud import PointCloud
 from .errors import EvaluationError, FrameDiscardError, InputError
 from .forest import ForestModel, TrainingSet, train_forest
 from .labels import LABEL_NAMES, NUM_TRAINABLE, Label
+from .overseg import PatchGraph
 from .pipeline import (
     PipelineConfig,
     classify,
@@ -108,16 +109,21 @@ def kfold_split(frame_ids: Sequence, k: int = 5, seed: int = 0) -> list[list]:
 
 @dataclass
 class FramePrep:
-    """Cached per-frame pipeline state, enough to train and score models."""
+    """Cached per-frame pipeline state, enough to train and score models.
+    Never the cloud: per point, only ``point_gt`` and ``graph.point_to_patch``."""
 
     frame_id: str
     point_gt: np.ndarray          # (N,) ground-truth ids, 0..7
-    point_to_feature: np.ndarray  # (N,) patch (= feature row), -1 if uncovered
-    features: np.ndarray          # (P, 14)
+    graph: PatchGraph             # patches, adjacency, aligned centroids
+    features: np.ndarray          # (P, 14), row p for patch p
     patch_gt: np.ndarray          # (P,) majority ground truth per patch
-    edges: np.ndarray             # (E, 2) patch adjacency
-    edge_lengths: np.ndarray      # (E,) centroid distances (meters)
     timings: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def point_to_feature(self) -> np.ndarray:
+        """``graph.point_to_patch``. Kept only because the benchmark
+        (``perfbench/harness.py``) reads it."""
+        return self.graph.point_to_patch
 
 
 def prepare_frame(cloud: PointCloud, config: PipelineConfig,
@@ -129,11 +135,9 @@ def prepare_frame(cloud: PointCloud, config: PipelineConfig,
     return FramePrep(
         frame_id=frame_id or stages.cloud.meta.source_id,
         point_gt=stages.cloud.labels.copy(),
-        point_to_feature=stages.point_to_feature,
+        graph=stages.graph,
         features=stages.features,
         patch_gt=patch_majority_labels(stages.graph, stages.cloud),
-        edges=stages.edges,
-        edge_lengths=stages.edge_lengths,
         timings=stages.timings,
     )
 
@@ -157,7 +161,7 @@ def train_from_preps(preps: Sequence[FramePrep], config: PipelineConfig,
 def score_prep(prep: FramePrep, model: ForestModel, config: PipelineConfig,
                cm_mrf: ConfusionMatrix, cm_unary: ConfusionMatrix) -> None:
     """Classify one cached frame and accumulate both confusion matrices."""
-    result = classify(prep, model, config)
+    result = classify(prep.graph, prep.features, model, config)
     cm_mrf.add(prep.point_gt, result.point_labels)
     cm_unary.add(prep.point_gt, result.unary_point_labels)
 

@@ -31,7 +31,7 @@ import numpy as np
 from .cloud import FRAME_GRAVITY, PointCloud
 from .colorspace import srgb_to_lab
 from .errors import FeatureError, InputError
-from .overseg import PatchGraph, canonicalize_hemisphere, eigvals_3x3
+from .overseg import PatchGraph, canonicalize_hemisphere, eigvals_3x3, group_sums
 
 FEATURE_DIM = 14
 FEATURE_CONTRACT_VERSION = 1
@@ -75,14 +75,8 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
         raise FeatureError(f"patch {int(np.argmin(sizes))} has {int(sizes.min())} points; "
                            "its scatter features need at least 3")
 
-    def group_mean(values: np.ndarray) -> np.ndarray:
-        return np.stack([
-            np.bincount(pid, weights=values[:, c], minlength=n_patches)
-            for c in range(values.shape[1])
-        ], axis=1) / sizes[:, None]
-
     # spectral: centered second moments -> batched 3x3 eigenvalues
-    mean_pos = group_mean(pos)
+    mean_pos = group_sums(pid, pos, n_patches) / sizes[:, None]
     d = pos - mean_pos[pid]
     l0, l1, l2 = eigvals_3x3(*(
         np.bincount(pid, weights=d[:, i] * d[:, j], minlength=n_patches) / sizes
@@ -101,9 +95,7 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
 
     # normal angles (axial statistics on the angle to the ground plane)
     canon = canonicalize_hemisphere(normals)
-    normal_sum = np.stack([
-        np.bincount(pid, weights=canon[:, c], minlength=n_patches) for c in range(3)
-    ], axis=1)
+    normal_sum = group_sums(pid, canon, n_patches)
     sum_norm = np.linalg.norm(normal_sum, axis=1)
     zero_sum = sum_norm < 1e-12
     angle = np.arcsin(np.clip(np.abs(normal_sum[:, 2]) / np.maximum(sum_norm, 1e-300),
@@ -117,11 +109,9 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
     circ[zero_sum] = _CIRC_STD_MAX
 
     # color moments
-    mean_lab = group_mean(lab)
+    mean_lab = group_sums(pid, lab, n_patches) / sizes[:, None]
     dl = lab - mean_lab[pid]
-    var_lab = np.stack([
-        np.bincount(pid, weights=dl[:, c] ** 2, minlength=n_patches) for c in range(3)
-    ], axis=1) / sizes[:, None]
+    var_lab = group_sums(pid, dl * dl, n_patches) / sizes[:, None]
     std_lab = np.sqrt(np.maximum(var_lab, 0.0))
 
     return np.arange(n_patches, dtype=np.int64), np.concatenate([

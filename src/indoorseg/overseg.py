@@ -95,6 +95,13 @@ class PatchGraph:
         return range(len(self))
 
 
+def group_sums(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, C) per-group column sums of the (N, C) ``values``: row g sums the
+    rows whose id is g. One `bincount` per column."""
+    return np.stack([np.bincount(ids, weights=values[:, c], minlength=n)
+                     for c in range(values.shape[1])], axis=1)
+
+
 def canonicalize_hemisphere(normals: np.ndarray) -> np.ndarray:
     """Flip normals into the upper (+z) hemisphere; ties broken on y then x."""
     n = normals.copy()
@@ -274,14 +281,10 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     n_vox = uniq_keys.shape[0]
 
     counts = np.bincount(vox_of_point, minlength=n_vox).astype(np.float64)
-    vox_centroid = np.stack([
-        np.bincount(vox_of_point, weights=pos[:, c], minlength=n_vox) for c in range(3)
-    ], axis=1) / counts[:, None]
+    vox_centroid = group_sums(vox_of_point, pos, n_vox) / counts[:, None]
 
     canon = canonicalize_hemisphere(cloud.normals)
-    vox_normal = np.stack([
-        np.bincount(vox_of_point, weights=canon[:, c], minlength=n_vox) for c in range(3)
-    ], axis=1)
+    vox_normal = group_sums(vox_of_point, canon, n_vox)
     norm = np.linalg.norm(vox_normal, axis=1)
     weak = norm < 1e-12
     if weak.any():
@@ -293,9 +296,7 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     vox_normal /= np.maximum(norm, 1e-300)[:, None]
 
     lab = srgb_to_lab(cloud.colors)
-    vox_lab = np.stack([
-        np.bincount(vox_of_point, weights=lab[:, c], minlength=n_vox) for c in range(3)
-    ], axis=1) / counts[:, None]
+    vox_lab = group_sums(vox_of_point, lab, n_vox) / counts[:, None]
     del lab
 
     seed_vox = _select_seeds(vox_centroid, seed_res)
@@ -423,11 +424,8 @@ def _centroids(positions: np.ndarray, point_to_patch: np.ndarray,
     """(P, 3) mean position of each patch's points."""
     member = point_to_patch >= 0
     pid = point_to_patch[member]
-    pos = positions[member]
     sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
-    return np.stack([
-        np.bincount(pid, weights=pos[:, c], minlength=n_patches) for c in range(3)
-    ], axis=1) / sizes[:, None]
+    return group_sums(pid, positions[member], n_patches) / sizes[:, None]
 
 
 def refresh_patch_stats(graph: PatchGraph, cloud: PointCloud) -> PatchGraph:

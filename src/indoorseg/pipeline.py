@@ -5,13 +5,13 @@ label-based plane fit) -> per-patch features -> forest prediction -> MRF
 smoothing -> per-point labels. Points of discarded patches come out as
 `unknown`. Every stage is timed; the timing dict accompanies all results.
 
-`run_stages` does the model-independent part. Its patches are the one
-index space of the classifier: patch p is feature row p and MRF node p,
-so the point-to-row map and the edges are the patch graph's own arrays,
-and the edge lengths are its centroid distances. `classify` does the rest
-(predict, MRF, labels per point) on those rows; `segment_cloud` and the
-evaluation harness's `evalkit.score_prep` both call it, so inference and
-scoring share one path.
+`run_stages` does the model-independent part: the aligned cloud, its
+`PatchGraph` and one feature row per patch. The graph is the frame's one
+record of patch geometry: patch p is feature row p and MRF node p, and
+the MRF edges are its edges, weighted by centroid distance. `classify`
+does the rest (predict, MRF, labels per point) from the graph and the
+rows; `segment_cloud` and the evaluation harness's `evalkit.score_prep`
+both call it, so inference and scoring share one path.
 """
 
 from __future__ import annotations
@@ -128,14 +128,11 @@ def _copy_fields(cls, source):
 
 @dataclass
 class StageOutput:
-    """Everything the classifier stage needs, in the gravity frame."""
+    """The model-independent stages' result, in the gravity frame."""
 
     cloud: PointCloud           # aligned, with normals
     graph: PatchGraph           # centroids refreshed on the aligned cloud
     features: np.ndarray        # (P, 14), row p for patch p
-    point_to_feature: np.ndarray  # graph.point_to_patch: row per point, -1 if none
-    edges: np.ndarray           # graph.edges: (E, 2) patch adjacency
-    edge_lengths: np.ndarray    # (E,) centroid distance per edge (meters)
     timings: dict[str, float]
 
 
@@ -207,13 +204,7 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
     t0 = time.perf_counter()
     _, features = feature_matrix(graph, cloud)
     timings["features"] = time.perf_counter() - t0
-
-    edges, centroids = graph.edges, graph.centroids
-    return StageOutput(
-        cloud=cloud, graph=graph, features=features,
-        point_to_feature=graph.point_to_patch, edges=edges,
-        edge_lengths=np.linalg.norm(centroids[edges[:, 0]] - centroids[edges[:, 1]], axis=1),
-        timings=timings)
+    return StageOutput(cloud=cloud, graph=graph, features=features, timings=timings)
 
 
 def patch_majority_labels(graph: PatchGraph, cloud: PointCloud) -> np.ndarray:
@@ -235,28 +226,31 @@ class Classification:
     timings: dict[str, float]
 
 
-def classify(frame, model: ForestModel, config: PipelineConfig) -> Classification:
+def classify(graph: PatchGraph, features: np.ndarray, model: ForestModel,
+             config: PipelineConfig) -> Classification:
     """Forest prediction, MRF smoothing and per-point labels for one frame.
 
-    ``frame`` is a `StageOutput` or an `evalkit.FramePrep`: anything with
-    ``features``, ``edges``, ``edge_lengths`` and ``point_to_feature``.
+    Row p of ``features`` is patch p of ``graph``; the MRF edges are the
+    graph's, weighted by their centroid distances (meters).
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    distributions = predict_batch(model, frame.features)
+    distributions = predict_batch(model, features)
     timings["prediction"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    problem = mrf.build_problem(distributions, frame.edges, frame.edge_lengths,
+    edges, centroids = graph.edges, graph.centroids
+    edge_lengths = np.linalg.norm(centroids[edges[:, 0]] - centroids[edges[:, 1]], axis=1)
+    problem = mrf.build_problem(distributions, edges, edge_lengths,
                                 lam=config.mrf_lambda, sigma=config.mrf_sigma)
     labeling = mrf.solve_map_lbp(problem, max_iters=config.lbp_max_iters,
                                  damping=config.lbp_damping, tol=config.lbp_tol)
     timings["mrf"] = time.perf_counter() - t0
 
-    def to_points(row_labels):
-        # the extra last entry labels the uncovered points (row -1)
-        return np.append(row_labels.astype(np.uint8),
-                         np.uint8(Label.UNKNOWN))[frame.point_to_feature]
+    def to_points(patch_labels):
+        # the extra last entry labels the uncovered points (patch -1)
+        return np.append(patch_labels.astype(np.uint8),
+                         np.uint8(Label.UNKNOWN))[graph.point_to_patch]
 
     return Classification(
         distributions=distributions, labeling=labeling,
@@ -274,10 +268,7 @@ def segment_cloud(cloud: PointCloud, model: ForestModel, config: PipelineConfig,
                   pose_plane: Optional[GroundPlane] = None) -> SegmentResult:
     """Full pipeline on one cloud with a trained model."""
     stages = run_stages(cloud, config, pose_plane)
-    result = classify(stages, model, config)
+    result = classify(stages.graph, stages.features, model, config)
     timings = {**stages.timings, **result.timings}
     timings["total"] = sum(timings.values())
-    return SegmentResult(
-        distributions=result.distributions, labeling=result.labeling,
-        point_labels=result.point_labels, unary_point_labels=result.unary_point_labels,
-        timings=timings, stage_output=stages)
+    return SegmentResult(**{**vars(result), "timings": timings}, stage_output=stages)

@@ -63,8 +63,8 @@ def read_cloud(path: str | Path, frame: Optional[str] = None,
 
     The frame comes from an explicit argument, else the file's frame
     comment, else defaults to "camera". Raises PlyParseError (with the
-    byte offset) on malformed headers or a payload shorter than the
-    header promises.
+    byte offset) on malformed headers, a payload shorter than the header
+    promises, or an ASCII colour or label outside 0..255.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -168,8 +168,11 @@ def _parse_header(raw: bytes) -> tuple[int, bool, bool, int, Optional[str]]:
 def _parse_ascii_body(raw: bytes, body_offset: int, vertex_count: int,
                       with_label: bool) -> np.ndarray:
     n_fields = 7 if with_label else 6
-    dtype = _vertex_dtype(with_label)
-    data = np.empty(vertex_count, dtype=dtype)
+    # every field takes a digit and a separator: checked before allocating
+    if vertex_count * 2 * n_fields - 1 > len(raw) - body_offset:
+        raise PlyParseError(f"payload truncated: header declares {vertex_count} vertices, "
+                            f"too many for {len(raw) - body_offset} bytes", offset=len(raw))
+    data = np.empty(vertex_count, dtype=_vertex_dtype(with_label))
     offset = body_offset
     for i in range(vertex_count):
         end = raw.find(b"\n", offset)
@@ -184,10 +187,12 @@ def _parse_ascii_body(raw: bytes, body_offset: int, vertex_count: int,
             raise PlyParseError(
                 f"vertex {i}: expected {n_fields} fields, got {len(line)}", offset=offset)
         try:
-            data[i] = tuple(
-                [np.float32(line[j]) for j in range(3)]
-                + [int(line[j]) for j in range(3, n_fields)])
+            values = ([np.float32(line[j]) for j in range(3)]
+                      + [int(line[j]) for j in range(3, n_fields)])
         except ValueError:
             raise PlyParseError(f"vertex {i}: bad numeric field", offset=offset) from None
+        if not all(0 <= v <= 255 for v in values[3:]):
+            raise PlyParseError(f"vertex {i}: colour or label outside 0..255", offset=offset)
+        data[i] = tuple(values)
         offset = end + 1
     return data

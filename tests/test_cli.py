@@ -160,6 +160,23 @@ def test_missing_input_exit_code(workspace, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("count, row", [(1, "0 0 0 300 2 3"), (1, "0 0 0 -1 2 3"),
+                                        (10**13, "0 0 0 1 2 3")])
+def test_malformed_ascii_ply_exits_1(workspace, tmp_path, capsys, count, row):
+    _, _, model, _ = workspace
+    path = tmp_path / "bad.ply"
+    path.write_text(f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+                    f"end_header\n{row}\n")
+    out = tmp_path / "o.ply"
+    code = main(["segment", "--input", str(path), "--model", str(model),
+                 "--output", str(out)])
+    assert code == 1
+    assert "input error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(workspace, tmp_path):
     _, scenes, model, _ = workspace
     bad = tmp_path / "bad.json"

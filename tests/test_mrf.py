@@ -213,7 +213,9 @@ class TestMatchesReferenceLoop:
         probs = rng.dirichlet(np.ones(7), size=len(prep.features))
         probs[np.arange(len(probs)), prep.patch_gt] += 1.0
         probs /= probs.sum(axis=1, keepdims=True)
-        problem = build_problem(probs, prep.edges, prep.edge_lengths, lam=2.0, sigma=0.1)
+        edges, centroids = prep.graph.edges, prep.graph.centroids
+        lengths = np.linalg.norm(centroids[edges[:, 0]] - centroids[edges[:, 1]], axis=1)
+        problem = build_problem(probs, edges, lengths, lam=2.0, sigma=0.1)
         assert problem.num_nodes > 100 and problem.edges.shape[0] > problem.num_nodes
         out = assert_same_labeling(problem)
         assert out.iterations > 1

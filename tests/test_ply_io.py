@@ -73,6 +73,39 @@ def test_malformed_header_reports_offset(tmp_path):
     assert exc.value.offset == content.index(b"element face")
 
 
+ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex {}\n"
+                "property float x\nproperty float y\nproperty float z\n"
+                "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+                "property uchar label\nend_header\n")
+
+
+@pytest.mark.parametrize("row", ["0 0 0 300 2 3 1", "0 0 0 1 -1 3 1", "0 0 0 1 2 3 256"])
+def test_ascii_field_outside_uchar_range(tmp_path, row):
+    path = tmp_path / "c.ply"
+    header = ASCII_HEADER.format(2)
+    path.write_text(header + "1 1 1 4 5 6 0\n" + row + "\n")
+    with pytest.raises(PlyParseError, match="vertex 1: colour or label outside 0..255") as exc:
+        read_cloud(path)
+    assert exc.value.offset == len(header) + len("1 1 1 4 5 6 0\n")
+
+
+def test_ascii_count_the_body_cannot_hold(tmp_path):
+    """Rejected before the vertex array is allocated (136 TiB here)."""
+    path = tmp_path / "c.ply"
+    path.write_text(ASCII_HEADER.format(10**13) + "0 0 0 1 2 3 1\n")
+    with pytest.raises(PlyParseError, match="truncated: header declares 10000000000000"):
+        read_cloud(path)
+
+
+def test_ascii_shortest_lines_still_read(tmp_path):
+    """The size bound admits one-digit fields and a last line with no newline."""
+    path = tmp_path / "c.ply"
+    path.write_text(ASCII_HEADER.format(2) + "0 0 0 1 2 3 1\n1 1 1 4 5 6 7")
+    cloud = read_cloud(path)
+    np.testing.assert_array_equal(cloud.colors, [[1, 2, 3], [4, 5, 6]])
+    np.testing.assert_array_equal(cloud.labels, [1, 7])
+
+
 def test_not_a_ply(tmp_path):
     path = tmp_path / "c.ply"
     path.write_bytes(b"hello\nworld\nend_header\n")
