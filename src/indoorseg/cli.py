@@ -175,15 +175,10 @@ def _cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.benchmark:
-        counts = dict(DEFAULT_FURNITURE_COUNTS)
-        train_clouds = [
-            generate_scene(SceneSpec(seed=args.scene_seed + i,
-                                     furniture_counts=counts))
-            for i in range(args.train_count)]
-        test_clouds = [
-            generate_scene(SceneSpec(seed=args.scene_seed + 1000 + i,
-                                     furniture_counts=counts))
-            for i in range(args.test_count)]
+        train_clouds = [generate_scene(SceneSpec(seed=args.scene_seed + i))
+                        for i in range(args.train_count)]
+        test_clouds = [generate_scene(SceneSpec(seed=args.scene_seed + 1000 + i))
+                       for i in range(args.test_count)]
         train_preps, d1 = prepare_frames(train_clouds, config)
         test_preps, d2 = prepare_frames(test_clouds, config)
         if not train_preps or not test_preps:
@@ -232,8 +227,7 @@ def _cmd_ingest_nyu(args) -> int:
         mapping = load_label_mapping(args.mapping if args.mapping
                                      else default_mapping_path())
         labels = reduce_label_array(raw, mapping)
-    cloud = ingest_depth_frame(depth, rgb, labels, intrinsics,
-                               source_id=Path(args.depth).stem)
+    cloud = ingest_depth_frame(depth, rgb, labels, intrinsics)
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_cloud(cloud, out_path)

@@ -10,7 +10,7 @@ gravity-aligned frame has the ground plane at z = 0 and +z pointing up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -77,12 +77,6 @@ def read_key_values(path: str | Path, required: Sequence[str]) -> dict[str, floa
     return values
 
 
-@dataclass(frozen=True)
-class CloudMeta:
-    source_id: str = ""
-    intrinsics: Optional[Intrinsics] = None
-
-
 def _freeze(arr: Optional[np.ndarray]) -> Optional[np.ndarray]:
     if arr is not None:
         arr.flags.writeable = False
@@ -104,7 +98,6 @@ class PointCloud:
     normals: Optional[np.ndarray] = None
     normal_flags: Optional[np.ndarray] = None
     frame: str = FRAME_CAMERA
-    meta: CloudMeta = field(default_factory=CloudMeta)
 
     def __post_init__(self):
         positions = np.ascontiguousarray(self.positions, dtype=np.float64)
@@ -164,7 +157,6 @@ def ingest_depth_frame(
     rgb_image: np.ndarray,
     label_image: Optional[np.ndarray],
     intrinsics: Intrinsics,
-    source_id: str = "",
 ) -> PointCloud:
     """Back-project a raw depth frame into a camera-frame cloud.
 
@@ -205,15 +197,4 @@ def ingest_depth_frame(
         colors=colors,
         labels=labels,
         frame=FRAME_CAMERA,
-        meta=CloudMeta(source_id=source_id, intrinsics=intrinsics),
     )
-
-
-def project_to_pixels(cloud: PointCloud, intrinsics: Intrinsics) -> np.ndarray:
-    """Inverse of ingestion: (u, v) pixel coordinates of camera-frame points."""
-    if cloud.frame != FRAME_CAMERA:
-        raise InputError("projection requires a camera-frame cloud")
-    z = cloud.positions[:, 2]
-    u = cloud.positions[:, 0] * intrinsics.fx / z + intrinsics.cx
-    v = cloud.positions[:, 1] * intrinsics.fy / z + intrinsics.cy
-    return np.column_stack([u, v])

@@ -37,7 +37,6 @@ class ConfusionMatrix:
 
     def __init__(self):
         self.counts = np.zeros((NUM_TRAINABLE, NUM_TRAINABLE), dtype=np.int64)
-        self.excluded_unknown = 0
         self.excluded_uncovered = 0
 
     def add(self, ground_truth: np.ndarray, predicted: np.ndarray) -> "ConfusionMatrix":
@@ -49,7 +48,6 @@ class ConfusionMatrix:
         known = gt != int(Label.UNKNOWN)
         covered = pred != int(Label.UNKNOWN)
         counted = known & covered
-        self.excluded_unknown += int((~known).sum())
         self.excluded_uncovered += int((known & ~covered).sum())
         if counted.any():
             flat = gt[counted].astype(np.int64) * NUM_TRAINABLE + pred[counted]
@@ -60,7 +58,6 @@ class ConfusionMatrix:
 
     def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         self.counts += other.counts
-        self.excluded_unknown += other.excluded_unknown
         self.excluded_uncovered += other.excluded_uncovered
         return self
 
@@ -95,9 +92,9 @@ class ConfusionMatrix:
         return float(self.total / denom)
 
 
-def kfold_split(frame_ids: Sequence, k: int = 5, seed: int = 0) -> list[list]:
+def kfold_split(ids: Sequence, k: int = 5, seed: int = 0) -> list[list]:
     """Disjoint folds covering all ids, sizes within 1, fixed by the seed."""
-    ids = list(frame_ids)
+    ids = list(ids)
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
     if k > len(ids):
@@ -110,7 +107,9 @@ def kfold_split(frame_ids: Sequence, k: int = 5, seed: int = 0) -> list[list]:
 @dataclass
 class FramePrep:
     """Cached per-frame pipeline state, enough to train and score models.
-    Never the cloud: per point, only ``point_gt`` and ``graph.point_to_patch``."""
+    Never the cloud: per point, only ``point_gt`` and ``graph.point_to_patch``.
+    Nothing here reads ``frame_id``; it stays because the benchmark
+    (``perfbench/harness.py``) names its preps through ``prepare_frame``."""
 
     frame_id: str
     point_gt: np.ndarray          # (N,) ground-truth ids, 0..7
@@ -128,12 +127,13 @@ class FramePrep:
 
 def prepare_frame(cloud: PointCloud, config: PipelineConfig,
                   frame_id: str = "") -> FramePrep:
-    """Run the label-independent stages once; reusable across models."""
+    """Run the label-independent stages once; reusable across models.
+    ``frame_id`` is only stored on the prep, for the benchmark's sake."""
     if cloud.labels is None:
         raise InputError("evaluation needs ground-truth labeled clouds")
     stages = run_stages(cloud, config)
     return FramePrep(
-        frame_id=frame_id or stages.cloud.meta.source_id,
+        frame_id=frame_id,
         point_gt=stages.cloud.labels.copy(),
         graph=stages.graph,
         features=stages.features,
@@ -235,23 +235,20 @@ def _none_if_nan(v: float):
     return None if np.isnan(v) else float(v)
 
 
-def prepare_frames(clouds: Sequence[PointCloud], config: PipelineConfig,
-                   frame_ids: Optional[Sequence[str]] = None) -> tuple[list[FramePrep], int]:
+def prepare_frames(clouds: Sequence[PointCloud],
+                   config: PipelineConfig) -> tuple[list[FramePrep], int]:
     """Prepare all frames, dropping the ones whose ground plane fit fails."""
-    ids = list(frame_ids) if frame_ids is not None else [
-        c.meta.source_id or f"frame-{i}" for i, c in enumerate(clouds)]
 
-    def prep_one(pair):
-        cloud, frame_id = pair
+    def prep_one(cloud):
         try:
-            return prepare_frame(cloud, config, frame_id)
+            return prepare_frame(cloud, config)
         except FrameDiscardError:
             return None
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        results = list(pool.map(prep_one, zip(clouds, ids)))
+        results = list(pool.map(prep_one, clouds))
     preps = [r for r in results if r is not None]
-    return preps, len(ids) - len(preps)
+    return preps, len(results) - len(preps)
 
 
 def evaluate_split(train_preps: Sequence[FramePrep], test_preps: Sequence[FramePrep],
@@ -292,11 +289,7 @@ def cross_validate(clouds: Sequence[PointCloud], config: PipelineConfig,
 
 
 def mean_timings(preps: Sequence[FramePrep]) -> dict[str, float]:
-    keys: list[str] = []
-    for prep in preps:
-        for key in prep.timings:
-            if key not in keys:
-                keys.append(key)
+    keys = dict.fromkeys(k for p in preps for k in p.timings)
     return {
         key: 1000.0 * float(np.mean([p.timings.get(key, 0.0) for p in preps]))
         for key in keys

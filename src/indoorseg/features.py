@@ -36,13 +36,6 @@ from .overseg import PatchGraph, canonicalize_hemisphere, eigvals_3x3, group_sum
 FEATURE_DIM = 14
 FEATURE_CONTRACT_VERSION = 1
 
-FEATURE_NAMES = (
-    "pointness", "surfaceness", "linearness",
-    "centroid_height", "min_height", "max_height",
-    "normal_angle", "normal_circ_std",
-    "mean_l", "mean_a", "mean_b", "std_l", "std_a", "std_b",
-)
-
 _CIRC_STD_MAX = 4.0  # sqrt(-2 ln e^-8)
 _R_CLAMP = np.exp(-8.0)
 
@@ -85,12 +78,11 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
                          np.maximum(l1 - l0, 0.0),
                          np.maximum(l2 - l1, 0.0)], axis=1)
 
-    # heights: reduceat over the patch-sorted order
-    order = np.argsort(pid, kind="stable")
-    starts = np.searchsorted(pid[order], np.arange(n_patches))
-    z_sorted = pos[order, 2]
-    min_h = np.minimum.reduceat(z_sorted, starts)
-    max_h = np.maximum.reduceat(z_sorted, starts)
+    # heights: every patch has a point, so no infinity survives
+    min_h = np.full(n_patches, np.inf)
+    max_h = np.full(n_patches, -np.inf)
+    np.minimum.at(min_h, pid, pos[:, 2])
+    np.maximum.at(max_h, pid, pos[:, 2])
     mid_h = np.clip(mean_pos[:, 2], min_h, max_h)
 
     # normal angles (axial statistics on the angle to the ground plane)

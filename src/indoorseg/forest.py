@@ -102,8 +102,6 @@ class FlatTree:
 class ForestModel:
     trees: list[FlatTree]
     params: ForestParams
-    label_names: tuple[str, ...] = tuple(LABEL_NAMES[:NUM_TRAINABLE])
-    feature_contract_version: int = FEATURE_CONTRACT_VERSION
     training_meta: dict = field(default_factory=dict)
 
     @property
@@ -258,10 +256,6 @@ def train_forest(data: TrainingSet, params: ForestParams = ForestParams()) -> Fo
 
 def predict_batch(model: ForestModel, xs: np.ndarray) -> np.ndarray:
     """(M, 7) distributions for M feature vectors (vectorized routing)."""
-    if model.feature_contract_version != FEATURE_CONTRACT_VERSION:
-        raise PredictionError(
-            f"model feature contract v{model.feature_contract_version} != "
-            f"v{FEATURE_CONTRACT_VERSION}")
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != FEATURE_DIM:
         raise PredictionError(f"feature matrix must be (M, {FEATURE_DIM}), got {xs.shape}")
@@ -291,8 +285,8 @@ def predict_batch(model: ForestModel, xs: np.ndarray) -> np.ndarray:
 def save_model(model: ForestModel, path: str | Path) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
-        "feature_contract_version": model.feature_contract_version,
-        "labels": list(model.label_names),
+        "feature_contract_version": FEATURE_CONTRACT_VERSION,
+        "labels": list(LABEL_NAMES[:NUM_TRAINABLE]),
         "params": asdict(model.params),
         "training_meta": model.training_meta,
         "trees": [_tree_to_doc(t) for t in model.trees],

@@ -1,9 +1,10 @@
 """Ground-plane recovery and gravity alignment.
 
 The plane is {p : normal . p + offset = 0} with the normal oriented so the
-camera origin sits at positive height; ``signed_height`` is then the height
-of a point above the floor. Alignment maps the plane to z = 0 with +z up
-and a canonical yaw (the camera x-axis projects onto the new x-axis).
+camera origin sits at positive height; ``normal . p + offset`` is then the
+height of point p above the floor, and ``offset`` that of the camera.
+Alignment maps the plane to z = 0 with +z up and a canonical yaw (the
+camera x-axis projects onto the new x-axis).
 
 Pose convention (robot mode): pitch rotates the camera about its x-axis
 (positive = looking down), roll about its optical axis; the file stores
@@ -21,27 +22,19 @@ from .cloud import FRAME_GRAVITY, PointCloud, read_key_values, up_vector
 from .errors import FrameDiscardError, InputError
 from .labels import Label
 
-DEFAULT_MIN_FLOOR_POINTS = 500
-DEFAULT_RANSAC_ITERS = 200
-DEFAULT_RANSAC_THRESHOLD = 0.02
-
 
 @dataclass(frozen=True)
 class GroundPlane:
     normal: np.ndarray
     offset: float
-    camera_height: float
     inlier_count: int
-
-    def signed_height(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.normal + self.offset
 
 
 def estimate_ground_plane(
     cloud: PointCloud,
-    min_floor_points: int = DEFAULT_MIN_FLOOR_POINTS,
-    iterations: int = DEFAULT_RANSAC_ITERS,
-    threshold: float = DEFAULT_RANSAC_THRESHOLD,
+    min_floor_points: int = 500,
+    iterations: int = 200,
+    threshold: float = 0.02,
     seed: int = 0,
 ) -> GroundPlane:
     """RANSAC plane fit over floor-labeled points, refined on the inliers.
@@ -102,9 +95,7 @@ def estimate_ground_plane(
         normal, offset = -normal, -offset
 
     inlier_count = int((np.abs(floor @ normal + offset) <= threshold).sum())
-    return GroundPlane(normal=normal, offset=float(offset),
-                       camera_height=max(float(offset), 0.0),
-                       inlier_count=inlier_count)
+    return GroundPlane(normal=normal, offset=float(offset), inlier_count=inlier_count)
 
 
 def alignment_transform(plane: GroundPlane) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +129,7 @@ def plane_from_pose(camera_height: float, pitch: float, roll: float) -> GroundPl
     cos_f, sin_f = np.cos(roll), np.sin(roll)
     normal = np.array([sin_f * cos_t, -cos_f * cos_t, -sin_t])
     normal /= np.linalg.norm(normal)
-    return GroundPlane(normal=normal, offset=float(camera_height),
-                       camera_height=float(camera_height), inlier_count=0)
+    return GroundPlane(normal=normal, offset=float(camera_height), inlier_count=0)
 
 
 def load_camera_pose(path: str | Path) -> GroundPlane:

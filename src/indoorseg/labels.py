@@ -64,13 +64,9 @@ def load_label_mapping(path: str | Path) -> dict[int, Label]:
     return mapping
 
 
-def reduce_label(raw_id: int, mapping: dict[int, Label]) -> Label:
-    """Map one raw dataset label id to the 8-label set (total function)."""
-    return mapping.get(int(raw_id), Label.UNKNOWN)
-
-
 def reduce_label_array(raw_ids: np.ndarray, mapping: dict[int, Label]) -> np.ndarray:
-    """Vectorized ``reduce_label`` for label images; returns uint8 ids."""
+    """Map raw dataset label ids (a label image) to the 8-label set as uint8
+    ids; ids the mapping does not list become ``unknown``."""
     raw_ids = np.asarray(raw_ids)
     if raw_ids.size == 0:
         return raw_ids.astype(np.uint8)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import CloudMeta, PointCloud
+from .cloud import PointCloud
 from .errors import PlyParseError
 
 _FLOAT_NAMES = {"float", "float32"}
@@ -57,8 +57,7 @@ def write_cloud(cloud: PointCloud, path: str | Path) -> None:
         f.write(data.tobytes())
 
 
-def read_cloud(path: str | Path, frame: Optional[str] = None,
-               source_id: Optional[str] = None) -> PointCloud:
+def read_cloud(path: str | Path, frame: Optional[str] = None) -> PointCloud:
     """Read a PLY file of the package dialect.
 
     The frame comes from an explicit argument, else the file's frame
@@ -88,9 +87,7 @@ def read_cloud(path: str | Path, frame: Optional[str] = None,
         [data["x"], data["y"], data["z"]]).astype(np.float64)
     colors = np.column_stack([data["red"], data["green"], data["blue"]])
     labels = data["label"].copy() if with_label else None
-    return PointCloud(
-        positions=positions, colors=colors, labels=labels, frame=frame,
-        meta=CloudMeta(source_id=source_id if source_id is not None else path.name))
+    return PointCloud(positions=positions, colors=colors, labels=labels, frame=frame)
 
 
 def _parse_header(raw: bytes) -> tuple[int, bool, bool, int, Optional[str]]:

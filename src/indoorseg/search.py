@@ -26,7 +26,6 @@ from .labels import Label
 @dataclass(frozen=True)
 class TableCluster:
     id: int
-    point_indices: np.ndarray
     centroid_2d: np.ndarray
     axis_major: np.ndarray   # e1, unit
     axis_minor: np.ndarray   # e2, unit, orthogonal to e1
@@ -51,10 +50,9 @@ def cluster_tables(cloud: PointCloud, radius: float = 0.05,
     if not radius > 0:
         raise InputError("radius must be positive")
 
-    table_idx = np.nonzero(cloud.labels == int(Label.TABLE))[0]
-    if table_idx.shape[0] == 0:
+    pts = cloud.positions[cloud.labels == int(Label.TABLE)]
+    if pts.shape[0] == 0:
         return []
-    pts = cloud.positions[table_idx]
 
     tree = cKDTree(pts)
     pairs = tree.query_pairs(radius, output_type="ndarray")
@@ -75,7 +73,6 @@ def cluster_tables(cloud: PointCloud, radius: float = 0.05,
         e1, e2, h1, h2, center = _principal_axes_2d(xy)
         clusters.append(TableCluster(
             id=len(clusters),
-            point_indices=table_idx[np.sort(members)],
             centroid_2d=center,
             axis_major=e1, axis_minor=e2,
             half_extent_major=h1, half_extent_minor=h2))

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cloud import FRAME_GRAVITY, CloudMeta, PointCloud
+from .cloud import FRAME_GRAVITY, PointCloud
 from .errors import GenerationError, InputError
 from .labels import Label
 
@@ -256,7 +256,6 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
         labels=labels,
         normals=normals,
         frame=FRAME_GRAVITY,
-        meta=CloudMeta(source_id=f"synth-{spec.seed}"),
     )
 
 

@@ -6,7 +6,6 @@ from indoorseg.cloud import (
     Intrinsics,
     PointCloud,
     ingest_depth_frame,
-    project_to_pixels,
     read_key_values,
 )
 from indoorseg.errors import EmptyCloudError, InputError
@@ -14,6 +13,16 @@ from indoorseg.errors import EmptyCloudError, InputError
 from conftest import make_cloud
 
 INTR = Intrinsics(fx=525.0, fy=525.0, cx=319.5, cy=239.5, depth_scale=0.001)
+
+
+def project_to_pixels(cloud: PointCloud, intrinsics: Intrinsics) -> np.ndarray:
+    """Inverse of ingestion: (u, v) pixel coordinates of camera-frame points."""
+    if cloud.frame != FRAME_CAMERA:
+        raise InputError("projection requires a camera-frame cloud")
+    z = cloud.positions[:, 2]
+    u = cloud.positions[:, 0] * intrinsics.fx / z + intrinsics.cx
+    v = cloud.positions[:, 1] * intrinsics.fy / z + intrinsics.cy
+    return np.column_stack([u, v])
 
 
 def _frame(depth_mm, h=480, w=640):

@@ -35,7 +35,6 @@ class TestConfusionMatrix:
         pred = np.zeros(50)
         cm = ConfusionMatrix().add(gt, pred)
         assert cm.total == 0
-        assert cm.excluded_unknown == 50
 
     def test_uncovered_points_excluded_but_tracked(self):
         gt = np.zeros(10)

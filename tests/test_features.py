@@ -228,6 +228,8 @@ class TestExtract:
                             *color_features(cloud, members[p])])
             for p in ids])
         np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-12)
+        # lowest and highest point heights are exact
+        np.testing.assert_array_equal(mat[:, 4:6], expected[:, 4:6])
 
     def test_floor_patch_values(self, rng):
         cloud = make_cloud(sample_plane(rng, 3000, z=0.0), frame=FRAME_GRAVITY)

@@ -7,7 +7,7 @@ import pytest
 
 from indoorseg import forest
 from indoorseg.errors import ModelFormatError, PredictionError, TrainingError
-from indoorseg.features import FEATURE_CONTRACT_VERSION, FEATURE_DIM
+from indoorseg.features import FEATURE_DIM
 from indoorseg.forest import (
     KIND_LEAF,
     ForestParams,
@@ -32,10 +32,6 @@ def _check_vector(x: np.ndarray) -> np.ndarray:
 def predict(model, x: np.ndarray) -> np.ndarray:
     """Oracle for `predict_batch`: one feature vector walked down each tree
     node by node, the mean of the reached leaves."""
-    if model.feature_contract_version != FEATURE_CONTRACT_VERSION:
-        raise PredictionError(
-            f"model feature contract v{model.feature_contract_version} != "
-            f"v{FEATURE_CONTRACT_VERSION}")
     x = _check_vector(x)
     acc = np.zeros(NUM_TRAINABLE)
     for tree in model.trees:

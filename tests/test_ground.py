@@ -4,7 +4,6 @@ import pytest
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
 from indoorseg.errors import FrameDiscardError, InputError
 from indoorseg.ground import (
-    DEFAULT_RANSAC_THRESHOLD,
     GroundPlane,
     estimate_ground_plane,
     gravity_align,
@@ -34,7 +33,7 @@ class TestEstimate:
     def test_exact_plane(self, rng):
         cloud = camera_floor_cloud(rng, height=1.3)
         plane = estimate_ground_plane(cloud, min_floor_points=100, seed=0)
-        assert abs(plane.camera_height - 1.3) <= 1e-6
+        assert abs(plane.offset - 1.3) <= 1e-6
         np.testing.assert_allclose(plane.normal, [0.0, -1.0, 0.0], atol=1e-6)
         assert plane.inlier_count == len(cloud)
 
@@ -43,7 +42,7 @@ class TestEstimate:
         plane = estimate_ground_plane(cloud, min_floor_points=100, seed=3)
         angle = np.degrees(np.arccos(np.clip(-plane.normal[1], -1, 1)))
         assert angle <= 0.5
-        assert abs(plane.camera_height - 1.1) <= 0.01
+        assert abs(plane.offset - 1.1) <= 0.01
 
     def test_discard_rule(self, rng):
         cloud = camera_floor_cloud(rng, n=100)
@@ -68,7 +67,7 @@ class TestEstimate:
         # so the offset's sign is noise; the frame's up vector must decide
         cloud = generate_scene(SceneSpec(seed=seed, points_per_m2=500.0))
         plane = estimate_ground_plane(cloud)
-        assert abs(plane.offset) <= DEFAULT_RANSAC_THRESHOLD
+        assert abs(plane.offset) <= 0.02  # the default fit threshold
         assert plane.normal @ [0.0, 0.0, 1.0] > 0
 
 
@@ -86,7 +85,7 @@ class TestAlign:
         extended = make_cloud(np.vstack([cloud.positions, [[0.0, 0.0, 0.0]]]),
                               frame=FRAME_CAMERA)
         aligned = gravity_align(extended, plane)
-        assert abs(aligned.positions[-1, 2] - plane.camera_height) <= 1e-9
+        assert abs(aligned.positions[-1, 2] - plane.offset) <= 1e-9
 
     def test_rigid_distances_preserved(self, rng):
         cloud = camera_floor_cloud(rng, n=2000, height=0.9)
@@ -103,13 +102,13 @@ class TestAlign:
         plane = estimate_ground_plane(cloud, min_floor_points=100)
         aligned = gravity_align(cloud, plane)
         np.testing.assert_allclose(aligned.positions[:, 2],
-                                   plane.signed_height(cloud.positions), atol=1e-9)
+                                   cloud.positions @ plane.normal + plane.offset, atol=1e-9)
 
     def test_idempotent_on_aligned_cloud(self, rng):
         pts = rng.uniform(0, 3, size=(500, 3))
         cloud = make_cloud(pts, frame=FRAME_GRAVITY)
         identity = GroundPlane(normal=np.array([0.0, 0.0, 1.0]), offset=0.0,
-                               camera_height=0.0, inlier_count=0)
+                               inlier_count=0)
         aligned = gravity_align(cloud, identity)
         np.testing.assert_allclose(aligned.positions, pts, atol=1e-9)
 
@@ -126,7 +125,7 @@ class TestPose:
     def test_level_camera(self):
         plane = plane_from_pose(camera_height=1.1, pitch=0.0, roll=0.0)
         np.testing.assert_allclose(plane.normal, [0, -1.0, 0], atol=1e-12)
-        assert plane.camera_height == 1.1
+        assert plane.offset == 1.1
 
     def test_pitch_down_90_looks_at_floor(self):
         plane = plane_from_pose(camera_height=1.0, pitch=np.pi / 2, roll=0.0)
@@ -138,7 +137,7 @@ class TestPose:
         plane = plane_from_pose(camera_height=1.4, pitch=pitch, roll=0.0)
         # points on the ground plane: signed height 0
         base = rng.uniform(-2, 2, size=(300, 3))
-        shift = (plane.signed_height(base))[:, None] * plane.normal[None, :]
+        shift = (base @ plane.normal + plane.offset)[:, None] * plane.normal[None, :]
         on_plane = base - shift
         cloud = make_cloud(on_plane, frame=FRAME_CAMERA)
         aligned = gravity_align(cloud, plane)
@@ -148,7 +147,7 @@ class TestPose:
         path = tmp_path / "pose.txt"
         path.write_text("height 1.2\npitch 0.1\nroll 0.0\n")
         plane = load_camera_pose(path)
-        assert plane.camera_height == 1.2
+        assert plane.offset == 1.2
         path.write_text("height 1.2\n")
         with pytest.raises(InputError):
             load_camera_pose(path)

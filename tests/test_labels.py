@@ -7,9 +7,13 @@ from indoorseg.labels import (
     Label,
     default_mapping_path,
     load_label_mapping,
-    reduce_label,
     reduce_label_array,
 )
+
+
+def reduce_label(raw_id: int, mapping: dict[int, Label]) -> Label:
+    """Map one raw dataset label id to the 8-label set (total function)."""
+    return mapping.get(int(raw_id), Label.UNKNOWN)
 
 
 def test_label_set_is_fixed():
@@ -46,11 +50,13 @@ def test_mapping_rejects_bad_lines(tmp_path):
 def test_reduce_listed_id_maps_directly():
     mapping = {5: Label.TABLE}
     assert reduce_label(5, mapping) is Label.TABLE
+    assert reduce_label_array(np.array([5]), mapping)[0] == Label.TABLE
 
 
 def test_reduce_unlisted_id_maps_to_unknown():
     mapping = {5: Label.TABLE}
     assert reduce_label(6, mapping) is Label.UNKNOWN
+    assert reduce_label_array(np.array([6]), mapping)[0] == Label.UNKNOWN
 
 
 def test_reduce_raw_zero_is_unknown():
@@ -58,6 +64,7 @@ def test_reduce_raw_zero_is_unknown():
     mapping = load_label_mapping(default_mapping_path())
     assert 0 not in mapping
     assert reduce_label(0, mapping) is Label.UNKNOWN
+    assert reduce_label_array(np.array([0]), mapping)[0] == Label.UNKNOWN
 
 
 def test_reduce_label_array_matches_scalar(rng):
