@@ -77,7 +77,14 @@ def _scene_paths(scenes: list[str]) -> list[Path]:
     return paths
 
 
+def _require_counts(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 1")
+
+
 def _cmd_synth(args) -> int:
+    _require_counts(args, "count")
     config = _resolve_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,6 +177,7 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _require_counts(args, "train_count", "test_count")
     config = _resolve_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -49,6 +49,8 @@ class ForestParams:
             raise TrainingError("candidate counts must be >= 1")
         if self.min_samples_split < 2:
             raise TrainingError("min_samples_split must be >= 2")
+        if self.seed < 0:
+            raise TrainingError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -115,110 +117,81 @@ def _entropy(hist: np.ndarray) -> np.ndarray:
     return -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1)
 
 
-class _TreeBuilder:
-    def __init__(self, columns: np.ndarray, y: np.ndarray, params: ForestParams,
-                 rng: np.random.Generator, class_weights: np.ndarray,
-                 weight_sums: np.ndarray):
-        self.columns = columns  # (14, N): one contiguous row per feature
-        self.y = y
-        self.params = params
-        self.rng = rng
-        self.class_weights = class_weights
-        self.weight_sums = weight_sums
-        self.kind: list[int] = []
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.distribution: list[np.ndarray] = []
-        self.support: list[int] = []
+def _grow_tree(columns: np.ndarray, y: np.ndarray, params: ForestParams,
+               rng: np.random.Generator, class_weights: np.ndarray,
+               weight_sums: np.ndarray) -> FlatTree:
+    """One tree over all samples, ``columns`` holding one row per feature. Nodes
+    are in preorder: a split searches before its left subtree, left before right."""
+    nodes: list[tuple] = []  # (kind, feature, threshold, left, right, distribution, support)
 
-    def _add_node(self) -> int:
-        self.kind.append(KIND_LEAF)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.distribution.append(np.zeros(NUM_TRAINABLE))
-        self.support.append(0)
-        return len(self.kind) - 1
-
-    def grow(self, indices: np.ndarray, depth: int) -> int:
-        node = self._add_node()
-        labels = self.y[indices]
-        n = indices.shape[0]
-
+    def grow(indices: np.ndarray, depth: int) -> int:
+        node = len(nodes)
+        nodes.append(())  # reserved, so the children get higher indices
+        labels = y[indices]
         split = None
-        if depth < self.params.max_depth and n >= self.params.min_samples_split \
+        if depth < params.max_depth and indices.shape[0] >= params.min_samples_split \
                 and labels.min() != labels.max():
-            split = self._best_split(indices, labels)
-
+            split = _best_split(columns, indices, labels, params, rng, class_weights,
+                                weight_sums)
         if split is None:
             hist = np.bincount(labels, minlength=NUM_TRAINABLE).astype(np.float64)
-            self.distribution[node] = hist / hist.sum()
-            self.support[node] = n
+            nodes[node] = (KIND_LEAF, -1, 0.0, -1, -1, hist / hist.sum(), indices.shape[0])
             return node
-
         feat, thr = split
-        go_left = self.columns[feat][indices] < thr
-        self.kind[node] = KIND_SPLIT
-        self.feature[node] = feat
-        self.threshold[node] = thr
-        self.left[node] = self.grow(indices[go_left], depth + 1)
-        self.right[node] = self.grow(indices[~go_left], depth + 1)
+        go_left = columns[feat][indices] < thr
+        left = grow(indices[go_left], depth + 1)
+        right = grow(indices[~go_left], depth + 1)
+        nodes[node] = (KIND_SPLIT, feat, thr, left, right, np.zeros(NUM_TRAINABLE), 0)
         return node
 
-    def _best_split(self, indices: np.ndarray, labels: np.ndarray):
-        params = self.params
-        n = indices.shape[0]
-        n_feat = self.columns.shape[0]
-        n_thr = params.thresholds_per_candidate
-        cand_feats = np.sort(self.rng.choice(
-            n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
+    grow(np.arange(y.shape[0]), 0)
+    del grow  # grow refers to itself; that cycle would keep the arrays until a full gc
+    kind, feature, threshold, left, right, distribution, support = zip(*nodes)
+    return FlatTree(np.array(kind, np.uint8), np.array(feature, np.int16),
+                    np.array(threshold, np.float64), np.array(left, np.int32),
+                    np.array(right, np.int32), np.stack(distribution), np.array(support, np.int64))
 
-        parent_hist = np.bincount(labels, minlength=NUM_TRAINABLE) * self.class_weights
-        parent_total = parent_hist.sum()
-        parent_entropy = _entropy(parent_hist[None, :])[0]
-        classes = np.arange(NUM_TRAINABLE)
 
-        best = None  # (gain, feature, threshold); ties keep the earliest
-        for feat in cand_feats:
-            values = self.columns[feat][indices]
-            lo, hi = values.min(), values.max()
-            if not hi > lo:
-                continue
-            thresholds = np.sort(self.rng.uniform(lo, hi, size=n_thr))
-            # bin b counts the thresholds <= value, so threshold j sends
-            # bins 0..j left (value < threshold) and the rest right
-            bins = np.searchsorted(thresholds, values, side="right")
-            counts = np.bincount(bins * NUM_TRAINABLE + labels,
-                                 minlength=(n_thr + 1) * NUM_TRAINABLE)
-            left_counts = np.cumsum(counts.reshape(n_thr + 1, NUM_TRAINABLE)[:n_thr], axis=0)
-            n_left = left_counts.sum(axis=1)
-            both_sides = (n_left > 0) & (n_left < n)
-            left_hist = self.weight_sums[left_counts[both_sides], classes]
-            right_hist = parent_hist - left_hist
-            gains = parent_entropy - (
-                left_hist.sum(axis=1) * _entropy(left_hist)
-                + right_hist.sum(axis=1) * _entropy(right_hist)
-            ) / parent_total
-            for gain, thr in zip(gains.tolist(), thresholds[both_sides].tolist()):
-                if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
-                    best = (gain, int(feat), thr)
-        if best is None:
-            return None
-        return best[1], best[2]
+def _best_split(columns: np.ndarray, indices: np.ndarray, labels: np.ndarray,
+                params: ForestParams, rng: np.random.Generator,
+                class_weights: np.ndarray, weight_sums: np.ndarray):
+    """(feature, threshold) of the highest-gain sampled candidate, or None."""
+    n = indices.shape[0]
+    n_feat = columns.shape[0]
+    n_thr = params.thresholds_per_candidate
+    cand_feats = np.sort(rng.choice(
+        n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
 
-    def finish(self) -> FlatTree:
-        return FlatTree(
-            kind=np.array(self.kind, dtype=np.uint8),
-            feature=np.array(self.feature, dtype=np.int16),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int32),
-            right=np.array(self.right, dtype=np.int32),
-            distribution=np.stack(self.distribution),
-            support=np.array(self.support, dtype=np.int64),
-        )
+    parent_hist = np.bincount(labels, minlength=NUM_TRAINABLE) * class_weights
+    parent_total = parent_hist.sum()
+    parent_entropy = _entropy(parent_hist[None, :])[0]
+    classes = np.arange(NUM_TRAINABLE)
+
+    best = None  # (gain, feature, threshold); ties keep the earliest
+    for feat in cand_feats:
+        values = columns[feat][indices]
+        lo, hi = values.min(), values.max()
+        if not hi > lo:
+            continue
+        thresholds = np.sort(rng.uniform(lo, hi, size=n_thr))
+        # bin b counts the thresholds <= value, so threshold j sends
+        # bins 0..j left (value < threshold) and the rest right
+        bins = np.searchsorted(thresholds, values, side="right")
+        counts = np.bincount(bins * NUM_TRAINABLE + labels,
+                             minlength=(n_thr + 1) * NUM_TRAINABLE)
+        left_counts = np.cumsum(counts.reshape(n_thr + 1, NUM_TRAINABLE)[:n_thr], axis=0)
+        n_left = left_counts.sum(axis=1)
+        both_sides = (n_left > 0) & (n_left < n)
+        left_hist = weight_sums[left_counts[both_sides], classes]
+        right_hist = parent_hist - left_hist
+        gains = parent_entropy - (
+            left_hist.sum(axis=1) * _entropy(left_hist)
+            + right_hist.sum(axis=1) * _entropy(right_hist)
+        ) / parent_total
+        for gain, thr in zip(gains.tolist(), thresholds[both_sides].tolist()):
+            if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
+                best = (gain, int(feat), thr)
+    return None if best is None else best[1:]
 
 
 def train_forest(data: TrainingSet, params: ForestParams = ForestParams()) -> ForestModel:
@@ -239,12 +212,8 @@ def train_forest(data: TrainingSet, params: ForestParams = ForestParams()) -> Fo
 
     columns = np.ascontiguousarray(x.T)
     streams = np.random.SeedSequence(params.seed).spawn(params.num_trees)
-    trees = []
-    for t in range(params.num_trees):
-        builder = _TreeBuilder(columns, y, params, np.random.default_rng(streams[t]),
-                               class_weights, weight_sums)
-        builder.grow(np.arange(x.shape[0]), depth=0)
-        trees.append(builder.finish())
+    trees = [_grow_tree(columns, y, params, np.random.default_rng(stream), class_weights,
+                        weight_sums) for stream in streams]
 
     digest = hashlib.sha256()
     digest.update(x.tobytes())

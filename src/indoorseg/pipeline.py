@@ -160,23 +160,6 @@ def _ground_mode(cloud: PointCloud, config: PipelineConfig,
     return mode
 
 
-def resolve_ground_plane(cloud: PointCloud, config: PipelineConfig,
-                         pose_plane: Optional[GroundPlane]) -> Optional[GroundPlane]:
-    """Which plane to align with; None means the cloud is already aligned."""
-    mode = _ground_mode(cloud, config, pose_plane)
-    if mode == "none":
-        return None
-    if mode == "pose":
-        return pose_plane
-    return estimate_ground_plane(
-        cloud,
-        min_floor_points=config.min_floor_points,
-        iterations=config.ransac_iterations,
-        threshold=config.ransac_threshold,
-        seed=config.seed,
-    )
-
-
 def run_stages(cloud: PointCloud, config: PipelineConfig,
                pose_plane: Optional[GroundPlane] = None) -> StageOutput:
     """Normals, oversegmentation, alignment and features for one cloud."""
@@ -184,7 +167,7 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
     # reject a cloud that cannot be aligned before any work. The floor fit
     # itself stays after oversegmentation: run first, its large temporaries
     # raise glibc's mmap threshold and the normals then peak ~10 MB higher
-    _ground_mode(cloud, config, pose_plane)
+    mode = _ground_mode(cloud, config, pose_plane)
 
     t0 = time.perf_counter()
     cloud = compute_normals(cloud, k=config.normals_k)
@@ -195,8 +178,11 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
     timings["oversegmentation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    plane = resolve_ground_plane(cloud, config, pose_plane)
-    if plane is not None:
+    if mode != "none":
+        plane = pose_plane if mode == "pose" else estimate_ground_plane(
+            cloud, min_floor_points=config.min_floor_points,
+            iterations=config.ransac_iterations, threshold=config.ransac_threshold,
+            seed=config.seed)
         cloud = gravity_align(cloud, plane)
         graph = refresh_patch_stats(graph, cloud)
     timings["ground"] = time.perf_counter() - t0

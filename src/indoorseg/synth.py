@@ -57,12 +57,17 @@ class SceneSpec:
     single_view: bool = False
 
     def __post_init__(self):
-        if min(self.room_extent) <= 0:
-            raise InputError(f"room_extent must be positive, got {self.room_extent}")
-        if self.noise_sigma < 0:
-            raise InputError("noise_sigma must be >= 0")
-        if self.points_per_m2 <= 0:
-            raise InputError("points_per_m2 must be positive")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
+        # each comparison with NaN is False, so NaN fails these bounds too
+        if not all(0 < v < math.inf for v in self.room_extent):
+            raise InputError(f"room_extent must be finite and positive, got {self.room_extent}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise InputError("noise_sigma must be finite and >= 0")
+        if not 0 < self.points_per_m2 < math.inf:
+            raise InputError("points_per_m2 must be finite and positive")
+        if self.max_points < 1:
+            raise InputError("max_points must be >= 1")
         unknown = set(self.furniture_counts) - set(DEFAULT_FURNITURE_COUNTS)
         if unknown:
             raise InputError(f"unknown furniture kinds {sorted(unknown)}")

@@ -341,7 +341,7 @@ def test_bad_pose_file_exits_1(workspace, tmp_path, capsys):
     ("table_cluster_radius", float("nan")), ("table_cluster_radius", -0.05),
     ("table_cluster_radius", 0.0), ("security_distance", float("nan")),
     ("security_distance", -0.4), ("security_distance", 0.0), ("table_min_points", 0),
-    ("min_patch_points", 1), ("min_patch_points", 2),
+    ("min_patch_points", 1), ("min_patch_points", 2), ("seed", -1),
 ])
 @pytest.mark.parametrize("source", ["file", "flag"])
 def test_out_of_bounds_config_exits_1(workspace, tmp_path, capsys, field, value, source):
@@ -357,6 +357,27 @@ def test_out_of_bounds_config_exits_1(workspace, tmp_path, capsys, field, value,
     assert code == 1
     assert capsys.readouterr().err.startswith("input error:")
     assert not (tmp_path / "o.ply").exists()
+
+
+BAD_SCENE_INPUTS = [
+    "synth --density nan", "synth --density inf", "synth --room-extent nan 4 2.5",
+    "synth --room-extent inf 4 2.5", "synth --noise-sigma nan", "synth --max-points -1",
+    "synth --count -2", "synth --scene-seed -1",
+    "eval --benchmark --train-count -1 --test-count 1",
+    "eval --benchmark --train-count 1 --test-count 0",
+    "eval --benchmark --scene-seed -5000",
+]
+
+
+@pytest.mark.parametrize("args", BAD_SCENE_INPUTS)
+def test_bad_scene_input_exits_1(tmp_path, capsys, args):
+    command, *flags = args.split()
+    out = tmp_path / "out"
+    code = main([command, "--out-dir", str(out), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not (out / "scene_000.ply").exists()
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 @pytest.mark.parametrize("which", ["config", "model", "pose"])

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import re
 
@@ -80,59 +81,66 @@ def tie_heavy_set(rng, n=400, offset=0.0):
     return TrainingSet(features=x, labels=rng.integers(0, 5, size=n))
 
 
-class ReferenceTreeBuilder(forest._TreeBuilder):
+def _scalar_entropy(hist):
+    total = hist.sum()
+    if total <= 0:
+        return 0.0
+    p = hist[hist > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def reference_best_split(columns, indices, labels, params, rng, class_weights, weight_sums):
     """The per-threshold split search: one stable sort and one running sum
     of weighted one-hot rows per candidate, two scalar entropies per
     threshold. Same RNG draws as the binned search, so the same model."""
+    n_feat = columns.shape[0]
+    cand_feats = np.sort(rng.choice(
+        n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
+    parent_hist = np.bincount(labels, minlength=NUM_TRAINABLE) * class_weights
+    parent_total = parent_hist.sum()
+    parent_entropy = _scalar_entropy(parent_hist)
+    onehot = np.zeros((labels.shape[0], NUM_TRAINABLE))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    onehot *= class_weights[labels][:, None]
 
-    @staticmethod
-    def _entropy(hist):
-        total = hist.sum()
-        if total <= 0:
-            return 0.0
-        p = hist[hist > 0] / total
-        return float(-(p * np.log2(p)).sum())
-
-    def _best_split(self, indices, labels):
-        params = self.params
-        n_feat = self.columns.shape[0]
-        cand_feats = np.sort(self.rng.choice(
-            n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
-        parent_hist = np.bincount(labels, minlength=NUM_TRAINABLE) * self.class_weights
-        parent_total = parent_hist.sum()
-        parent_entropy = self._entropy(parent_hist)
-        onehot = np.zeros((labels.shape[0], NUM_TRAINABLE))
-        onehot[np.arange(labels.shape[0]), labels] = 1.0
-        onehot *= self.class_weights[labels][:, None]
-
-        best = None
-        for feat in cand_feats:
-            values = self.columns[feat][indices]
-            lo, hi = values.min(), values.max()
-            if not hi > lo:
+    best = None
+    for feat in cand_feats:
+        values = columns[feat][indices]
+        lo, hi = values.min(), values.max()
+        if not hi > lo:
+            continue
+        thresholds = np.sort(rng.uniform(lo, hi, size=params.thresholds_per_candidate))
+        order = np.argsort(values, kind="stable")
+        cum = np.cumsum(onehot[order], axis=0)
+        positions = np.searchsorted(values[order], thresholds, side="left")
+        for thr, p in zip(thresholds, positions):
+            if p <= 0 or p >= values.shape[0]:
                 continue
-            thresholds = np.sort(self.rng.uniform(lo, hi, size=params.thresholds_per_candidate))
-            order = np.argsort(values, kind="stable")
-            cum = np.cumsum(onehot[order], axis=0)
-            positions = np.searchsorted(values[order], thresholds, side="left")
-            for thr, p in zip(thresholds, positions):
-                if p <= 0 or p >= values.shape[0]:
-                    continue
-                left_hist = cum[p - 1]
-                right_hist = parent_hist - left_hist
-                gain = parent_entropy - (
-                    left_hist.sum() * self._entropy(left_hist)
-                    + right_hist.sum() * self._entropy(right_hist)
-                ) / parent_total
-                if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
-                    best = (gain, int(feat), float(thr))
-        return None if best is None else best[1:]
+            left_hist = cum[p - 1]
+            right_hist = parent_hist - left_hist
+            gain = parent_entropy - (
+                left_hist.sum() * _scalar_entropy(left_hist)
+                + right_hist.sum() * _scalar_entropy(right_hist)
+            ) / parent_total
+            if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
+                best = (gain, int(feat), float(thr))
+    return None if best is None else best[1:]
 
 
 def reference_forest(data, params):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reference_best_split(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forest, "_TreeBuilder", ReferenceTreeBuilder)
-        return train_forest(data, params)
+        mp.setattr(forest, "_best_split", counted)
+        model = train_forest(data, params)
+    # a split search bound before the patch would compare the binned search
+    # with itself
+    assert calls, "train_forest never called the patched forest._best_split"
+    return model
 
 
 def model_bytes(model, path):
@@ -198,6 +206,22 @@ class TestTraining:
         m2 = train_forest(shuffled, ForestParams(seed=5))
         probe = rng.uniform(-1, 1, size=(50, FEATURE_DIM))
         np.testing.assert_array_equal(predict_batch(m1, probe), predict_batch(m2, probe))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(TrainingError, match="seed must be >= 0"):
+            ForestParams(seed=-1)
+
+    def test_training_leaves_no_reference_cycles(self, rng):
+        # a cycle keeps the training arrays alive after train_forest returns,
+        # until a full gc pass, and raises the process's later peak memory
+        data = random_set(rng)
+        gc.collect()
+        gc.disable()
+        try:
+            train_forest(data, ForestParams(num_trees=2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_max_depth_respected(self, rng):
         data = random_set(rng, n=500, classes=6)

@@ -16,7 +16,6 @@ from indoorseg.overseg import OversegParams, PatchGraph
 from indoorseg.pipeline import (
     PipelineConfig,
     patch_majority_labels,
-    resolve_ground_plane,
     run_stages,
     segment_cloud,
 )
@@ -111,26 +110,26 @@ class TestConfig:
 class TestGroundModes:
     def test_auto_passes_through_aligned_clouds(self, rng):
         cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_GRAVITY)
-        assert resolve_ground_plane(cloud, CFG, None) is None
+        assert pipeline._ground_mode(cloud, CFG, None) == "none"
 
     def test_none_rejects_camera_frame(self, rng):
         cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_CAMERA)
         config = PipelineConfig(ground_mode="none")
         with pytest.raises(InputError):
-            resolve_ground_plane(cloud, config, None)
+            pipeline._ground_mode(cloud, config, None)
 
     def test_pose_mode_requires_pose(self, rng):
         cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_CAMERA)
         config = PipelineConfig(ground_mode="pose")
         with pytest.raises(InputError):
-            resolve_ground_plane(cloud, config, None)
+            pipeline._ground_mode(cloud, config, None)
 
     def test_fit_without_labels_names_the_flags(self, rng):
         cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_CAMERA)
         for mode in ("auto", "fit"):
             config = PipelineConfig(ground_mode=mode)
             with pytest.raises(InputError, match="--pose-file.*--ground-mode"):
-                resolve_ground_plane(cloud, config, None)
+                pipeline._ground_mode(cloud, config, None)
 
     def test_run_stages_rejects_before_normals(self, rng, monkeypatch):
         def no_normals(*args, **kwargs):
@@ -145,7 +144,7 @@ class TestGroundModes:
     def test_auto_prefers_pose_when_given(self, rng):
         cloud = make_cloud(rng.uniform(0, 2, (50, 3)), frame=FRAME_CAMERA)
         pose = plane_from_pose(1.0, 0.0, 0.0)
-        assert resolve_ground_plane(cloud, CFG, pose) is pose
+        assert pipeline._ground_mode(cloud, CFG, pose) == "pose"
 
 
 class TestStages:

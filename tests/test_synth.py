@@ -16,6 +16,14 @@ def test_spec_validation():
         SceneSpec(noise_sigma=-0.1)
     with pytest.raises(InputError):
         SceneSpec(furniture_counts={"sofa": 1})
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"seed": -1}, {"room_extent": (nan, 4.0, 2.5)},
+                {"room_extent": (5.0, inf, 2.5)}, {"room_extent": (5.0, 4.0, -2.5)},
+                {"points_per_m2": nan}, {"points_per_m2": inf}, {"points_per_m2": 0.0},
+                {"noise_sigma": nan}, {"noise_sigma": inf}, {"max_points": 0},
+                {"max_points": -1}):
+        with pytest.raises(InputError):
+            SceneSpec(**bad)
 
 
 def test_empty_room_has_only_shell_labels():
