@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import EvaluationError, FrameDiscardError, InputError
+from .errors import EvaluationError, FrameDiscardError, InputError, TrainingError
 from .forest import ForestModel, TrainingSet, train_forest
 from .labels import LABEL_NAMES, NUM_TRAINABLE, Label
 from .overseg import PatchGraph
@@ -152,6 +152,11 @@ def train_from_preps(preps: Sequence[FramePrep], config: PipelineConfig,
         labels.append(prep.patch_gt[trainable])
     x = np.concatenate(feats) if feats else np.zeros((0, 14))
     y = np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
+    if y.shape[0] == 0:
+        raise TrainingError(
+            f"no frame produced a trainable patch: every patch fell below "
+            f"min_patch_points={config.min_patch_points} points or had unknown ground "
+            f"truth; see the README section \"Matching resolutions to point density\"")
     params = config.forest_params()
     if seed is not None:
         params = replace(params, seed=seed)
@@ -266,6 +271,9 @@ def cross_validate(clouds: Sequence[PointCloud], config: PipelineConfig,
     """K-fold protocol: train on k-1 folds of frames, test on the held-out one."""
     if not clouds:
         raise InputError("cross_validate needs at least one cloud")
+    # before the prep; kfold_split checks again against the frames kept
+    if not 2 <= k <= len(clouds):
+        raise InputError(f"k must be in 2..{len(clouds)} (the number of clouds), got {k}")
     t_start = time.perf_counter()
     preps, discarded = prepare_frames(clouds, config)
     if not preps:

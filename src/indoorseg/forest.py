@@ -1,7 +1,7 @@
 """Randomized decision forest over patch feature vectors.
 
 Trees split on randomly sampled (feature, threshold) candidates scored by
-Shannon information gain, all thresholds of a feature in one binned pass;
+Shannon information gain, all candidates of a node in one binned pass;
 leaves store the empirical label histogram of the training samples that
 reached them. Prediction averages the leaf distributions over all trees.
 There is no bagging: randomness comes only from the split sampling, each
@@ -155,49 +155,74 @@ def _grow_tree(columns: np.ndarray, y: np.ndarray, params: ForestParams,
 def _best_split(columns: np.ndarray, indices: np.ndarray, labels: np.ndarray,
                 params: ForestParams, rng: np.random.Generator,
                 class_weights: np.ndarray, weight_sums: np.ndarray):
-    """(feature, threshold) of the highest-gain sampled candidate, or None."""
+    """(feature, threshold) of the highest-gain sampled candidate, or None.
+
+    All of the node's candidates are scored in one binned pass: their
+    values form one (candidates, samples) array, and one bincount and one
+    cumsum give the left histogram of every (candidate, threshold) pair."""
     n = indices.shape[0]
     n_feat = columns.shape[0]
     n_thr = params.thresholds_per_candidate
     cand_feats = np.sort(rng.choice(
         n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
+    values = columns[cand_feats[:, None], indices]
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    varies = hi > lo
+    if not varies.any():
+        return None
+    # a constant candidate draws nothing; row i holds the draws that one
+    # uniform(lo, hi, n_thr) call per varying candidate makes, in order
+    cand_feats, values = cand_feats[varies], values[varies]
+    m = cand_feats.shape[0]
+    thresholds = np.sort(rng.uniform(lo[varies, None], hi[varies, None], size=(m, n_thr)),
+                         axis=1)
+    # bin b counts the thresholds <= value, so threshold j sends bins 0..j
+    # left (value < threshold) and the rest right; candidate i's bins start
+    # at i * (n_thr + 1), so one bincount counts them all
+    bins = np.empty((m, n), dtype=np.intp)
+    for i in range(m):
+        bins[i] = np.searchsorted(thresholds[i], values[i], side="right")
+    bins += np.arange(0, m * (n_thr + 1), n_thr + 1)[:, None]
+    counts = np.bincount((bins * NUM_TRAINABLE + labels).ravel(),
+                         minlength=m * (n_thr + 1) * NUM_TRAINABLE)
+    left_counts = np.cumsum(counts.reshape(m, n_thr + 1, NUM_TRAINABLE)[:, :n_thr], axis=1)
+    n_left = left_counts.sum(axis=2)
+    both_sides = (n_left > 0) & (n_left < n)
 
     parent_hist = np.bincount(labels, minlength=NUM_TRAINABLE) * class_weights
-    parent_total = parent_hist.sum()
-    parent_entropy = _entropy(parent_hist[None, :])[0]
-    classes = np.arange(NUM_TRAINABLE)
+    left_hist = weight_sums[left_counts[both_sides], np.arange(NUM_TRAINABLE)]
+    k = left_hist.shape[0]
+    # rows: the parent, then each pair's left side, then its right side
+    hists = np.concatenate([parent_hist[None, :], left_hist, parent_hist - left_hist])
+    totals = hists.sum(axis=1)
+    entropies = _entropy(hists)
+    gains = entropies[0] - (totals[1:k + 1] * entropies[1:k + 1]
+                            + totals[k + 1:] * entropies[k + 1:]) / totals[0]
 
     best = None  # (gain, feature, threshold); ties keep the earliest
-    for feat in cand_feats:
-        values = columns[feat][indices]
-        lo, hi = values.min(), values.max()
-        if not hi > lo:
-            continue
-        thresholds = np.sort(rng.uniform(lo, hi, size=n_thr))
-        # bin b counts the thresholds <= value, so threshold j sends
-        # bins 0..j left (value < threshold) and the rest right
-        bins = np.searchsorted(thresholds, values, side="right")
-        counts = np.bincount(bins * NUM_TRAINABLE + labels,
-                             minlength=(n_thr + 1) * NUM_TRAINABLE)
-        left_counts = np.cumsum(counts.reshape(n_thr + 1, NUM_TRAINABLE)[:n_thr], axis=0)
-        n_left = left_counts.sum(axis=1)
-        both_sides = (n_left > 0) & (n_left < n)
-        left_hist = weight_sums[left_counts[both_sides], classes]
-        right_hist = parent_hist - left_hist
-        gains = parent_entropy - (
-            left_hist.sum(axis=1) * _entropy(left_hist)
-            + right_hist.sum(axis=1) * _entropy(right_hist)
-        ) / parent_total
-        for gain, thr in zip(gains.tolist(), thresholds[both_sides].tolist()):
-            if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
-                best = (gain, int(feat), thr)
+    for gain, feat, thr in zip(gains.tolist(), cand_feats[np.nonzero(both_sides)[0]].tolist(),
+                               thresholds[both_sides].tolist()):
+        if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
+            best = (gain, feat, thr)
     return None if best is None else best[1:]
+
+
+def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts rows by label, then by each feature
+    in turn: ``np.lexsort`` over all 15 keys. Sorting by (label, feature 0)
+    gives the same permutation when no two rows tie on both keys; only when
+    some do (``0.0`` and ``-0.0`` tie too) does the full sort run."""
+    order = np.lexsort((features[:, 0], labels))
+    first, y = features[order, 0], labels[order]
+    if ((first[1:] == first[:-1]) & (y[1:] == y[:-1])).any():
+        order = np.lexsort(tuple(features[:, c] for c in range(FEATURE_DIM - 1, -1, -1))
+                           + (labels,))
+    return order
 
 
 def train_forest(data: TrainingSet, params: ForestParams = ForestParams()) -> ForestModel:
     """Grow the forest; deterministic for a given (data, params)."""
-    order = np.lexsort(tuple(data.features[:, c] for c in range(FEATURE_DIM - 1, -1, -1))
-                       + (data.labels,))
+    order = _canonical_order(data.features, data.labels)
     x = data.features[order]
     y = data.labels[order]
 

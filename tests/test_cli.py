@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from indoorseg import evalkit
 from indoorseg.cli import main
 from indoorseg.labels import Label
 from indoorseg.ply_io import read_cloud, write_cloud
@@ -378,6 +379,34 @@ def test_bad_scene_input_exits_1(tmp_path, capsys, args):
     assert capsys.readouterr().err.startswith("input error:")
     assert not (out / "scene_000.ply").exists()
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_eval_k_out_of_range_exits_before_prep(workspace, tmp_path, capsys, monkeypatch, k):
+    _, scenes, _, _ = workspace  # 4 scenes
+
+    def no_prep(*args, **kwargs):
+        raise AssertionError("frames were prepared before --k was checked")
+
+    monkeypatch.setattr(evalkit, "prepare_frames", no_prep)
+    code = main(["eval", "--scenes", str(scenes), "--k", str(k),
+                 "--out-dir", str(tmp_path / "out")] + CFG)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_train_without_trainable_patches_names_the_cause(tmp_path, capsys):
+    # at the default 1 cm voxels, every patch of this sparse scene falls
+    # below min_patch_points
+    scenes = tmp_path / "sparse"
+    assert main(["synth", "--out-dir", str(scenes), "--count", "1", "--density", "600"]) == 0
+    model = tmp_path / "model.json"
+    assert main(["train", "--scenes", str(scenes), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: no frame produced a trainable patch")
+    assert "min_patch_points=10" in err
+    assert '"Matching resolutions to point density"' in err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("which", ["config", "model", "pose"])

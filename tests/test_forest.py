@@ -81,6 +81,21 @@ def tie_heavy_set(rng, n=400, offset=0.0):
     return TrainingSet(features=x, labels=rng.integers(0, 5, size=n))
 
 
+def half_constant_set(rng, n=300):
+    """Every other feature is 1.0 in every row, so every node samples
+    constant candidates, and some nodes sample nothing else."""
+    data = random_set(rng, n=n, classes=4)
+    x = data.features.copy()
+    x[:, ::2] = 1.0
+    return TrainingSet(features=x, labels=data.labels)
+
+
+def full_lexsort(data):
+    """The canonical row order: label, then features 0..13, then input order."""
+    return np.lexsort(tuple(data.features[:, c] for c in range(FEATURE_DIM - 1, -1, -1))
+                      + (data.labels,))
+
+
 def _scalar_entropy(hist):
     total = hist.sum()
     if total <= 0:
@@ -244,6 +259,11 @@ class TestSplitSearchOracle:
         "balanced-random": (lambda r: random_set(r, n=400, classes=6),
                             {"class_balanced": True}),
         "balanced-peel": (peel_set, {"class_balanced": True, "num_trees": 4}),
+        # a constant candidate draws no thresholds
+        "half-constant-3": (half_constant_set, {"candidates_per_node": 3}),
+        "half-constant-14": (half_constant_set, {"candidates_per_node": 14}),
+        "one-candidate": (lambda r: random_set(r, n=300, classes=4),
+                          {"candidates_per_node": 1}),
     }
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -254,6 +274,47 @@ class TestSplitSearchOracle:
         params = ForestParams(seed=seed, **{"num_trees": 3, **overrides})
         assert model_bytes(train_forest(data, params), tmp_path / "fast.json") == \
             model_bytes(reference_forest(data, params), tmp_path / "reference.json")
+
+
+def duplicate_set(rng):
+    """100 distinct rows, each three times, shuffled."""
+    data = random_set(rng, n=100, classes=4)
+    perm = rng.permutation(300)
+    return TrainingSet(features=np.repeat(data.features, 3, axis=0)[perm],
+                       labels=np.repeat(data.labels, 3)[perm])
+
+
+def signed_zero_set(rng):
+    """One label; feature 0 is 0.0 or -0.0, feature 1 falls with the row, so
+    only the features after feature 0 can order the rows."""
+    x = rng.uniform(-1, 1, size=(40, FEATURE_DIM))
+    x[:, 0] = np.where(np.arange(40) % 2, -0.0, 0.0)
+    x[:, 1] = -np.arange(40.0)
+    return TrainingSet(features=x, labels=np.zeros(40, dtype=np.int64))
+
+
+class TestCanonicalOrder:
+    """`_canonical_order` is the full 15-key lexsort permutation."""
+
+    CASES = {
+        "random": lambda r: random_set(r, n=500, classes=7),
+        "integers": tie_heavy_set,
+        "duplicates": duplicate_set,
+        "signed-zero": signed_zero_set,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_lexsort(self, case):
+        data = self.CASES[case](np.random.default_rng(0))
+        np.testing.assert_array_equal(forest._canonical_order(data.features, data.labels),
+                                      full_lexsort(data))
+
+    def test_signed_zeros_need_the_full_sort(self):
+        # lexsort orders 0.0 and -0.0 as equal, so the two-key order keeps the
+        # input order there, and only the full sort gives the canonical one
+        data = signed_zero_set(np.random.default_rng(0))
+        two_keys = np.lexsort((data.features[:, 0], data.labels))
+        assert not np.array_equal(two_keys, full_lexsort(data))
 
 
 class TestPredict:
