@@ -87,7 +87,6 @@ def _cmd_synth(args) -> int:
     _require_counts(args, "count")
     config = _resolve_config(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     counts = dict(DEFAULT_FURNITURE_COUNTS)
     for kind in counts:
         value = getattr(args, f"n_{kind}s", None)
@@ -106,6 +105,7 @@ def _cmd_synth(args) -> int:
             single_view=args.single_view,
         )
         cloud = generate_scene(spec)
+        out_dir.mkdir(parents=True, exist_ok=True)  # once a scene exists to write
         write_cloud(cloud, out_dir / f"scene_{i:03d}.ply")
         specs.append(dataclasses.asdict(spec))
     config.save(out_dir / "config.json")
@@ -179,8 +179,6 @@ def _cmd_segment(args) -> int:
 def _cmd_eval(args) -> int:
     _require_counts(args, "train_count", "test_count")
     config = _resolve_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.benchmark:
         train_clouds = [generate_scene(SceneSpec(seed=args.scene_seed + i))
@@ -202,6 +200,8 @@ def _cmd_eval(args) -> int:
         clouds = [read_cloud(p) for p in _scene_paths(args.scenes)]
         report = cross_validate(clouds, config, k=args.k, seed=config.seed)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is a report
     report.save(out_dir / "report.txt", out_dir / "report.json")
     config.save(out_dir / "config.json")
     print(report.to_text())

@@ -257,9 +257,8 @@ def prepare_frames(clouds: Sequence[PointCloud],
 
 
 def evaluate_split(train_preps: Sequence[FramePrep], test_preps: Sequence[FramePrep],
-                   config: PipelineConfig, seed: Optional[int] = None,
-                   ) -> tuple[ConfusionMatrix, ConfusionMatrix]:
-    model = train_from_preps(train_preps, config, seed=seed)
+                   config: PipelineConfig) -> tuple[ConfusionMatrix, ConfusionMatrix]:
+    model = train_from_preps(train_preps, config)
     cm_mrf, cm_unary = ConfusionMatrix(), ConfusionMatrix()
     for prep in test_preps:
         score_prep(prep, model, config, cm_mrf, cm_unary)

@@ -20,7 +20,7 @@ the circular statistics run on doubled angles, and the mean resultant
 length is clamped at e^-8, capping the dispersion at 4.0 rad.
 
 Patches and feature rows share one index space: row p describes patch p.
-Every patch has at least 3 points (`OversegParams.min_patch_points`
+Every patch has at least 3 points (`PipelineConfig.min_patch_points`
 enforces it), so every patch has a scatter matrix and a row.
 """
 

@@ -137,8 +137,7 @@ def _grow_tree(columns: np.ndarray, y: np.ndarray, params: ForestParams,
             hist = np.bincount(labels, minlength=NUM_TRAINABLE).astype(np.float64)
             nodes[node] = (KIND_LEAF, -1, 0.0, -1, -1, hist / hist.sum(), indices.shape[0])
             return node
-        feat, thr = split
-        go_left = columns[feat][indices] < thr
+        feat, thr, go_left = split
         left = grow(indices[go_left], depth + 1)
         right = grow(indices[~go_left], depth + 1)
         nodes[node] = (KIND_SPLIT, feat, thr, left, right, np.zeros(NUM_TRAINABLE), 0)
@@ -155,7 +154,8 @@ def _grow_tree(columns: np.ndarray, y: np.ndarray, params: ForestParams,
 def _best_split(columns: np.ndarray, indices: np.ndarray, labels: np.ndarray,
                 params: ForestParams, rng: np.random.Generator,
                 class_weights: np.ndarray, weight_sums: np.ndarray):
-    """(feature, threshold) of the highest-gain sampled candidate, or None.
+    """(feature, threshold, go_left) of the highest-gain sampled candidate,
+    or None; ``go_left`` marks the node's samples with value < threshold.
 
     All of the node's candidates are scored in one binned pass: their
     values form one (candidates, samples) array, and one bincount and one
@@ -199,12 +199,15 @@ def _best_split(columns: np.ndarray, indices: np.ndarray, labels: np.ndarray,
     gains = entropies[0] - (totals[1:k + 1] * entropies[1:k + 1]
                             + totals[k + 1:] * entropies[k + 1:]) / totals[0]
 
-    best = None  # (gain, feature, threshold); ties keep the earliest
-    for gain, feat, thr in zip(gains.tolist(), cand_feats[np.nonzero(both_sides)[0]].tolist(),
-                               thresholds[both_sides].tolist()):
+    best = None  # (gain, candidate row, threshold); ties keep the earliest
+    for gain, row, thr in zip(gains.tolist(), np.nonzero(both_sides)[0].tolist(),
+                              thresholds[both_sides].tolist()):
         if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
-            best = (gain, feat, thr)
-    return None if best is None else best[1:]
+            best = (gain, row, thr)
+    if best is None:
+        return None
+    _, row, thr = best
+    return int(cand_feats[row]), thr, values[row] < thr
 
 
 def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -38,10 +38,6 @@ class MrfProblem:
     def num_nodes(self) -> int:
         return self.unary.shape[0]
 
-    @property
-    def num_labels(self) -> int:
-        return self.unary.shape[1]
-
 
 @dataclass(frozen=True)
 class Labeling:
@@ -170,8 +166,9 @@ def _local_descent(problem, assignment, energy, dst, src, w, max_rounds=10):
     conditionally best label, keep the result only while the true energy
     drops. Deterministic and monotone; cheap next to message passing."""
     n, num_labels = problem.unary.shape
+    disagree_all = np.bincount(dst, weights=w, minlength=n)[:, None]
     for _ in range(max_rounds):
-        cost = problem.unary + np.bincount(dst, weights=w, minlength=n)[:, None]
+        cost = problem.unary + disagree_all
         flat = dst * num_labels + assignment[src]
         agree = np.bincount(flat, weights=w, minlength=n * num_labels)
         cost -= agree.reshape(n, num_labels)

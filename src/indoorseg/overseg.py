@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -41,33 +42,10 @@ from .cloud import FRAME_CAMERA, PointCloud, up_vector
 from .colorspace import srgb_to_lab
 from .errors import InputError
 
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import PipelineConfig
+
 _KNN_CHUNK = 1 << 15  # points (or voxels) per kNN query slice
-
-
-@dataclass(frozen=True)
-class OversegParams:
-    voxel_resolution: float = 0.01
-    seed_resolution: float = 0.1
-    w_spatial: float = 0.4
-    w_normal: float = 1.0
-    w_color: float = 0.2
-    min_patch_points: int = 10
-
-    def __post_init__(self):
-        # written as `not x > 0` so that NaN fails them too
-        if not (self.voxel_resolution > 0 and self.seed_resolution > 0):
-            raise InputError("resolutions must be positive")
-        if not self.seed_resolution > self.voxel_resolution:
-            raise InputError(
-                f"seed_resolution ({self.seed_resolution}) must exceed "
-                f"voxel_resolution ({self.voxel_resolution})")
-        if not all(0 <= w < float("inf") for w in (self.w_spatial, self.w_normal,
-                                                   self.w_color)):
-            raise InputError("w_spatial, w_normal and w_color must be finite and >= 0")
-        if self.min_patch_points < 3:
-            raise InputError(
-                "min_patch_points must be >= 3: a patch needs 3 points for its "
-                "scatter features")
 
 
 @dataclass(frozen=True)
@@ -252,11 +230,12 @@ _OFFSETS = np.array([
 ], dtype=np.int64)
 
 
-def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> PatchGraph:
+def oversegment(cloud: PointCloud, config: PipelineConfig) -> PatchGraph:
     """Cluster a cloud (with normals) into compact patches plus adjacency.
 
-    Patches smaller than ``params.min_patch_points`` are discarded; their
-    points map to -1 in ``point_to_patch``.
+    Reads the config's resolutions, distance weights and
+    ``min_patch_points``. Smaller patches are discarded; their points map to
+    -1 in ``point_to_patch``.
     """
     if len(cloud) == 0:
         return PatchGraph(point_to_patch=np.zeros(0, dtype=np.int64),
@@ -265,8 +244,7 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
         raise InputError("oversegment requires per-point normals (run compute_normals)")
 
     pos = cloud.positions
-    res = params.voxel_resolution
-    seed_res = params.seed_resolution
+    res = config.voxel_resolution
 
     # one empty layer on every side of the grid: a neighbour of an occupied
     # voxel is then always inside it, so its key is the voxel's plus a delta.
@@ -299,31 +277,28 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     vox_lab = group_sums(vox_of_point, lab, n_vox) / counts[:, None]
     del lab
 
-    seed_vox = _select_seeds(vox_centroid, seed_res)
-    assign = _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params)
+    seed_vox = _select_seeds(vox_centroid, config.seed_resolution)
+    assign = _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config)
 
-    # voxel adjacency (26-connectivity) as undirected index pairs, kept apart
-    # by whether both ends went to the same seed: only the former join
+    # voxel adjacency (26-connectivity) as undirected index pairs, split by
+    # whether both ends went to the same seed: only same-seed pairs join
     # voxels into patches, and two touching voxels of one seed end up in one
-    # patch, so only the latter (border pairs) can link two patches
-    same_a, same_b, border = [], [], []
+    # patch, so only the others (border pairs) can link two patches
+    pairs = []
     for delta in _pack_grid(_OFFSETS, dims):
         cand_keys = uniq_keys + delta
         loc = np.minimum(np.searchsorted(uniq_keys, cand_keys), n_vox - 1)
         hit = np.nonzero(uniq_keys[loc] == cand_keys)[0]
-        nbr = loc[hit]
-        same = assign[hit] == assign[nbr]
-        same_a.append(hit[same])
-        same_b.append(nbr[same])
-        border.append(np.stack([hit[~same], nbr[~same]], axis=1))
-    border = np.concatenate(border)
+        pairs.append(np.stack([hit, loc[hit]], axis=1))
+    pairs = np.concatenate(pairs)
+    same = assign[pairs[:, 0]] == assign[pairs[:, 1]]
+    border = pairs[~same]
 
     # split spatially disconnected assignments into separate patches
-    same_a = np.concatenate(same_a)
-    same_b = np.concatenate(same_b)
+    same_a, same_b = pairs[same].T
     graph = sparse.csr_matrix(
         (np.ones(same_a.shape[0], dtype=np.int8), (same_a, same_b)), shape=(n_vox, n_vox))
-    del same_a, same_b
+    del pairs, same_a, same_b
     _, comp = connected_components(graph, directed=False)
     del graph
 
@@ -331,7 +306,7 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
     del vox_of_point
     n_comp = comp.max() + 1
     comp_sizes = np.bincount(point_comp, minlength=n_comp)
-    keep = comp_sizes >= params.min_patch_points
+    keep = comp_sizes >= config.min_patch_points
 
     # renumber surviving patches by their smallest member point index
     first_point = np.full(n_comp, len(cloud), dtype=np.int64)
@@ -359,28 +334,31 @@ def oversegment(cloud: PointCloud, params: OversegParams = OversegParams()) -> P
 
 
 def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
-    """One seed voxel per occupied coarse cell: the voxel nearest the cell center."""
-    cell = np.floor(vox_centroid / seed_res).astype(np.int64)
+    """One seed voxel per occupied coarse cell: the voxel nearest the cell
+    center, the lowest index on a tie (``lexsort`` is stable)."""
+    floored = np.floor(vox_centroid / seed_res)
+    cell = floored.astype(np.int64)
     cell -= cell.min(axis=0)
-    cdims = cell.max(axis=0) + 2
-    ckeys = _pack_grid(cell, cdims)
-    center = (np.floor(vox_centroid / seed_res) + 0.5) * seed_res
-    dist = np.linalg.norm(vox_centroid - center, axis=1)
-    order = np.lexsort((np.arange(ckeys.shape[0]), dist, ckeys))
+    ckeys = _pack_grid(cell, cell.max(axis=0) + 2)
+    dist = np.linalg.norm(vox_centroid - (floored + 0.5) * seed_res, axis=1)
+    order = np.lexsort((dist, ckeys))
     sorted_keys = ckeys[order]
     firsts = np.ones(sorted_keys.shape[0], dtype=bool)
     firsts[1:] = sorted_keys[1:] != sorted_keys[:-1]
     return np.sort(order[firsts])
 
 
-def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.ndarray:
-    """Nearest seed (in combined distance) within 2 seed resolutions; voxels
-    out of reach of every seed fall back to the spatially nearest seed."""
+def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.ndarray:
+    """Nearest seed (in combined distance) within 2 seed resolutions.
+
+    Every voxel has one in reach: `_select_seeds` seeds every occupied
+    coarse cell, so the voxel's own cell holds a seed less than
+    sqrt(3) seed resolutions away, and the nearest seed is always among
+    the query's valid candidates."""
     n_vox = vox_centroid.shape[0]
-    n_seeds = seed_vox.shape[0]
-    seed_res = params.seed_resolution
+    seed_res = config.seed_resolution
     tree = cKDTree(vox_centroid[seed_vox], leafsize=32, balanced_tree=False)
-    k = min(12, n_seeds)
+    k = min(12, seed_vox.shape[0])
 
     def query(start):
         dist, cand = tree.query(vox_centroid[start:start + _KNN_CHUNK], k=k,
@@ -391,7 +369,6 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.nd
     seed_normal = vox_normal[seed_vox].astype(np.float32)
     seed_lab = vox_lab[seed_vox].astype(np.float32)
     assign = np.empty(n_vox, dtype=np.intp)
-    unreached = np.empty(n_vox, dtype=bool)
     for start, (dist, cand) in _prefetched(query, range(0, n_vox, _KNN_CHUNK)):
         here = slice(start, start + dist.shape[0])
         valid = np.isfinite(dist)
@@ -404,18 +381,12 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.nd
         diff = seed_lab[cand_safe] - vl[:, None, :]
         d_color = np.sqrt(np.einsum("vkc,vkc->vk", diff, diff)) / 100.0
 
-        score = (np.float32(params.w_spatial) * d_spatial
-                 + np.float32(params.w_normal) * d_normal
-                 + np.float32(params.w_color) * d_color)
+        score = (np.float32(config.w_spatial) * d_spatial
+                 + np.float32(config.w_normal) * d_normal
+                 + np.float32(config.w_color) * d_color)
         score[~valid] = np.inf
         best = np.argmin(score, axis=1)
-        rows = np.arange(best.shape[0])
-        assign[here] = cand_safe[rows, best]
-        unreached[here] = ~valid[rows, best]
-
-    if unreached.any():
-        _, nearest = tree.query(vox_centroid[unreached], k=1, workers=-1)
-        assign[unreached] = nearest
+        assign[here] = cand_safe[np.arange(best.shape[0]), best]
     return assign
 
 

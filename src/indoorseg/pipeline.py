@@ -35,8 +35,7 @@ from .ground import (
     gravity_align,
 )
 from .labels import Label
-from .overseg import OversegParams, PatchGraph, compute_normals, oversegment, \
-    refresh_patch_stats
+from .overseg import PatchGraph, compute_normals, oversegment, refresh_patch_stats
 
 GROUND_MODES = ("auto", "fit", "pose", "none")
 
@@ -78,10 +77,21 @@ class PipelineConfig:
             raise InputError("normals_k must be >= 3")
         if self.workers < 1:
             raise InputError("workers must be >= 1")
-        # remaining bounds are enforced by the stage parameter types
-        self.overseg_params()
-        self.forest_params()
         # written as `not x > 0` so that NaN fails them too
+        if not (self.voxel_resolution > 0 and self.seed_resolution > 0):
+            raise InputError("resolutions must be positive")
+        if not self.seed_resolution > self.voxel_resolution:
+            raise InputError(
+                f"seed_resolution ({self.seed_resolution}) must exceed "
+                f"voxel_resolution ({self.voxel_resolution})")
+        if not all(0 <= w < float("inf") for w in (self.w_spatial, self.w_normal,
+                                                   self.w_color)):
+            raise InputError("w_spatial, w_normal and w_color must be finite and >= 0")
+        if self.min_patch_points < 3:
+            raise InputError(
+                "min_patch_points must be >= 3: a patch needs 3 points for its "
+                "scatter features")
+        self.forest_params()  # the forest bounds live in ForestParams
         if not (self.ransac_threshold > 0 and self.mrf_lambda > 0 and self.mrf_sigma > 0):
             raise InputError("ransac_threshold, mrf_lambda and mrf_sigma must be positive")
         if self.lbp_max_iters < 1:
@@ -95,11 +105,8 @@ class PipelineConfig:
         if self.table_min_points < 1:
             raise InputError("table_min_points must be >= 1")
 
-    def overseg_params(self) -> OversegParams:
-        return _copy_fields(OversegParams, self)
-
     def forest_params(self) -> ForestParams:
-        return _copy_fields(ForestParams, self)
+        return ForestParams(**{f.name: getattr(self, f.name) for f in fields(ForestParams)})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -119,11 +126,6 @@ class PipelineConfig:
         except json.JSONDecodeError as e:
             raise InputError(f"{path}: invalid config JSON at position {e.pos}") from None
         return cls.from_dict(data, str(path))
-
-
-def _copy_fields(cls, source):
-    """A ``cls`` built from the same-named fields of ``source``."""
-    return cls(**{f.name: getattr(source, f.name) for f in fields(cls)})
 
 
 @dataclass
@@ -174,7 +176,7 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
     timings["normals"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    graph = oversegment(cloud, config.overseg_params())
+    graph = oversegment(cloud, config)
     timings["oversegmentation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -41,6 +41,10 @@ _BASE_COLORS = {
 _WALL_MARGIN = 0.3
 _CLEARANCE = 0.12
 _PLACEMENT_RETRIES = 200
+# bound on the points sampled before the max_points cap, ~20x the densest
+# scene the tests and the benchmark generate: far higher densities would
+# allocate without bound for a capped cloud
+_MAX_SAMPLES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,12 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
             z0 = 0.0
         surfaces.extend(_box_surfaces(x0, y0, z0, sx, sy, sz, Label.OBJECT, color))
 
-    positions, colors, labels, normals = _sample_surfaces(rng, surfaces, spec.points_per_m2)
+    counts = [_sample_count(s, spec.points_per_m2) for s in surfaces]
+    if sum(counts) > _MAX_SAMPLES:
+        raise InputError(
+            f"points_per_m2={spec.points_per_m2} would sample {sum(counts)} points "
+            f"before the max_points cap; the limit is {_MAX_SAMPLES}")
+    positions, colors, labels, normals = _sample_surfaces(rng, surfaces, counts)
 
     if spec.single_view:
         w, d, _ = room
@@ -264,14 +273,19 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
     )
 
 
-def _sample_surfaces(rng, surfaces, density, color_gradient=40.0, color_jitter=12.0):
-    """Uniform-per-area sampling. Colors drift linearly across each surface
-    (fake texture/shading) on top of per-point jitter, so local color
-    evidence is noisy while the geometry stays exact."""
+def _sample_count(surface: _Surface, density: float) -> int:
+    """Points sampled on a surface: its area times the density, at least 1."""
+    area = np.linalg.norm(surface.edge_u) * np.linalg.norm(surface.edge_v)
+    return max(1, int(round(area * density)))
+
+
+def _sample_surfaces(rng, surfaces, counts, color_gradient=40.0, color_jitter=12.0):
+    """Uniform-per-area sampling, ``counts[i]`` points on surface i. Colors
+    drift linearly across each surface (fake texture/shading) on top of
+    per-point jitter, so local color evidence is noisy while the geometry
+    stays exact."""
     positions, colors, labels, normals = [], [], [], []
-    for s in surfaces:
-        area = np.linalg.norm(s.edge_u) * np.linalg.norm(s.edge_v)
-        n = max(1, int(round(area * density)))
+    for s, n in zip(surfaces, counts):
         u = rng.uniform(0.0, 1.0, size=n)
         v = rng.uniform(0.0, 1.0, size=n)
         pts = s.origin[None, :] + u[:, None] * s.edge_u[None, :] + v[:, None] * s.edge_v[None, :]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from indoorseg import evalkit
-from indoorseg.cli import main
+from indoorseg.cli import _scene_paths, main
+from indoorseg.errors import InputError
 from indoorseg.labels import Label
 from indoorseg.ply_io import read_cloud, write_cloud
 
@@ -377,8 +378,34 @@ def test_bad_scene_input_exits_1(tmp_path, capsys, args):
     code = main([command, "--out-dir", str(out), *flags])
     assert code == 1
     assert capsys.readouterr().err.startswith("input error:")
-    assert not (out / "scene_000.ply").exists()
-    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, code, message", [
+    ("eval --scenes {missing}", 1, "input error: no such file or directory"),
+    ("eval", 1, "input error: eval needs --scenes or --benchmark"),
+    ("synth --n-tables 40", 2, "pipeline error: could not place footprint"),
+    ("synth --density 1e12", 1,
+     "input error: points_per_m2=1000000000000.0 would sample 99431424755510 points"),
+])
+def test_failed_command_creates_no_out_dir(tmp_path, capsys, args, code, message):
+    out = tmp_path / "out"
+    args = args.format(missing=tmp_path / "missing.ply").split()
+    assert main(args + ["--out-dir", str(out)] + CFG) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_scene_paths_takes_a_single_ply_file(tmp_path):
+    path = tmp_path / "one.ply"
+    path.write_bytes(b"")
+    assert _scene_paths([str(path)]) == [path]
+
+
+def test_scene_paths_rejects_a_directory_without_ply_files(tmp_path):
+    (tmp_path / "notes.txt").write_text("no scenes here")
+    with pytest.raises(InputError, match="no .ply scenes found"):
+        _scene_paths([str(tmp_path)])
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -393,6 +420,7 @@ def test_eval_k_out_of_range_exits_before_prep(workspace, tmp_path, capsys, monk
                  "--out-dir", str(tmp_path / "out")] + CFG)
     assert code == 1
     assert capsys.readouterr().err.startswith("input error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_without_trainable_patches_names_the_cause(tmp_path, capsys):

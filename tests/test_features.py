@@ -9,8 +9,9 @@ from indoorseg.cloud import FRAME_GRAVITY
 from indoorseg.colorspace import srgb_to_lab
 from indoorseg.errors import FeatureError, InputError
 from indoorseg.features import FEATURE_DIM, feature_matrix
-from indoorseg.overseg import OversegParams, PatchGraph, canonicalize_hemisphere, \
+from indoorseg.overseg import PatchGraph, canonicalize_hemisphere, \
     compute_normals, oversegment
+from indoorseg.pipeline import PipelineConfig
 
 from conftest import make_cloud, patch_members, sample_plane
 
@@ -194,7 +195,7 @@ class TestExtract:
         colors = rng.integers(0, 256, size=(n, 3)).astype(np.uint8)
         cloud = make_cloud(pts, colors=colors, frame=FRAME_GRAVITY)
         cloud = compute_normals(cloud, k=10)
-        graph = oversegment(cloud, OversegParams())
+        graph = oversegment(cloud, PipelineConfig())
         return cloud, graph
 
     def test_empty_graph(self):
@@ -234,7 +235,7 @@ class TestExtract:
     def test_floor_patch_values(self, rng):
         cloud = make_cloud(sample_plane(rng, 3000, z=0.0), frame=FRAME_GRAVITY)
         cloud = compute_normals(cloud, k=10)
-        graph = oversegment(cloud, OversegParams())
+        graph = oversegment(cloud, PipelineConfig())
         ids, mat = feature_matrix(graph, cloud)
         assert mat.shape[0] > 0
         np.testing.assert_allclose(mat[:, 3], 0.0, atol=1e-9)   # centroid height

@@ -107,7 +107,8 @@ def _scalar_entropy(hist):
 def reference_best_split(columns, indices, labels, params, rng, class_weights, weight_sums):
     """The per-threshold split search: one stable sort and one running sum
     of weighted one-hot rows per candidate, two scalar entropies per
-    threshold. Same RNG draws as the binned search, so the same model."""
+    threshold. Same RNG draws as the binned search, so the same model.
+    Returns (feature, threshold, go_left) like ``forest._best_split``."""
     n_feat = columns.shape[0]
     cand_feats = np.sort(rng.choice(
         n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
@@ -139,7 +140,10 @@ def reference_best_split(columns, indices, labels, params, rng, class_weights, w
             ) / parent_total
             if gain > 1e-12 and (best is None or gain > best[0] + 1e-15):
                 best = (gain, int(feat), float(thr))
-    return None if best is None else best[1:]
+    if best is None:
+        return None
+    _, feat, thr = best
+    return feat, thr, columns[feat][indices] < thr
 
 
 def reference_forest(data, params):

@@ -2,18 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scipy.spatial import cKDTree
 
 from indoorseg import overseg
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY, up_vector
 from indoorseg.errors import InputError
-from indoorseg.overseg import (
-    OversegParams,
-    canonicalize_hemisphere,
-    compute_normals,
-    oversegment,
-)
+from indoorseg.overseg import canonicalize_hemisphere, compute_normals, oversegment
+from indoorseg.pipeline import PipelineConfig
 from indoorseg.synth import SceneSpec, generate_scene
 
 from conftest import assign_voxels_whole, make_cloud, patch_members, sample_plane
@@ -184,7 +183,7 @@ class TestStreaming:
     """Normals and seed assignment stream over `_KNN_CHUNK` slices with the
     next kNN query prefetched; none of that may change a single bit."""
 
-    PARAMS = OversegParams(voxel_resolution=0.025, seed_resolution=0.15)
+    PARAMS = PipelineConfig(voxel_resolution=0.025, seed_resolution=0.15)
 
     @pytest.mark.parametrize("frame", [FRAME_GRAVITY, FRAME_CAMERA])
     def test_short_slices_match_whole_array_assignment(self, frame, monkeypatch):
@@ -242,6 +241,19 @@ class TestStreaming:
         assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
 
 
+class TestSeeds:
+    @settings(max_examples=100, deadline=None)
+    @given(centroids=arrays(np.float64, st.tuples(st.integers(1, 300), st.just(3)),
+                            elements=st.floats(-3.0, 3.0)),
+           seed_res=st.floats(0.02, 2.0))
+    def test_nearest_seed_within_sqrt3_seed_resolutions(self, centroids, seed_res):
+        """Every voxel's own coarse cell holds a seed, so the nearest seed is
+        always inside `_assign_voxels`' 2-seed-resolution query bound."""
+        seeds = centroids[overseg._select_seeds(centroids, seed_res)]
+        gaps = np.linalg.norm(centroids[:, None, :] - seeds[None, :, :], axis=2)
+        assert gaps.min(axis=1).max() <= np.sqrt(3.0) * seed_res * (1 + 1e-9)
+
+
 def _dense_plane_cloud(rng, extent=1.0, density=12000, z=0.0):
     n = int(extent * extent * density)
     cloud = make_cloud(sample_plane(rng, n, extent=extent, z=z), frame=FRAME_GRAVITY)
@@ -252,11 +264,11 @@ class TestOversegment:
     def test_requires_normals(self, rng):
         cloud = make_cloud(sample_plane(rng, 100))
         with pytest.raises(InputError):
-            oversegment(cloud)
+            oversegment(cloud, PipelineConfig())
 
     def test_empty_cloud_empty_graph(self):
         cloud = make_cloud(np.zeros((0, 3)))
-        graph = oversegment(cloud)
+        graph = oversegment(cloud, PipelineConfig())
         assert len(graph.patches) == 0
         assert graph.edges.shape == (0, 2)
         assert graph.edges.dtype == np.int64
@@ -264,12 +276,12 @@ class TestOversegment:
 
     def test_bad_resolutions(self, rng):
         with pytest.raises(InputError):
-            OversegParams(voxel_resolution=0.1, seed_resolution=0.1)
+            PipelineConfig(voxel_resolution=0.1, seed_resolution=0.1)
 
     def test_few_points_all_discarded(self, rng):
         pts = sample_plane(rng, 5, extent=0.02)
         cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=3)
-        graph = oversegment(cloud, OversegParams(min_patch_points=10))
+        graph = oversegment(cloud, PipelineConfig(min_patch_points=10))
         assert len(graph.patches) == 0
         assert graph.edges.shape == (0, 2)
         assert graph.edges.dtype == np.int64
@@ -277,7 +289,7 @@ class TestOversegment:
     def test_single_patch_has_no_edges(self, rng):
         pts = sample_plane(rng, 400, extent=0.05)
         cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=10)
-        graph = oversegment(cloud, OversegParams(seed_resolution=0.5))
+        graph = oversegment(cloud, PipelineConfig(seed_resolution=0.5))
         assert len(graph.patches) == 1
         assert graph.edges.shape == (0, 2)
         assert graph.edges.dtype == np.int64
@@ -292,7 +304,7 @@ class TestOversegment:
         face = rng.integers(0, 3, 6000)
         pts[np.arange(6000), face] = rng.integers(0, 2, 6000) * size[face]
         cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=10)
-        params = OversegParams(voxel_resolution=0.02, seed_resolution=0.06,
+        params = PipelineConfig(voxel_resolution=0.02, seed_resolution=0.06,
                                min_patch_points=5)
         graph = oversegment(cloud, params)
 
@@ -314,7 +326,7 @@ class TestOversegment:
 
     def test_partition_and_adjacency_invariants(self, rng):
         cloud = _dense_plane_cloud(rng)
-        graph = oversegment(cloud)
+        graph = oversegment(cloud, PipelineConfig())
         members = patch_members(graph)
         assert all(m.shape[0] for m in members)  # no empty patch
         assert graph.point_to_patch.shape == (len(cloud),)
@@ -333,7 +345,7 @@ class TestOversegment:
 
     def test_refresh_patch_stats_follows_the_moved_cloud(self, rng):
         cloud = _dense_plane_cloud(rng)
-        graph = oversegment(cloud)
+        graph = oversegment(cloud, PipelineConfig())
         c, s = np.cos(0.3), np.sin(0.3)
         rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
         moved = cloud.with_(positions=cloud.positions @ rot.T + [0.5, -1.0, 2.0],
@@ -346,8 +358,8 @@ class TestOversegment:
 
     def test_determinism(self, rng):
         cloud = _dense_plane_cloud(rng)
-        g1 = oversegment(cloud)
-        g2 = oversegment(cloud)
+        g1 = oversegment(cloud, PipelineConfig())
+        g2 = oversegment(cloud, PipelineConfig())
         assert len(g1.patches) == len(g2.patches)
         np.testing.assert_array_equal(g1.edges, g2.edges)
         np.testing.assert_array_equal(g1.point_to_patch, g2.point_to_patch)
@@ -359,7 +371,7 @@ class TestOversegment:
         b = sample_plane(rng, 4000, extent=0.5, z=0.0)
         b[:, 0] += 5.5
         cloud = compute_normals(make_cloud(np.vstack([a, b]), frame=FRAME_GRAVITY), k=10)
-        graph = oversegment(cloud)
+        graph = oversegment(cloud, PipelineConfig())
         assert len(graph.patches) >= 2
         members = patch_members(graph)
         group = np.array([cloud.positions[m][:, 0].max() > 2.5 for m in members])
@@ -371,13 +383,13 @@ class TestOversegment:
             pi = cloud.positions[members[i]]
             pj = cloud.positions[members[j]]
             gap = np.min(np.linalg.norm(pi[:, None, :] - pj[None, :, :], axis=2))
-            assert gap <= OversegParams().voxel_resolution * np.sqrt(3) + 1e-12
+            assert gap <= PipelineConfig().voxel_resolution * np.sqrt(3) + 1e-12
 
     def test_compactness_on_uniform_plane(self, rng):
         """Exhaustive scan: every point within 2 seed resolutions of its
         patch centroid."""
         cloud = _dense_plane_cloud(rng)
-        graph = oversegment(cloud, OversegParams(seed_resolution=0.1))
+        graph = oversegment(cloud, PipelineConfig(seed_resolution=0.1))
         for p, m in enumerate(patch_members(graph)):
             d = np.linalg.norm(cloud.positions[m] - graph.centroids[p], axis=1)
             assert d.max() <= 2 * 0.1
@@ -387,7 +399,7 @@ class TestOversegment:
                          points_per_m2=3000.0)
         cloud = generate_scene(spec)
         cloud = compute_normals(cloud, k=15)
-        graph = oversegment(cloud, OversegParams(voxel_resolution=0.02))
+        graph = oversegment(cloud, PipelineConfig(voxel_resolution=0.02))
         pure = 0
         for m in patch_members(graph):
             hist = np.bincount(cloud.labels[m], minlength=8)
@@ -397,6 +409,6 @@ class TestOversegment:
 
     def test_min_patch_points_respected(self, rng):
         cloud = _dense_plane_cloud(rng)
-        graph = oversegment(cloud, OversegParams(min_patch_points=50))
+        graph = oversegment(cloud, PipelineConfig(min_patch_points=50))
         assert len(graph) > 0
         assert (np.bincount(graph.point_to_patch[graph.point_to_patch >= 0]) >= 50).all()

@@ -12,7 +12,7 @@ from indoorseg.evalkit import ConfusionMatrix, prepare_frame, prepare_frames, sc
 from indoorseg.forest import ForestParams
 from indoorseg.ground import plane_from_pose
 from indoorseg.labels import Label
-from indoorseg.overseg import OversegParams, PatchGraph
+from indoorseg.overseg import PatchGraph
 from indoorseg.pipeline import (
     PipelineConfig,
     patch_majority_labels,
@@ -74,12 +74,10 @@ class TestConfig:
         assert PipelineConfig.load(path) == config
 
     def test_stage_params_are_config_fields(self):
-        assert PipelineConfig().overseg_params() == OversegParams()
         assert PipelineConfig().forest_params() == ForestParams()
         config_types = field_types(PipelineConfig)
-        for cls in (OversegParams, ForestParams):
-            for name, kind in field_types(cls).items():
-                assert config_types.get(name) is kind, f"{cls.__name__}.{name}"
+        for name, kind in field_types(ForestParams).items():
+            assert config_types.get(name) is kind, f"ForestParams.{name}"
 
     def test_stage_params_copy_the_config(self):
         config = PipelineConfig(
@@ -87,9 +85,6 @@ class TestConfig:
             w_color=0.1, min_patch_points=4, num_trees=3, max_depth=5,
             candidates_per_node=2, thresholds_per_candidate=7, min_samples_split=3,
             seed=11, class_balanced=True)
-        assert config.overseg_params() == OversegParams(
-            voxel_resolution=0.02, seed_resolution=0.3, w_spatial=0.5, w_normal=2.0,
-            w_color=0.1, min_patch_points=4)
         assert config.forest_params() == ForestParams(
             num_trees=3, max_depth=5, candidates_per_node=2, thresholds_per_candidate=7,
             min_samples_split=3, seed=11, class_balanced=True)

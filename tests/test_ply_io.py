@@ -89,6 +89,23 @@ def test_ascii_field_outside_uchar_range(tmp_path, row):
     assert exc.value.offset == len(header) + len("1 1 1 4 5 6 0\n")
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0 0 0 1 2 3", "vertex 1: expected 7 fields, got 6"),
+    ("0 0 0 1 2 3 4 5", "vertex 1: expected 7 fields, got 8"),
+    ("0 x 0 1 2 3 1", "vertex 1: bad numeric field"),
+    ("0 0 0 1.5 2 3 1", "vertex 1: bad numeric field"),
+])
+def test_ascii_bad_vertex_line_reports_index_and_offset(tmp_path, row, message):
+    """The body is long enough for the size pre-check (2 * 7 * 3 - 1 bytes),
+    so the error comes from the vertex line itself, at that line's start."""
+    path = tmp_path / "c.ply"
+    header, first = ASCII_HEADER.format(3), "10 10 10 40 50 60 0\n"
+    path.write_text(header + first + row + "\n20 20 20 70 80 90 1\n")
+    with pytest.raises(PlyParseError, match=message) as exc:
+        read_cloud(path)
+    assert exc.value.offset == len(header) + len(first)
+
+
 def test_ascii_count_the_body_cannot_hold(tmp_path):
     """Rejected before the vertex array is allocated (136 TiB here)."""
     path = tmp_path / "c.ply"

@@ -4,6 +4,7 @@ import pytest
 from indoorseg.cloud import FRAME_GRAVITY
 from indoorseg.errors import GenerationError, InputError
 from indoorseg.labels import Label
+from indoorseg import synth
 from indoorseg.synth import SceneSpec, generate_scene
 
 SMALL = dict(room_extent=(4.2, 3.4, 2.3), points_per_m2=300.0)
@@ -116,6 +117,24 @@ def test_infeasible_placement_raises():
                      points_per_m2=100.0)
     with pytest.raises(GenerationError):
         generate_scene(spec)
+
+
+def test_huge_density_rejected_before_sampling():
+    """Without the bound this spec fails allocating 146 TiB (MemoryError);
+    a lower but still huge density would fill memory for a capped cloud."""
+    with pytest.raises(InputError, match="would sample 99431424755510 points before "
+                                         "the max_points cap; the limit is 8388608"):
+        generate_scene(SceneSpec(points_per_m2=1e12))
+
+
+def test_sample_bound_counts_every_surface(monkeypatch):
+    """An empty 1 m cube has six 1 m^2 surfaces: 100 pts/m^2 samples 600."""
+    monkeypatch.setattr(synth, "_MAX_SAMPLES", 600)
+    empty = {"table": 0, "chair": 0, "cabinet": 0, "object": 0}
+    cube = {"room_extent": (1.0, 1.0, 1.0), "furniture_counts": empty}
+    assert len(generate_scene(SceneSpec(points_per_m2=100.0, **cube))) == 600
+    with pytest.raises(InputError, match="would sample 606 points"):
+        generate_scene(SceneSpec(points_per_m2=101.0, **cube))
 
 
 def test_single_view_culls_points():
