@@ -153,17 +153,11 @@ def _cmd_segment(args) -> int:
         "timing_ms": {k: round(1000.0 * v, 3) for k, v in result.timings.items()},
         "lbp_converged": bool(result.labeling.converged),
         "lbp_iterations": int(result.labeling.iterations),
-        "patches": [
-            {"patch": i,
-             "map_label": int(label),
-             "distribution": [round(float(v), 6) for v in distribution]}
-            for i, (label, distribution) in enumerate(
-                zip(result.labeling.assignment, result.distributions))
-        ],
     }
     probs_path = Path(args.patch_probs) if args.patch_probs else \
         out_path.with_suffix(out_path.suffix + ".patches.json")
-    probs_path.write_text(json.dumps(dump, indent=2, sort_keys=True) + "\n")
+    probs_path.write_text(
+        _patches_json(dump, result.labeling.assignment, result.distributions) + "\n")
 
     if args.dump_patches:
         debug = dump_patch_colors(result.stage_output.graph, result.stage_output.cloud,
@@ -174,6 +168,24 @@ def _cmd_segment(args) -> int:
         print(f"{stage}: {1000.0 * seconds:.1f} ms")
     print(f"labeled cloud -> {out_path}")
     return 0
+
+
+def _patches_json(dump: dict, labels: np.ndarray, distributions: np.ndarray) -> str:
+    """``json.dumps(..., indent=2, sort_keys=True)`` of ``dump`` plus a
+    ``patches`` list: patch i's id, MAP label and distribution rounded to 6
+    digits. That list is almost all of the file, so it is rendered here
+    directly, with `json`'s text for each float (``repr`` of the rounded
+    value) and a placeholder in its place for `json.dumps`."""
+    placeholder = "\0patches\0"
+    rows = [
+        '    {\n      "distribution": [\n        '
+        + ",\n        ".join([repr(round(v, 6)) for v in distribution])
+        + f'\n      ],\n      "map_label": {label},\n      "patch": {i}\n    }}'
+        for i, (label, distribution) in enumerate(zip(labels.tolist(),
+                                                      distributions.tolist()))]
+    patches = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    text = json.dumps({**dump, "patches": placeholder}, indent=2, sort_keys=True)
+    return text.replace(json.dumps(placeholder), patches, 1)
 
 
 def _cmd_eval(args) -> int:

@@ -11,7 +11,14 @@ The result, `PatchGraph`, is three arrays: the point-to-patch map, the
 patch adjacency edges and the patch centroids. Patch members are not
 stored; every consumer reduces over ``point_to_patch`` directly.
 
-The two kNN stages stream. Normals walk the cloud in the kd-tree's own
+Both stages can share one `VoxelGrid`: the occupied voxels, the voxel of
+every point and the voxel adjacency pairs. On a cloud dense enough for it
+(see `compute_normals`) the normals come from each voxel's
+27-neighbourhood on that grid, in the spirit of VCCS (Papon et al.,
+"Voxel Cloud Connectivity Segmentation", CVPR 2013); a sparser cloud
+takes them from its k nearest neighbours.
+
+The kNN stages stream. Normals walk the cloud in the kd-tree's own
 point order, and the seed assignment walks the voxels, in fixed slices of
 ``_KNN_CHUNK``: query, moments, eigenpair and orientation (or seed scores)
 run on one slice and go straight into the output arrays, so no (k, N)
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy import sparse
@@ -45,7 +52,7 @@ from .errors import InputError
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import PipelineConfig
 
-_KNN_CHUNK = 1 << 15  # points (or voxels) per kNN query slice
+_KNN_CHUNK = 1 << 15  # points (or voxels) per kNN query or eigenpair slice
 
 
 @dataclass(frozen=True)
@@ -88,17 +95,30 @@ def canonicalize_hemisphere(normals: np.ndarray) -> np.ndarray:
     return n
 
 
-def compute_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
-    """Per-point unit normals from the k-NN scatter matrix.
+def compute_normals(cloud: PointCloud, k: int = 15,
+                    grid: Optional[VoxelGrid] = None) -> PointCloud:
+    """Per-point unit normals from a neighbourhood's scatter matrix.
 
     The normal is the eigenvector of the smallest eigenvalue. In the camera
     frame it is flipped to point toward the sensor origin; in the gravity
     frame it is flipped into the upper hemisphere. Neighborhoods of rank < 2
     get the frame's up vector and a True entry in ``normal_flags``.
+
+    The neighbourhood is a point's k nearest neighbours, unless ``grid`` is
+    given and the cloud is dense on it: when the median point's
+    27-neighbourhood (its voxel and the 26 around it) holds at least k
+    points, every point takes its voxel's normal, computed from the points of
+    that 27-neighbourhood (`_voxel_normals`). A sparser cloud keeps the kNN.
     """
     n_points = len(cloud)
     if n_points < k:
         raise InputError(f"cloud has {n_points} points, need at least k={k}")
+    if grid is not None:
+        reach = np.bincount(grid.vox_of_point,
+                            minlength=grid.keys.shape[0]).astype(np.float64)
+        grid.add_neighbours(reach)
+        if np.median(reach[grid.vox_of_point]) >= k:
+            return _voxel_normals(cloud, grid, reach)
     tree = cKDTree(cloud.positions, leafsize=32, balanced_tree=False)
     # everything below runs in the tree's own point order: a slice of
     # neighbouring queries walks the same leaves, and the neighbours' entries
@@ -108,7 +128,6 @@ def compute_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
     rank[order] = np.arange(n_points)
     xyz = np.take(cloud.positions.T, order, axis=1)
     x, y, z = xyz
-    up = up_vector(cloud.frame)
     normals = np.empty((n_points, 3))
     flags = np.empty(n_points, dtype=bool)
 
@@ -138,25 +157,68 @@ def compute_normals(cloud: PointCloud, k: int = 15) -> PointCloud:
             sxz += gx * gz
             syz += gy * gz
         moments /= float(k)
-        cov = (sxx - sx * sx, sxy - sx * sy, sxz - sx * sz,
-               syy - sy * sy, syz - sy * sz, szz - sz * sz)
-
-        l0, l1, l2, vec, vec_ok = _smallest_eigenpair_3x3(*cov)
-        # the closed-form eigenvalues carry ~1e-8 relative rounding error, so
-        # the rank test needs a matching tolerance
-        degenerate = (~vec_ok) | (l1 <= np.maximum(l2 * 1e-6, 1e-16))
-
-        if cloud.frame == FRAME_CAMERA:
-            # flip toward the sensor at the origin
-            toward = np.einsum("ij,ij->i", vec, points(here))
-            flip = (toward > 0) | ((toward == 0) & (vec[:, 1] > 0))
-            vec[flip] *= -1.0
-        else:
-            vec = canonicalize_hemisphere(vec)
-        vec[degenerate] = up
+        vec, degenerate = _oriented_normals(moments, points(here), cloud.frame)
         normals[order[here]] = vec
         flags[order[here]] = degenerate
     return cloud.with_(normals=normals, normal_flags=flags)
+
+
+def _voxel_normals(cloud: PointCloud, grid: VoxelGrid, reach: np.ndarray) -> PointCloud:
+    """`compute_normals` over each voxel's 27-neighbourhood, ``reach`` points.
+
+    Per-voxel moment sums (Σx and Σxxᵀ about the cloud mean) are added up
+    over the neighbourhoods by `VoxelGrid.add_neighbours`; the
+    eigenpair, the rank test and the orientation (toward the sensor from
+    the neighbourhood mean) are `compute_normals`' own. Every point gets its
+    voxel's normal and flag.
+    """
+    vox = grid.vox_of_point
+    n_vox = grid.keys.shape[0]
+    origin = cloud.positions.mean(axis=0)
+    xyz = cloud.positions.T - origin[:, None]
+    moments = np.empty((9, n_vox))
+    # rows x, y, z, xx, yy, zz, xy, xz, yz; one product alive at a time
+    for row, (i, j) in zip(moments, ((0, -1), (1, -1), (2, -1), (0, 0), (1, 1), (2, 2),
+                                     (0, 1), (0, 2), (1, 2))):
+        row[:] = np.bincount(vox, weights=xyz[i] if j < 0 else xyz[i] * xyz[j],
+                             minlength=n_vox)
+    del xyz
+    grid.add_neighbours(moments)
+    vox_normal = np.empty((n_vox, 3))
+    vox_flag = np.empty(n_vox, dtype=bool)
+    for start in range(0, n_vox, _KNN_CHUNK):
+        here = slice(start, start + _KNN_CHUNK)
+        means = moments[:, here] / reach[here]
+        vox_normal[here], vox_flag[here] = _oriented_normals(
+            means, means[:3].T + origin, cloud.frame)
+    del moments
+    return cloud.with_(normals=vox_normal[vox], normal_flags=vox_flag[vox])
+
+
+def _oriented_normals(means, points: np.ndarray, frame: str):
+    """Unit normals and rank-deficiency flags from neighbourhood mean moments.
+
+    ``means`` holds nine rows, E[x], E[y], E[z], E[xx], E[yy], E[zz],
+    E[xy], E[xz], E[yz], one column per neighbourhood; ``points`` (one per
+    column) orient camera-frame normals toward the sensor at the origin.
+    """
+    sx, sy, sz, sxx, syy, szz, sxy, sxz, syz = means
+    cov = (sxx - sx * sx, sxy - sx * sy, sxz - sx * sz,
+           syy - sy * sy, syz - sy * sz, szz - sz * sz)
+    l0, l1, l2, vec, vec_ok = _smallest_eigenpair_3x3(*cov)
+    # the closed-form eigenvalues carry ~1e-8 relative rounding error, so
+    # the rank test needs a matching tolerance
+    degenerate = (~vec_ok) | (l1 <= np.maximum(l2 * 1e-6, 1e-16))
+
+    if frame == FRAME_CAMERA:
+        # flip toward the sensor at the origin
+        toward = np.einsum("ij,ij->i", vec, points)
+        flip = (toward > 0) | ((toward == 0) & (vec[:, 1] > 0))
+        vec[flip] *= -1.0
+    else:
+        vec = canonicalize_hemisphere(vec)
+    vec[degenerate] = up_vector(frame)
+    return vec, degenerate
 
 
 def _prefetched(fn, starts):
@@ -230,12 +292,72 @@ _OFFSETS = np.array([
 ], dtype=np.int64)
 
 
-def oversegment(cloud: PointCloud, config: PipelineConfig) -> PatchGraph:
+@dataclass(frozen=True)
+class VoxelGrid:
+    """The occupied voxels of a cloud and their 26-connectivity.
+
+    ``keys`` are the voxels' packed grid keys, ascending, so voxel v is the
+    v-th occupied key; ``vox_of_point`` maps every point to its voxel.
+    ``pairs`` (M, 2) lists each adjacent voxel pair once, as (voxel,
+    neighbour) for the 13 positive half-space offsets of ``_OFFSETS``, one
+    offset's block after another, each block ascending in voxel.
+    """
+
+    keys: np.ndarray
+    vox_of_point: np.ndarray
+    pairs: np.ndarray
+
+    def add_neighbours(self, values: np.ndarray) -> None:
+        """Sum per-voxel float ``values``, (V,) or one row per quantity
+        (C, V) and contiguous, over each voxel's 27-neighbourhood (itself
+        and its occupied 26-neighbours), in place."""
+        n_vox = self.keys.shape[0]
+        a, b = self.pairs.T.astype(np.intp, order="C")
+        for row in values.reshape(-1, n_vox):
+            added = np.bincount(a, weights=row[b], minlength=n_vox)
+            added += np.bincount(b, weights=row[a], minlength=n_vox)
+            row += added
+
+
+def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
+    """The `VoxelGrid` of ``positions`` (N, 3) at ``resolution`` meters."""
+    n_points = positions.shape[0]
+    if n_points == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return VoxelGrid(keys=empty, vox_of_point=empty.astype(np.intp),
+                         pairs=np.zeros((0, 2), dtype=np.int32))
+    # one empty layer on every side of the grid: a neighbour of an occupied
+    # voxel is then always inside it, so its key is the voxel's plus a delta.
+    # Per-point arrays are deleted once used up: they set this step's peak
+    ijk = np.floor(positions / resolution).astype(np.int64)
+    ijk -= ijk.min(axis=0) - 1
+    dims = ijk.max(axis=0) + 2
+    keys = _pack_grid(ijk, dims)
+    del ijk
+    uniq_keys, vox_of_point = np.unique(keys, return_inverse=True)
+    del keys
+    n_vox = uniq_keys.shape[0]
+    # voxel ids fit 32 bits for any cloud that fits in memory; the pair
+    # list is the grid's largest array
+    index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
+    blocks = []
+    for delta in _pack_grid(_OFFSETS, dims):
+        cand_keys = uniq_keys + delta
+        loc = np.minimum(np.searchsorted(uniq_keys, cand_keys), n_vox - 1)
+        hit = np.nonzero(uniq_keys[loc] == cand_keys)[0]
+        blocks.append(np.stack([hit, loc[hit]], axis=1).astype(index))
+    return VoxelGrid(keys=uniq_keys, vox_of_point=vox_of_point,
+                     pairs=np.concatenate(blocks))
+
+
+def oversegment(cloud: PointCloud, config: PipelineConfig,
+                grid: Optional[VoxelGrid] = None) -> PatchGraph:
     """Cluster a cloud (with normals) into compact patches plus adjacency.
 
     Reads the config's resolutions, distance weights and
     ``min_patch_points``. Smaller patches are discarded; their points map to
-    -1 in ``point_to_patch``.
+    -1 in ``point_to_patch``. ``grid``, if given, is the cloud's
+    `voxel_grid` at ``config.voxel_resolution``; else it is built here.
     """
     if len(cloud) == 0:
         return PatchGraph(point_to_patch=np.zeros(0, dtype=np.int64),
@@ -244,19 +366,10 @@ def oversegment(cloud: PointCloud, config: PipelineConfig) -> PatchGraph:
         raise InputError("oversegment requires per-point normals (run compute_normals)")
 
     pos = cloud.positions
-    res = config.voxel_resolution
-
-    # one empty layer on every side of the grid: a neighbour of an occupied
-    # voxel is then always inside it, so its key is the voxel's plus a delta.
-    # Per-point arrays are deleted once used up: they set this stage's peak
-    ijk = np.floor(pos / res).astype(np.int64)
-    ijk -= ijk.min(axis=0) - 1
-    dims = ijk.max(axis=0) + 2
-    keys = _pack_grid(ijk, dims)
-    del ijk
-    uniq_keys, vox_of_point = np.unique(keys, return_inverse=True)
-    del keys
-    n_vox = uniq_keys.shape[0]
+    if grid is None:
+        grid = voxel_grid(pos, config.voxel_resolution)
+    vox_of_point = grid.vox_of_point
+    n_vox = grid.keys.shape[0]
 
     counts = np.bincount(vox_of_point, minlength=n_vox).astype(np.float64)
     vox_centroid = group_sums(vox_of_point, pos, n_vox) / counts[:, None]
@@ -280,17 +393,11 @@ def oversegment(cloud: PointCloud, config: PipelineConfig) -> PatchGraph:
     seed_vox = _select_seeds(vox_centroid, config.seed_resolution)
     assign = _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config)
 
-    # voxel adjacency (26-connectivity) as undirected index pairs, split by
-    # whether both ends went to the same seed: only same-seed pairs join
-    # voxels into patches, and two touching voxels of one seed end up in one
-    # patch, so only the others (border pairs) can link two patches
-    pairs = []
-    for delta in _pack_grid(_OFFSETS, dims):
-        cand_keys = uniq_keys + delta
-        loc = np.minimum(np.searchsorted(uniq_keys, cand_keys), n_vox - 1)
-        hit = np.nonzero(uniq_keys[loc] == cand_keys)[0]
-        pairs.append(np.stack([hit, loc[hit]], axis=1))
-    pairs = np.concatenate(pairs)
+    # the voxel adjacency pairs, split by whether both ends went to the same
+    # seed: only same-seed pairs join voxels into patches, and two touching
+    # voxels of one seed end up in one patch, so only the others (border
+    # pairs) can link two patches
+    pairs = grid.pairs
     same = assign[pairs[:, 0]] == assign[pairs[:, 1]]
     border = pairs[~same]
 
@@ -298,7 +405,7 @@ def oversegment(cloud: PointCloud, config: PipelineConfig) -> PatchGraph:
     same_a, same_b = pairs[same].T
     graph = sparse.csr_matrix(
         (np.ones(same_a.shape[0], dtype=np.int8), (same_a, same_b)), shape=(n_vox, n_vox))
-    del pairs, same_a, same_b
+    del pairs, same_a, same_b, grid
     _, comp = connected_components(graph, directed=False)
     del graph
 
@@ -335,17 +442,24 @@ def oversegment(cloud: PointCloud, config: PipelineConfig) -> PatchGraph:
 
 def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
     """One seed voxel per occupied coarse cell: the voxel nearest the cell
-    center, the lowest index on a tie (``lexsort`` is stable)."""
+    center, the lowest index on a tie."""
     floored = np.floor(vox_centroid / seed_res)
     cell = floored.astype(np.int64)
     cell -= cell.min(axis=0)
     ckeys = _pack_grid(cell, cell.max(axis=0) + 2)
     dist = np.linalg.norm(vox_centroid - (floored + 0.5) * seed_res, axis=1)
-    order = np.lexsort((dist, ckeys))
+    # a stable sort keeps each cell's voxels in index order, so the first
+    # voxel at its cell's least distance is the lowest index among ties
+    order = np.argsort(ckeys, kind="stable")
     sorted_keys = ckeys[order]
     firsts = np.ones(sorted_keys.shape[0], dtype=bool)
     firsts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return np.sort(order[firsts])
+    starts = np.flatnonzero(firsts)
+    sorted_dist = dist[order]
+    least = np.minimum.reduceat(sorted_dist, starts)
+    at_least = sorted_dist == least[np.cumsum(firsts) - 1]
+    position = np.where(at_least, np.arange(order.shape[0]), order.shape[0])
+    return np.sort(order[np.minimum.reduceat(position, starts)])
 
 
 def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.ndarray:

@@ -35,7 +35,13 @@ from .ground import (
     gravity_align,
 )
 from .labels import Label
-from .overseg import PatchGraph, compute_normals, oversegment, refresh_patch_stats
+from .overseg import (
+    PatchGraph,
+    compute_normals,
+    oversegment,
+    refresh_patch_stats,
+    voxel_grid,
+)
 
 GROUND_MODES = ("auto", "fit", "pose", "none")
 
@@ -172,11 +178,15 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
     mode = _ground_mode(cloud, config, pose_plane)
 
     t0 = time.perf_counter()
-    cloud = compute_normals(cloud, k=config.normals_k)
+    # one voxel grid for both stages: dense clouds take their normals from
+    # it, and the oversegmentation clusters its voxels
+    grid = voxel_grid(cloud.positions, config.voxel_resolution)
+    cloud = compute_normals(cloud, k=config.normals_k, grid=grid)
     timings["normals"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    graph = oversegment(cloud, config)
+    graph = oversegment(cloud, config, grid=grid)
+    del grid
     timings["oversegmentation"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

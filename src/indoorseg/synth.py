@@ -273,10 +273,12 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
     )
 
 
-def _sample_count(surface: _Surface, density: float) -> int:
-    """Points sampled on a surface: its area times the density, at least 1."""
-    area = np.linalg.norm(surface.edge_u) * np.linalg.norm(surface.edge_v)
-    return max(1, int(round(area * density)))
+def _sample_count(surface: _Surface, density: float) -> int | float:
+    """Points sampled on a surface: its area times the density, at least 1;
+    ``math.inf`` where that product overflows."""
+    with np.errstate(over="ignore"):
+        expected = np.linalg.norm(surface.edge_u) * np.linalg.norm(surface.edge_v) * density
+    return max(1, int(round(expected))) if math.isfinite(expected) else math.inf
 
 
 def _sample_surfaces(rng, surfaces, counts, color_gradient=40.0, color_jitter=12.0):

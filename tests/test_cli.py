@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from indoorseg import evalkit
-from indoorseg.cli import _scene_paths, main
+from indoorseg.cli import _patches_json, _scene_paths, main
 from indoorseg.errors import InputError
+from indoorseg.forest import load_model
 from indoorseg.labels import Label
+from indoorseg.pipeline import PipelineConfig, segment_cloud
 from indoorseg.ply_io import read_cloud, write_cloud
 
 from conftest import make_cloud
@@ -90,6 +92,47 @@ def test_segment_outputs(workspace):
     assert set(entry) == {"patch", "map_label", "distribution"}
     assert len(entry["distribution"]) == 7
     assert abs(sum(entry["distribution"]) - 1.0) <= 1e-3
+
+
+def reference_patches_json(dump, labels, distributions):
+    """The document `_patches_json` renders, as one `json.dumps`."""
+    patches = [{"patch": i, "map_label": int(label),
+                "distribution": [round(float(v), 6) for v in row]}
+               for i, (label, row) in enumerate(zip(labels, distributions))]
+    return json.dumps({**dump, "patches": patches}, indent=2, sort_keys=True)
+
+
+DUMP = {"timing_ms": {"normals": 412.25, "total": 1803.5}, "lbp_converged": True,
+        "lbp_iterations": 33}
+
+
+def test_patches_json_matches_json_dumps_on_a_frame(workspace):
+    _, scenes, model, labeled = workspace
+    config = PipelineConfig(voxel_resolution=0.03, seed_resolution=0.15,
+                            min_floor_points=200)
+    result = segment_cloud(read_cloud(scenes / "scene_000.ply"), load_model(model), config)
+    labels, distributions = result.labeling.assignment, result.distributions
+    assert len(labels) > 100
+    assert _patches_json(DUMP, labels, distributions) == \
+        reference_patches_json(DUMP, labels, distributions)
+    # the file segment wrote is the same text json gives for its own values
+    text = labeled.with_suffix(labeled.suffix + ".patches.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[-1e-9, -4e-7, 9.6e-7, 1.4e-6, 0.1234565, 0.5, 1.0]],
+    [[0.0, 1e-06, -0.0, 2.5e-07, 0.999999, 0.9999996, 7e-05]] * 3,
+])
+def test_patches_json_edge_values(rows):
+    """No patches, and values that round to -0.0, 0.0 or 1e-06."""
+    distributions = np.array(rows, dtype=np.float64).reshape(-1, 7)
+    labels = np.arange(distributions.shape[0]) % 7
+    text = _patches_json(DUMP, labels, distributions)
+    assert text == reference_patches_json(DUMP, labels, distributions)
+    if rows:
+        assert "-0.0," in text and "1e-06," in text
 
 
 def test_segment_accuracy_on_easy_scene(tmp_path):
@@ -387,6 +430,10 @@ def test_bad_scene_input_exits_1(tmp_path, capsys, args):
     ("synth --n-tables 40", 2, "pipeline error: could not place footprint"),
     ("synth --density 1e12", 1,
      "input error: points_per_m2=1000000000000.0 would sample 99431424755510 points"),
+    # surface areas overflow to inf
+    ("synth --room-extent 1e160 1e160 1 --n-tables 0 --n-chairs 0 --n-cabinets 0 "
+     "--n-objects 0 --density 1e100", 1,
+     "input error: points_per_m2=1e+100 would sample inf points"),
 ])
 def test_failed_command_creates_no_out_dir(tmp_path, capsys, args, code, message):
     out = tmp_path / "out"

@@ -11,7 +11,12 @@ from scipy.spatial import cKDTree
 from indoorseg import overseg
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY, up_vector
 from indoorseg.errors import InputError
-from indoorseg.overseg import canonicalize_hemisphere, compute_normals, oversegment
+from indoorseg.overseg import (
+    canonicalize_hemisphere,
+    compute_normals,
+    oversegment,
+    voxel_grid,
+)
 from indoorseg.pipeline import PipelineConfig
 from indoorseg.synth import SceneSpec, generate_scene
 
@@ -155,6 +160,127 @@ class TestNormalsOracle:
         np.testing.assert_array_equal(got.normal_flags, flags)
 
 
+def _box_corner_scene(rng, density=3000.0):
+    """A floor and a wall meeting at x = 0, and a 0.3 m box standing on the
+    floor: planes, their edges and the box's edges and corners."""
+    def rect(origin, u, v):
+        n = int(density * np.linalg.norm(u) * np.linalg.norm(v))
+        a, b = rng.uniform(size=(2, n, 1))
+        return origin + a * u + b * v
+
+    ex, ey, ez = np.eye(3)
+    lo, hi = np.array([0.4, 0.4, 0.0]), np.array([0.7, 0.7, 0.0])
+    return np.vstack([
+        rect(np.zeros(3), ex, ey), rect(np.zeros(3), ey, ez),
+        rect(lo + 0.3 * ez, 0.3 * ex, 0.3 * ey),
+        rect(lo, 0.3 * ex, 0.3 * ez), rect(lo, 0.3 * ey, 0.3 * ez),
+        rect(hi - 0.3 * ey, 0.3 * ey, 0.3 * ez), rect(hi - 0.3 * ex, 0.3 * ex, 0.3 * ez)])
+
+
+def _in_frame(pos, frame):
+    """``pos`` as seen by a camera 1.2 m up, looking along +x (as `_small_scene`)."""
+    if frame == FRAME_CAMERA:
+        pos = pos[:, [1, 2, 0]] * [1.0, -1.0, 1.0] + [0.0, 1.2, 0.3]
+    return make_cloud(pos, frame=frame)
+
+
+def reference_voxel_normals(cloud, resolution):
+    """Per voxel, the covariance of the points in its 27-neighbourhood
+    (`np.cov`, found by comparing integer voxel coordinates),
+    `np.linalg.eigh`'s smallest eigenvector, `compute_normals`' rank test
+    and orientation rule (camera frame: toward the sensor from the
+    neighbourhood mean); broadcast to the points."""
+    pos = cloud.positions
+    ijk = np.floor(pos / resolution).astype(np.int64)
+    voxels, inverse = np.unique(ijk, axis=0, return_inverse=True)
+    normals = np.empty((len(voxels), 3))
+    flags = np.empty(len(voxels), dtype=bool)
+    for v, key in enumerate(voxels):
+        near = pos[np.abs(ijk - key).max(axis=1) <= 1]
+        values, vectors = np.linalg.eigh(np.cov(near.T, bias=True))
+        normal = vectors[:, 0]
+        if cloud.frame == FRAME_CAMERA:
+            toward = normal @ near.mean(axis=0)
+            if toward > 0 or (toward == 0 and normal[1] > 0):
+                normal = -normal
+        else:
+            normal = canonicalize_hemisphere(normal[None])[0]
+        flags[v] = values[1] <= max(values[2] * 1e-6, 1e-16)
+        normals[v] = up_vector(cloud.frame) if flags[v] else normal
+    return normals[inverse.ravel()], flags[inverse.ravel()]
+
+
+class _NoQuery(cKDTree):
+    def query(self, *args, **kwargs):
+        raise AssertionError("kNN query on a cloud dense on its voxel grid")
+
+
+class TestVoxelNormals:
+    """Dense clouds take their normals from the 27-voxel neighbourhoods of
+    the shared grid; sparse ones keep the kNN."""
+
+    RES = 0.05
+
+    @pytest.mark.parametrize("frame", [FRAME_GRAVITY, FRAME_CAMERA])
+    def test_matches_brute_force_neighbourhoods(self, frame, rng, monkeypatch):
+        cloud = _in_frame(_box_corner_scene(rng), frame)
+        grid = voxel_grid(cloud.positions, self.RES)
+        # several eigenpair slices, the last one partial
+        monkeypatch.setattr(overseg, "_KNN_CHUNK", 97)
+        assert grid.keys.shape[0] > 2 * 97 and grid.keys.shape[0] % 97
+        got = compute_normals(cloud, k=15, grid=grid)
+        normals, flags = reference_voxel_normals(cloud, self.RES)
+        np.testing.assert_array_equal(got.normal_flags, flags)
+        if frame == FRAME_CAMERA:
+            np.testing.assert_allclose(got.normals, normals, rtol=0, atol=1e-9)
+        else:
+            # a wall's normal has z = 0 up to rounding, so either sign can be
+            # the upper-hemisphere one: compare up to sign, check the rule
+            gap = np.minimum(np.abs(got.normals - normals), np.abs(got.normals + normals))
+            assert gap.max() <= 1e-9
+            np.testing.assert_array_equal(got.normals, canonicalize_hemisphere(got.normals))
+
+    def test_sparse_cloud_keeps_the_knn(self):
+        # 1000 pts/m^2 at voxel 0.025: 7 points in the median neighbourhood
+        cloud = _small_scene(FRAME_CAMERA)
+        grid = voxel_grid(cloud.positions, 0.025)
+        got = compute_normals(cloud, k=15, grid=grid)
+        want = compute_normals(cloud, k=15)
+        assert got.normals.tobytes() == want.normals.tobytes()
+        assert got.normal_flags.tobytes() == want.normal_flags.tobytes()
+
+    def test_dense_cloud_makes_no_knn_query(self, rng, monkeypatch):
+        monkeypatch.setattr(overseg, "cKDTree", _NoQuery)
+        cloud = _in_frame(_box_corner_scene(rng), FRAME_CAMERA)
+        got = compute_normals(cloud, k=15, grid=voxel_grid(cloud.positions, self.RES))
+        assert not got.normal_flags.any()
+        with pytest.raises(AssertionError, match="kNN query"):
+            compute_normals(cloud, k=15)
+
+    def test_rank_one_neighbourhood_gets_up_and_a_flag(self, rng):
+        """A dense line beside a dense plane: the line's neighbourhoods are
+        collinear, so its points get the up vector and a flag."""
+        plane = sample_plane(rng, 4000, extent=1.0)
+        line = np.zeros((400, 3))
+        line[:, 0] = np.linspace(3.0, 3.4, 400)
+        cloud = make_cloud(np.vstack([plane, line]), frame=FRAME_GRAVITY)
+        got = compute_normals(cloud, k=15, grid=voxel_grid(cloud.positions, self.RES))
+        assert got.normal_flags[4000:].all() and not got.normal_flags[:4000].any()
+        np.testing.assert_array_equal(got.normals[4000:], np.tile([0, 0, 1.0], (400, 1)))
+        np.testing.assert_allclose(np.abs(got.normals[:4000, 2]), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("density", [1000.0, 3000.0])
+    def test_oversegment_on_the_shared_grid(self, density):
+        cloud = generate_scene(SceneSpec(
+            seed=5, room_extent=(3.6, 3.0, 2.2), points_per_m2=density,
+            furniture_counts={"table": 1, "chair": 2, "cabinet": 1, "object": 2}))
+        config = PipelineConfig(voxel_resolution=0.025, seed_resolution=0.15)
+        grid = voxel_grid(cloud.positions, config.voxel_resolution)
+        cloud = compute_normals(cloud, k=15, grid=grid)
+        _assert_same_graph(oversegment(cloud, config, grid=grid),
+                           oversegment(cloud, config))
+
+
 def _small_scene(frame):
     """A furnished synthetic room, in the camera frame if asked."""
     cloud = generate_scene(SceneSpec(
@@ -227,18 +353,33 @@ class TestStreaming:
         cloud = generate_scene(SceneSpec(seed=77, points_per_m2=4000.0,
                                          max_points=307200))
         assert len(cloud) > 250_000
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            compute_normals(cloud, k=15)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        peak = _normals_peak_bytes(cloud, grid=None)
         assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
+
+    def test_voxel_normals_peak_memory_stays_bounded(self, monkeypatch):
+        """The same bound on the voxel grid, where this cloud is dense: no
+        (V, 27) neighbour gathers either."""
+        cloud = generate_scene(SceneSpec(seed=77, points_per_m2=4000.0,
+                                         max_points=307200))
+        grid = voxel_grid(cloud.positions, 0.025)
+        monkeypatch.setattr(overseg, "cKDTree", _NoQuery)
+        peak = _normals_peak_bytes(cloud, grid)
+        assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
+
+
+def _normals_peak_bytes(cloud, grid):
+    """tracemalloc's peak over one `compute_normals` call, in bytes."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute_normals(cloud, k=15, grid=grid)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 class TestSeeds:
@@ -252,6 +393,52 @@ class TestSeeds:
         seeds = centroids[overseg._select_seeds(centroids, seed_res)]
         gaps = np.linalg.norm(centroids[:, None, :] - seeds[None, :, :], axis=2)
         assert gaps.min(axis=1).max() <= np.sqrt(3.0) * seed_res * (1 + 1e-9)
+
+
+def reference_select_seeds(vox_centroid, seed_res):
+    """`overseg._select_seeds` as a stable `np.lexsort` on (cell, distance)."""
+    floored = np.floor(vox_centroid / seed_res)
+    cell = floored.astype(np.int64)
+    cell -= cell.min(axis=0)
+    ckeys = overseg._pack_grid(cell, cell.max(axis=0) + 2)
+    dist = np.linalg.norm(vox_centroid - (floored + 0.5) * seed_res, axis=1)
+    order = np.lexsort((dist, ckeys))
+    firsts = np.ones(order.shape[0], dtype=bool)
+    firsts[1:] = ckeys[order][1:] != ckeys[order][:-1]
+    return np.sort(order[firsts])
+
+
+class TestSelectSeedsOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(centroids=arrays(np.float64, st.tuples(st.integers(1, 200), st.just(3)),
+                            elements=st.sampled_from([-0.35, -0.1, 0.0, 0.05, 0.1, 0.2,
+                                                      0.25, 0.3, 0.45, 0.6])),
+           repeats=st.integers(1, 3), seed_res=st.sampled_from([0.1, 0.2, 0.5]))
+    def test_matches_lexsort(self, centroids, repeats, seed_res):
+        """Few distinct coordinates, repeated centroids: many tied distances
+        within a cell, and cells of one voxel."""
+        centroids = np.repeat(centroids, repeats, axis=0)
+        np.testing.assert_array_equal(overseg._select_seeds(centroids, seed_res),
+                                      reference_select_seeds(centroids, seed_res))
+
+    def test_ties_take_the_lowest_index_and_lone_voxels_seed_their_cell(self):
+        # cells of 0.5 m along x, centers at 0.25, 0.75 and 1.25
+        x = np.array([0.125, 0.375, 0.625, 0.75, 1.375, 0.375])
+        centroids = np.column_stack([x, np.full(6, 0.25), np.full(6, 0.25)])
+        seeds = overseg._select_seeds(centroids, 0.5)
+        # cell 0: voxels 0, 1 and 5 tie; cell 1: voxel 3 is nearer than 2;
+        # cell 2: voxel 4 alone
+        np.testing.assert_array_equal(seeds, [0, 3, 4])
+        np.testing.assert_array_equal(seeds, reference_select_seeds(centroids, 0.5))
+
+    def test_frame_voxels_match_lexsort(self):
+        cloud = _small_scene(FRAME_CAMERA)
+        grid = voxel_grid(cloud.positions, 0.025)
+        counts = np.bincount(grid.vox_of_point).astype(np.float64)
+        centroids = overseg.group_sums(grid.vox_of_point, cloud.positions,
+                                       counts.shape[0]) / counts[:, None]
+        np.testing.assert_array_equal(overseg._select_seeds(centroids, 0.15),
+                                      reference_select_seeds(centroids, 0.15))
 
 
 def _dense_plane_cloud(rng, extent=1.0, density=12000, z=0.0):

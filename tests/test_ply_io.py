@@ -4,6 +4,7 @@ import pytest
 from indoorseg.cloud import FRAME_GRAVITY, PointCloud
 from indoorseg.errors import PlyParseError
 from indoorseg.ply_io import read_cloud, write_cloud
+from indoorseg.synth import SceneSpec, generate_scene
 
 from conftest import make_cloud
 
@@ -94,13 +95,17 @@ def test_ascii_field_outside_uchar_range(tmp_path, row):
     ("0 0 0 1 2 3 4 5", "vertex 1: expected 7 fields, got 8"),
     ("0 x 0 1 2 3 1", "vertex 1: bad numeric field"),
     ("0 0 0 1.5 2 3 1", "vertex 1: bad numeric field"),
+    # np.loadtxt would skip the blank line and split at the Latin-1 no-break
+    # space; the per-line parse rejects both
+    ("", "vertex 1: expected 7 fields, got 0"),
+    ("0\xa0 0 0 1 2 3 1", "vertex 1: bad numeric field"),
 ])
 def test_ascii_bad_vertex_line_reports_index_and_offset(tmp_path, row, message):
     """The body is long enough for the size pre-check (2 * 7 * 3 - 1 bytes),
     so the error comes from the vertex line itself, at that line's start."""
     path = tmp_path / "c.ply"
     header, first = ASCII_HEADER.format(3), "10 10 10 40 50 60 0\n"
-    path.write_text(header + first + row + "\n20 20 20 70 80 90 1\n")
+    path.write_bytes((header + first + row + "\n20 20 20 70 80 90 1\n").encode("latin-1"))
     with pytest.raises(PlyParseError, match=message) as exc:
         read_cloud(path)
     assert exc.value.offset == len(header) + len(first)
@@ -173,3 +178,27 @@ def test_write_read_write_byte_identical_1000_clouds(tmp_path, rng):
         write_cloud(cloud, a)
         write_cloud(read_cloud(a), b)
         assert a.read_bytes() == b.read_bytes(), f"cloud {i} differs"
+
+
+def test_ascii_and_binary_files_of_one_cloud_read_the_same(tmp_path):
+    """A synthetic room, written binary and as ASCII with each float32's
+    shortest text: both read to identical arrays."""
+    cloud = generate_scene(SceneSpec(seed=3, room_extent=(3.6, 3.0, 2.2),
+                                     points_per_m2=400.0))
+    binary = tmp_path / "b.ply"
+    write_cloud(cloud, binary)
+    raw = binary.read_bytes()
+    end = raw.index(b"end_header\n") + len(b"end_header\n")
+    data = np.frombuffer(raw, offset=end, dtype=[
+        ("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
+        ("r", "u1"), ("g", "u1"), ("b", "u1"), ("label", "u1")])
+    # numpy prints each float32 as its shortest round-tripping text
+    lines = [" ".join(map(str, row)) for row in data]
+    ascii_path = tmp_path / "a.ply"
+    ascii_path.write_bytes(raw[:end].replace(b"binary_little_endian", b"ascii")
+                           + ("\n".join(lines) + "\n").encode())
+    a, b = read_cloud(ascii_path), read_cloud(binary)
+    assert len(a) == len(cloud) > 10_000
+    for name in ("positions", "colors", "labels"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
