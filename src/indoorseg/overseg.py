@@ -11,7 +11,7 @@ The result, `PatchGraph`, is three arrays: the point-to-patch map, the
 patch adjacency edges and the patch centroids. Patch members are not
 stored; every consumer reduces over ``point_to_patch`` directly.
 
-Both stages can share one `VoxelGrid`: the occupied voxels, the voxel of
+Both stages share one `VoxelGrid`: the occupied voxels, the voxel of
 every point and the voxel adjacency pairs. On a cloud dense enough for it
 (see `compute_normals`) the normals come from each voxel's
 27-neighbourhood on that grid, in the spirit of VCCS (Papon et al.,
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
@@ -95,8 +95,7 @@ def canonicalize_hemisphere(normals: np.ndarray) -> np.ndarray:
     return n
 
 
-def compute_normals(cloud: PointCloud, k: int = 15,
-                    grid: Optional[VoxelGrid] = None) -> PointCloud:
+def compute_normals(cloud: PointCloud, grid: VoxelGrid, k: int = 15) -> PointCloud:
     """Per-point unit normals from a neighbourhood's scatter matrix.
 
     The normal is the eigenvector of the smallest eigenvalue. In the camera
@@ -104,21 +103,25 @@ def compute_normals(cloud: PointCloud, k: int = 15,
     frame it is flipped into the upper hemisphere. Neighborhoods of rank < 2
     get the frame's up vector and a True entry in ``normal_flags``.
 
-    The neighbourhood is a point's k nearest neighbours, unless ``grid`` is
-    given and the cloud is dense on it: when the median point's
-    27-neighbourhood (its voxel and the 26 around it) holds at least k
+    ``grid`` is the cloud's `voxel_grid`. When the median point's
+    27-neighbourhood on it (its voxel and the 26 around it) holds at least k
     points, every point takes its voxel's normal, computed from the points of
-    that 27-neighbourhood (`_voxel_normals`). A sparser cloud keeps the kNN.
+    that 27-neighbourhood (`_voxel_normals`). A sparser cloud takes each
+    point's normal from its k nearest neighbours (`_knn_normals`).
     """
     n_points = len(cloud)
     if n_points < k:
         raise InputError(f"cloud has {n_points} points, need at least k={k}")
-    if grid is not None:
-        reach = np.bincount(grid.vox_of_point,
-                            minlength=grid.keys.shape[0]).astype(np.float64)
-        grid.add_neighbours(reach)
-        if np.median(reach[grid.vox_of_point]) >= k:
-            return _voxel_normals(cloud, grid, reach)
+    reach = np.bincount(grid.vox_of_point, minlength=grid.keys.shape[0]).astype(np.float64)
+    grid.add_neighbours(reach)
+    if np.median(reach[grid.vox_of_point]) >= k:
+        return _voxel_normals(cloud, grid, reach)
+    return _knn_normals(cloud, k)
+
+
+def _knn_normals(cloud: PointCloud, k: int) -> PointCloud:
+    """`compute_normals` over each point's k nearest neighbours."""
+    n_points = len(cloud)
     tree = cKDTree(cloud.positions, leafsize=32, balanced_tree=False)
     # everything below runs in the tree's own point order: a slice of
     # neighbouring queries walks the same leaves, and the neighbours' entries
@@ -350,14 +353,13 @@ def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
                      pairs=np.concatenate(blocks))
 
 
-def oversegment(cloud: PointCloud, config: PipelineConfig,
-                grid: Optional[VoxelGrid] = None) -> PatchGraph:
+def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> PatchGraph:
     """Cluster a cloud (with normals) into compact patches plus adjacency.
 
     Reads the config's resolutions, distance weights and
     ``min_patch_points``. Smaller patches are discarded; their points map to
-    -1 in ``point_to_patch``. ``grid``, if given, is the cloud's
-    `voxel_grid` at ``config.voxel_resolution``; else it is built here.
+    -1 in ``point_to_patch``. ``grid`` is the cloud's `voxel_grid` at
+    ``config.voxel_resolution``.
     """
     if len(cloud) == 0:
         return PatchGraph(point_to_patch=np.zeros(0, dtype=np.int64),
@@ -366,8 +368,6 @@ def oversegment(cloud: PointCloud, config: PipelineConfig,
         raise InputError("oversegment requires per-point normals (run compute_normals)")
 
     pos = cloud.positions
-    if grid is None:
-        grid = voxel_grid(pos, config.voxel_resolution)
     vox_of_point = grid.vox_of_point
     n_vox = grid.keys.shape[0]
 
@@ -405,7 +405,8 @@ def oversegment(cloud: PointCloud, config: PipelineConfig,
     same_a, same_b = pairs[same].T
     graph = sparse.csr_matrix(
         (np.ones(same_a.shape[0], dtype=np.int8), (same_a, same_b)), shape=(n_vox, n_vox))
-    del pairs, same_a, same_b, grid
+    # the pair list itself is the caller's grid's, alive until the grid is
+    del same_a, same_b
     _, comp = connected_components(graph, directed=False)
     del graph
 

@@ -181,11 +181,11 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
     # one voxel grid for both stages: dense clouds take their normals from
     # it, and the oversegmentation clusters its voxels
     grid = voxel_grid(cloud.positions, config.voxel_resolution)
-    cloud = compute_normals(cloud, k=config.normals_k, grid=grid)
+    cloud = compute_normals(cloud, grid, k=config.normals_k)
     timings["normals"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    graph = oversegment(cloud, config, grid=grid)
+    graph = oversegment(cloud, config, grid)
     del grid
     timings["oversegmentation"] = time.perf_counter() - t0
 

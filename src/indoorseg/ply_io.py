@@ -7,7 +7,6 @@ read; the writer always emits binary_little_endian.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Optional
 
@@ -20,12 +19,6 @@ _FLOAT_NAMES = {"float", "float32"}
 _UCHAR_NAMES = {"uchar", "uint8"}
 
 _BASE_PROPS = ("x", "y", "z", "red", "green", "blue")
-
-# the bytes `bytes.split()` splits on, and those plus printable ASCII
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b" \t\n\r\x0b\x0c")] = True
-_PLAIN = _SPACE.copy()
-_PLAIN[0x21:0x7f] = True
 
 
 def _vertex_dtype(with_label: bool) -> np.dtype:
@@ -177,9 +170,6 @@ def _parse_ascii_body(raw: bytes, body_offset: int, vertex_count: int,
         raise PlyParseError(f"payload truncated: header declares {vertex_count} vertices, "
                             f"too many for {len(raw) - body_offset} bytes", offset=len(raw))
     data = np.empty(vertex_count, dtype=_vertex_dtype(with_label))
-    if _parse_ascii_lines(raw, body_offset, n_fields, data):
-        return data
-    # some line is malformed: walk the lines one at a time to name it
     offset = body_offset
     for i in range(vertex_count):
         end = raw.find(b"\n", offset)
@@ -203,51 +193,3 @@ def _parse_ascii_body(raw: bytes, body_offset: int, vertex_count: int,
         data[i] = tuple(values)
         offset = end + 1
     return data
-
-
-def _parse_ascii_lines(raw: bytes, body_offset: int, n_fields: int,
-                       data: np.ndarray) -> bool:
-    """Fill ``data`` from the body's first ``len(data)`` lines with one
-    `np.loadtxt`. Returns False, with ``data`` untouched, unless every line
-    holds ``n_fields`` fields that the per-line parse of `_parse_ascii_body`
-    would read to the same values, colours and label in 0..255; that parse
-    then finds the first bad line.
-
-    The two agree: the lines hold printable ASCII and `bytes.split`
-    whitespace only, ``n_fields`` fields each; `np.loadtxt` reads floats as
-    ``float()`` does (rejecting the underscores ``float()`` takes) and
-    float32 through float64, as ``np.float32()`` does, and integers as
-    ``int()`` does.
-    """
-    vertex_count = data.shape[0]
-    if vertex_count == 0:
-        return True
-    # one past the newline of each line; an unterminated last line ends the file
-    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8, offset=body_offset)
-                          == ord("\n"))[:vertex_count] + body_offset + 1
-    if ends.shape[0] < vertex_count and (ends[-1] if ends.shape[0] else body_offset) < len(raw):
-        ends = np.append(ends, len(raw))
-    if ends.shape[0] < vertex_count:
-        return False
-    text = raw[body_offset:ends[-1]]
-    byte = np.frombuffer(text, dtype=np.uint8)
-    if not _PLAIN[byte].all():
-        return False
-    # a field starts at each non-space byte after a space or a line start
-    space = _SPACE[byte]
-    head = ~space
-    head[1:] &= space[:-1]
-    line_bounds = np.concatenate([[0], ends - body_offset])
-    if (np.diff(np.searchsorted(np.flatnonzero(head), line_bounds)) != n_fields).any():
-        return False
-    names = data.dtype.names
-    try:
-        parsed = np.loadtxt(io.BytesIO(text), comments=None, ndmin=1, dtype=[
-            (name, "<f4" if c < 3 else "<i8") for c, name in enumerate(names)])
-    except (ValueError, OverflowError):
-        return False
-    if any(((parsed[name] < 0) | (parsed[name] > 255)).any() for name in names[3:]):
-        return False
-    for name in names:
-        data[name] = parsed[name]
-    return True

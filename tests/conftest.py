@@ -6,6 +6,7 @@ from indoorseg import mrf
 from indoorseg.cloud import FRAME_GRAVITY, PointCloud
 from indoorseg.errors import InputError
 from indoorseg.mrf import Labeling, MrfProblem, energy_of
+from indoorseg.overseg import voxel_grid
 
 
 @pytest.fixture
@@ -23,6 +24,12 @@ def make_cloud(positions, colors=None, labels=None, normals=None,
                       labels=None if labels is None else np.asarray(labels, dtype=np.uint8),
                       normals=None if normals is None else np.asarray(normals, dtype=np.float64),
                       frame=frame)
+
+
+def grid_of(cloud, resolution=0.01):
+    """The cloud's `voxel_grid`, at `PipelineConfig`'s default resolution
+    unless another is given."""
+    return voxel_grid(cloud.positions, resolution)
 
 
 def sample_plane(rng, n, extent=1.0, z=0.0):

@@ -13,7 +13,7 @@ from indoorseg.overseg import PatchGraph, canonicalize_hemisphere, \
     compute_normals, oversegment
 from indoorseg.pipeline import PipelineConfig
 
-from conftest import make_cloud, patch_members, sample_plane
+from conftest import grid_of, make_cloud, patch_members, sample_plane
 
 # Per-patch reference implementations of the feature groups: one patch at a
 # time, straight from the definitions in the features module docstring.
@@ -194,8 +194,9 @@ class TestExtract:
         ])
         colors = rng.integers(0, 256, size=(n, 3)).astype(np.uint8)
         cloud = make_cloud(pts, colors=colors, frame=FRAME_GRAVITY)
-        cloud = compute_normals(cloud, k=10)
-        graph = oversegment(cloud, PipelineConfig())
+        grid = grid_of(cloud)
+        cloud = compute_normals(cloud, grid, k=10)
+        graph = oversegment(cloud, PipelineConfig(), grid)
         return cloud, graph
 
     def test_empty_graph(self):
@@ -234,8 +235,9 @@ class TestExtract:
 
     def test_floor_patch_values(self, rng):
         cloud = make_cloud(sample_plane(rng, 3000, z=0.0), frame=FRAME_GRAVITY)
-        cloud = compute_normals(cloud, k=10)
-        graph = oversegment(cloud, PipelineConfig())
+        grid = grid_of(cloud)
+        cloud = compute_normals(cloud, grid, k=10)
+        graph = oversegment(cloud, PipelineConfig(), grid)
         ids, mat = feature_matrix(graph, cloud)
         assert mat.shape[0] > 0
         np.testing.assert_allclose(mat[:, 3], 0.0, atol=1e-9)   # centroid height

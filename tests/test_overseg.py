@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from indoorseg import overseg
-from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY, up_vector
+from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY, Intrinsics, ingest_depth_frame, up_vector
 from indoorseg.errors import InputError
 from indoorseg.overseg import (
     canonicalize_hemisphere,
@@ -20,13 +21,13 @@ from indoorseg.overseg import (
 from indoorseg.pipeline import PipelineConfig
 from indoorseg.synth import SceneSpec, generate_scene
 
-from conftest import assign_voxels_whole, make_cloud, patch_members, sample_plane
+from conftest import assign_voxels_whole, grid_of, make_cloud, patch_members, sample_plane
 
 
 class TestComputeNormals:
     def test_horizontal_plane_normals_point_up(self, rng):
         cloud = make_cloud(sample_plane(rng, 2000, z=0.3), frame=FRAME_GRAVITY)
-        cloud = compute_normals(cloud, k=10)
+        cloud = compute_normals(cloud, grid_of(cloud), k=10)
         np.testing.assert_allclose(cloud.normals, np.tile([0, 0, 1.0], (2000, 1)),
                                    atol=1e-6)
         assert not cloud.normal_flags.any()
@@ -39,14 +40,14 @@ class TestComputeNormals:
         pts[:, 1] = rng.uniform(-1, 1, 1500)
         pts[:, 2] = 2.0
         cloud = make_cloud(pts, frame=FRAME_CAMERA)
-        cloud = compute_normals(cloud, k=10)
+        cloud = compute_normals(cloud, grid_of(cloud), k=10)
         assert (cloud.normals[:, 2] < 0).all()
 
     def test_collinear_points_flagged(self):
         pts = np.zeros((30, 3))
         pts[:, 0] = np.linspace(0, 1, 30)
         cloud = make_cloud(pts, frame=FRAME_GRAVITY)
-        cloud = compute_normals(cloud, k=5)
+        cloud = compute_normals(cloud, grid_of(cloud), k=5)
         assert cloud.normal_flags.all()
         np.testing.assert_array_equal(cloud.normals,
                                       np.tile([0, 0, 1.0], (30, 1)))
@@ -58,7 +59,7 @@ class TestComputeNormals:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         center = np.array([0.5, 0.5, 1.5])
         cloud = make_cloud(center + 0.5 * v, frame=FRAME_GRAVITY)
-        cloud = compute_normals(cloud, k=10)
+        cloud = compute_normals(cloud, grid_of(cloud), k=10)
         radial = cloud.positions - center
         radial /= np.linalg.norm(radial, axis=1, keepdims=True)
         cos = np.abs(np.einsum("ij,ij->i", cloud.normals, radial))
@@ -68,7 +69,7 @@ class TestComputeNormals:
     def test_too_few_points(self):
         cloud = make_cloud([[0, 0, 0], [1, 1, 1]])
         with pytest.raises(InputError):
-            compute_normals(cloud, k=15)
+            compute_normals(cloud, grid_of(cloud), k=15)
 
 
 def reference_normals(cloud, k):
@@ -153,7 +154,7 @@ class TestNormalsOracle:
         # several short query chunks, so the tree-order scatter is exercised
         monkeypatch.setattr(overseg, "_KNN_CHUNK", 997)
         assert len(cloud) > 2 * 997
-        got = compute_normals(cloud, k=15)
+        got = overseg._knn_normals(cloud, 15)
         normals, flags = reference_normals(cloud, k=15)
         assert flags[-40:].all() and not flags.all()
         np.testing.assert_array_equal(got.normals, normals)
@@ -228,7 +229,7 @@ class TestVoxelNormals:
         # several eigenpair slices, the last one partial
         monkeypatch.setattr(overseg, "_KNN_CHUNK", 97)
         assert grid.keys.shape[0] > 2 * 97 and grid.keys.shape[0] % 97
-        got = compute_normals(cloud, k=15, grid=grid)
+        got = compute_normals(cloud, grid, k=15)
         normals, flags = reference_voxel_normals(cloud, self.RES)
         np.testing.assert_array_equal(got.normal_flags, flags)
         if frame == FRAME_CAMERA:
@@ -244,18 +245,18 @@ class TestVoxelNormals:
         # 1000 pts/m^2 at voxel 0.025: 7 points in the median neighbourhood
         cloud = _small_scene(FRAME_CAMERA)
         grid = voxel_grid(cloud.positions, 0.025)
-        got = compute_normals(cloud, k=15, grid=grid)
-        want = compute_normals(cloud, k=15)
+        got = compute_normals(cloud, grid, k=15)
+        want = overseg._knn_normals(cloud, 15)
         assert got.normals.tobytes() == want.normals.tobytes()
         assert got.normal_flags.tobytes() == want.normal_flags.tobytes()
 
     def test_dense_cloud_makes_no_knn_query(self, rng, monkeypatch):
         monkeypatch.setattr(overseg, "cKDTree", _NoQuery)
         cloud = _in_frame(_box_corner_scene(rng), FRAME_CAMERA)
-        got = compute_normals(cloud, k=15, grid=voxel_grid(cloud.positions, self.RES))
+        got = compute_normals(cloud, grid_of(cloud, self.RES), k=15)
         assert not got.normal_flags.any()
         with pytest.raises(AssertionError, match="kNN query"):
-            compute_normals(cloud, k=15)
+            overseg._knn_normals(cloud, 15)
 
     def test_rank_one_neighbourhood_gets_up_and_a_flag(self, rng):
         """A dense line beside a dense plane: the line's neighbourhoods are
@@ -264,7 +265,7 @@ class TestVoxelNormals:
         line = np.zeros((400, 3))
         line[:, 0] = np.linspace(3.0, 3.4, 400)
         cloud = make_cloud(np.vstack([plane, line]), frame=FRAME_GRAVITY)
-        got = compute_normals(cloud, k=15, grid=voxel_grid(cloud.positions, self.RES))
+        got = compute_normals(cloud, grid_of(cloud, self.RES), k=15)
         assert got.normal_flags[4000:].all() and not got.normal_flags[:4000].any()
         np.testing.assert_array_equal(got.normals[4000:], np.tile([0, 0, 1.0], (400, 1)))
         np.testing.assert_allclose(np.abs(got.normals[:4000, 2]), 1.0, atol=1e-9)
@@ -275,10 +276,109 @@ class TestVoxelNormals:
             seed=5, room_extent=(3.6, 3.0, 2.2), points_per_m2=density,
             furniture_counts={"table": 1, "chair": 2, "cabinet": 1, "object": 2}))
         config = PipelineConfig(voxel_resolution=0.025, seed_resolution=0.15)
-        grid = voxel_grid(cloud.positions, config.voxel_resolution)
-        cloud = compute_normals(cloud, k=15, grid=grid)
-        _assert_same_graph(oversegment(cloud, config, grid=grid),
-                           oversegment(cloud, config))
+        grid = grid_of(cloud, config.voxel_resolution)
+        cloud = compute_normals(cloud, grid, k=15)
+        # the normals leave the grid as it was
+        _assert_same_graph(oversegment(cloud, config, grid),
+                           _oversegment(cloud, config))
+
+
+# a furnished room (x, y, z up, metres) and three boxes standing in it
+_ROOM = ((0.0, -2.0, 0.0), (5.0, 2.2, 2.6))
+_BOXES = (((2.0, -0.6, 0.0), (3.0, 0.4, 0.75)), ((1.2, 0.8, 0.0), (1.6, 1.2, 0.45)),
+          ((3.8, -1.9, 0.0), (4.4, -1.1, 1.8)))
+
+
+@functools.lru_cache(maxsize=None)
+def _depth_frame(noise):
+    """A 640x480 depth image of `_ROOM`, back-projected by
+    `ingest_depth_frame`, and the true normal of every point (camera frame).
+
+    The camera has NYU-like intrinsics and stands 1.2 m up, pitched 15
+    degrees down and turned 10 degrees aside, so the depth runs from 1.2 to
+    5.1 m and the point spacing grows with it. With ``noise`` the depth
+    carries Kinect-like axial noise, 1.2 mm + 1.9 mm * (z - 0.4 m)^2 (one
+    sigma), before the millimetre quantization of the raw image.
+    """
+    intr = Intrinsics(fx=525.0, fy=525.0, cx=319.5, cy=239.5, depth_scale=0.001)
+    pitch, yaw = np.radians(15.0), np.radians(10.0)
+    ahead = np.array([np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), -np.sin(pitch)])
+    right = np.array([np.sin(yaw), -np.cos(yaw), 0.0])
+    to_room = np.stack([right, np.cross(ahead, right), ahead], axis=1)
+    eye = np.array([0.3, 0.2, 1.2])
+    v, u = np.mgrid[0:480, 0:640]
+    # a ray per pixel, scaled to unit camera-frame depth
+    rays = np.stack([(u.ravel() - intr.cx) / intr.fx, (v.ravel() - intr.cy) / intr.fy,
+                     np.ones(u.size)], axis=1) @ to_room.T
+    rows = np.arange(u.size)
+    with np.errstate(divide="ignore"):
+        lo, hi = ((np.array(c) - eye) / rays for c in _ROOM)
+        # leave the room through the nearest wall ...
+        exits = np.where(rays > 0, hi, lo)
+        depth, axis = exits.min(axis=1), exits.argmin(axis=1)
+        for box in _BOXES:
+            # ... unless a box is hit first
+            lo, hi = ((np.array(c) - eye) / rays for c in box)
+            enter = np.minimum(lo, hi)
+            near, near_axis = enter.max(axis=1), enter.argmax(axis=1)
+            hit = (near <= np.maximum(lo, hi).min(axis=1)) & (near > 0) & (near < depth)
+            depth[hit], axis[hit] = near[hit], near_axis[hit]
+    normal = np.zeros_like(rays)
+    normal[rows, axis] = -np.sign(rays[rows, axis])
+    if noise:
+        depth = depth + np.random.default_rng(0).normal(size=depth.shape) * (
+            0.0012 + 0.0019 * (depth - 0.4) ** 2)
+    raw = np.round(depth / intr.depth_scale).astype(np.uint16).reshape(480, 640)
+    cloud = ingest_depth_frame(raw, np.full((480, 640, 3), 128, dtype=np.uint8), None, intr)
+    return cloud, (normal @ to_room)[raw.ravel() > 0]
+
+
+def _degrees(a, b):
+    """Per row, the angle between two unit normal arrays, sign ignored."""
+    return np.degrees(np.arccos(np.minimum(np.abs(np.einsum("ij,ij->i", a, b)), 1.0)))
+
+
+class TestDepthFrames:
+    """One point per pixel: the density falls with range. The path each
+    frame takes, and how far its normals are from the truth and from the
+    kNN's, at the default (0.01) and benchmark (0.025) voxel sizes."""
+
+    @pytest.mark.parametrize("noise, resolution, voxel_path", [
+        (False, 0.01, True), (False, 0.025, True), (True, 0.01, False), (True, 0.025, True)])
+    def test_path(self, noise, resolution, voxel_path, monkeypatch):
+        cloud, _ = _depth_frame(noise)
+        knn = overseg._knn_normals(cloud, 15)
+        if voxel_path:
+            monkeypatch.setattr(overseg, "cKDTree", _NoQuery)
+        got = compute_normals(cloud, grid_of(cloud, resolution), k=15)
+        same = got.normals.tobytes() == knn.normals.tobytes()
+        assert same != voxel_path
+
+    def test_noise_free_frame_at_the_default_voxel(self):
+        """The median neighbourhood barely reaches k (16 points): the far,
+        sparse voxels' neighbourhoods are too small or collinear, and 7.7%
+        of the points get the up vector and a flag, against none on the
+        kNN. The rest stay within half a degree of the kNN's normals."""
+        cloud, truth = _depth_frame(False)
+        got = compute_normals(cloud, grid_of(cloud), k=15)
+        knn = overseg._knn_normals(cloud, 15)
+        assert not knn.normal_flags.any()
+        assert got.normal_flags.mean() < 0.08
+        kept = ~got.normal_flags
+        assert np.median(_degrees(got.normals[kept], knn.normals[kept])) < 0.6
+        assert np.median(_degrees(got.normals[kept], truth[kept])) < 0.5
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_benchmark_voxel_beats_the_knn(self, noise):
+        """At 0.025 every neighbourhood spans 7.5 cm, where the kNN's 15
+        points span a few: noise-free, the median error is 0.05 degrees
+        against 0.43; with the noise, 3.5 against 22."""
+        cloud, truth = _depth_frame(noise)
+        got = compute_normals(cloud, grid_of(cloud, 0.025), k=15)
+        knn = overseg._knn_normals(cloud, 15)
+        assert got.normal_flags.mean() < 0.002
+        assert (np.median(_degrees(got.normals, truth))
+                < 0.5 * np.median(_degrees(knn.normals, truth)))
 
 
 def _small_scene(frame):
@@ -314,32 +414,32 @@ class TestStreaming:
     @pytest.mark.parametrize("frame", [FRAME_GRAVITY, FRAME_CAMERA])
     def test_short_slices_match_whole_array_assignment(self, frame, monkeypatch):
         cloud = _small_scene(frame)
-        want_cloud = compute_normals(cloud, k=15)
+        want_cloud = overseg._knn_normals(cloud, 15)
         with monkeypatch.context() as m:
             m.setattr(overseg, "_assign_voxels", assign_voxels_whole)
-            want = oversegment(want_cloud, self.PARAMS)
+            want = _oversegment(want_cloud, self.PARAMS)
 
         # many short slices of points and of voxels, the last one partial
         monkeypatch.setattr(overseg, "_KNN_CHUNK", 997)
-        got_cloud = compute_normals(cloud, k=15)
+        got_cloud = overseg._knn_normals(cloud, 15)
         voxels = np.unique(np.floor(cloud.positions / self.PARAMS.voxel_resolution), axis=0)
         assert len(cloud) % 997 and len(voxels) % 997 and len(voxels) > 4 * 997
         assert got_cloud.normals.tobytes() == want_cloud.normals.tobytes()
         assert got_cloud.normal_flags.tobytes() == want_cloud.normal_flags.tobytes()
-        got = oversegment(got_cloud, self.PARAMS)
+        got = _oversegment(got_cloud, self.PARAMS)
         assert len(got) > 50 and got.edges.shape[0] > 50
         _assert_same_graph(got, want)
 
     def test_same_bytes_without_the_prefetch_thread(self, monkeypatch):
         cloud = _small_scene(FRAME_CAMERA)
         monkeypatch.setattr(overseg, "_KNN_CHUNK", 997)
-        threaded = compute_normals(cloud, k=15)
-        threaded_graph = oversegment(threaded, self.PARAMS)
+        threaded = overseg._knn_normals(cloud, 15)
+        threaded_graph = _oversegment(threaded, self.PARAMS)
         monkeypatch.setattr(overseg, "_prefetched", _serial)
-        serial = compute_normals(cloud, k=15)
+        serial = overseg._knn_normals(cloud, 15)
         assert serial.normals.tobytes() == threaded.normals.tobytes()
         assert serial.normal_flags.tobytes() == threaded.normal_flags.tobytes()
-        _assert_same_graph(oversegment(serial, self.PARAMS), threaded_graph)
+        _assert_same_graph(_oversegment(serial, self.PARAMS), threaded_graph)
 
     def test_prefetched_yields_every_start_in_order(self):
         starts = range(0, 50, 7)
@@ -353,7 +453,7 @@ class TestStreaming:
         cloud = generate_scene(SceneSpec(seed=77, points_per_m2=4000.0,
                                          max_points=307200))
         assert len(cloud) > 250_000
-        peak = _normals_peak_bytes(cloud, grid=None)
+        peak = _peak_bytes(lambda: overseg._knn_normals(cloud, 15))
         assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
 
     def test_voxel_normals_peak_memory_stays_bounded(self, monkeypatch):
@@ -363,19 +463,19 @@ class TestStreaming:
                                          max_points=307200))
         grid = voxel_grid(cloud.positions, 0.025)
         monkeypatch.setattr(overseg, "cKDTree", _NoQuery)
-        peak = _normals_peak_bytes(cloud, grid)
+        peak = _peak_bytes(lambda: compute_normals(cloud, grid, k=15))
         assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
 
 
-def _normals_peak_bytes(cloud, grid):
-    """tracemalloc's peak over one `compute_normals` call, in bytes."""
+def _peak_bytes(call):
+    """tracemalloc's peak over ``call()``, in bytes."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        compute_normals(cloud, k=15, grid=grid)
+        call()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
@@ -444,18 +544,23 @@ class TestSelectSeedsOracle:
 def _dense_plane_cloud(rng, extent=1.0, density=12000, z=0.0):
     n = int(extent * extent * density)
     cloud = make_cloud(sample_plane(rng, n, extent=extent, z=z), frame=FRAME_GRAVITY)
-    return compute_normals(cloud, k=10)
+    return compute_normals(cloud, grid_of(cloud), k=10)
+
+
+def _oversegment(cloud, config):
+    """`oversegment` on the cloud's own grid."""
+    return oversegment(cloud, config, grid_of(cloud, config.voxel_resolution))
 
 
 class TestOversegment:
     def test_requires_normals(self, rng):
         cloud = make_cloud(sample_plane(rng, 100))
         with pytest.raises(InputError):
-            oversegment(cloud, PipelineConfig())
+            _oversegment(cloud, PipelineConfig())
 
     def test_empty_cloud_empty_graph(self):
         cloud = make_cloud(np.zeros((0, 3)))
-        graph = oversegment(cloud, PipelineConfig())
+        graph = _oversegment(cloud, PipelineConfig())
         assert len(graph.patches) == 0
         assert graph.edges.shape == (0, 2)
         assert graph.edges.dtype == np.int64
@@ -467,16 +572,18 @@ class TestOversegment:
 
     def test_few_points_all_discarded(self, rng):
         pts = sample_plane(rng, 5, extent=0.02)
-        cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=3)
-        graph = oversegment(cloud, PipelineConfig(min_patch_points=10))
+        cloud = make_cloud(pts, frame=FRAME_GRAVITY)
+        cloud = compute_normals(cloud, grid_of(cloud), k=3)
+        graph = _oversegment(cloud, PipelineConfig(min_patch_points=10))
         assert len(graph.patches) == 0
         assert graph.edges.shape == (0, 2)
         assert graph.edges.dtype == np.int64
 
     def test_single_patch_has_no_edges(self, rng):
         pts = sample_plane(rng, 400, extent=0.05)
-        cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=10)
-        graph = oversegment(cloud, PipelineConfig(seed_resolution=0.5))
+        cloud = make_cloud(pts, frame=FRAME_GRAVITY)
+        cloud = compute_normals(cloud, grid_of(cloud), k=10)
+        graph = _oversegment(cloud, PipelineConfig(seed_resolution=0.5))
         assert len(graph.patches) == 1
         assert graph.edges.shape == (0, 2)
         assert graph.edges.dtype == np.int64
@@ -490,10 +597,11 @@ class TestOversegment:
         pts = rng.uniform(0.0, 1.0, (6000, 3)) * size
         face = rng.integers(0, 3, 6000)
         pts[np.arange(6000), face] = rng.integers(0, 2, 6000) * size[face]
-        cloud = compute_normals(make_cloud(pts, frame=FRAME_GRAVITY), k=10)
+        cloud = make_cloud(pts, frame=FRAME_GRAVITY)
+        cloud = compute_normals(cloud, grid_of(cloud), k=10)
         params = PipelineConfig(voxel_resolution=0.02, seed_resolution=0.06,
                                min_patch_points=5)
-        graph = oversegment(cloud, params)
+        graph = _oversegment(cloud, params)
 
         ijk = np.floor(cloud.positions / params.voxel_resolution).astype(np.int64)
         vox, first = np.unique(ijk, axis=0, return_index=True)
@@ -513,7 +621,7 @@ class TestOversegment:
 
     def test_partition_and_adjacency_invariants(self, rng):
         cloud = _dense_plane_cloud(rng)
-        graph = oversegment(cloud, PipelineConfig())
+        graph = _oversegment(cloud, PipelineConfig())
         members = patch_members(graph)
         assert all(m.shape[0] for m in members)  # no empty patch
         assert graph.point_to_patch.shape == (len(cloud),)
@@ -532,7 +640,7 @@ class TestOversegment:
 
     def test_refresh_patch_stats_follows_the_moved_cloud(self, rng):
         cloud = _dense_plane_cloud(rng)
-        graph = oversegment(cloud, PipelineConfig())
+        graph = _oversegment(cloud, PipelineConfig())
         c, s = np.cos(0.3), np.sin(0.3)
         rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
         moved = cloud.with_(positions=cloud.positions @ rot.T + [0.5, -1.0, 2.0],
@@ -545,8 +653,8 @@ class TestOversegment:
 
     def test_determinism(self, rng):
         cloud = _dense_plane_cloud(rng)
-        g1 = oversegment(cloud, PipelineConfig())
-        g2 = oversegment(cloud, PipelineConfig())
+        g1 = _oversegment(cloud, PipelineConfig())
+        g2 = _oversegment(cloud, PipelineConfig())
         assert len(g1.patches) == len(g2.patches)
         np.testing.assert_array_equal(g1.edges, g2.edges)
         np.testing.assert_array_equal(g1.point_to_patch, g2.point_to_patch)
@@ -557,8 +665,9 @@ class TestOversegment:
         a = sample_plane(rng, 4000, extent=0.5, z=0.0)
         b = sample_plane(rng, 4000, extent=0.5, z=0.0)
         b[:, 0] += 5.5
-        cloud = compute_normals(make_cloud(np.vstack([a, b]), frame=FRAME_GRAVITY), k=10)
-        graph = oversegment(cloud, PipelineConfig())
+        cloud = make_cloud(np.vstack([a, b]), frame=FRAME_GRAVITY)
+        cloud = compute_normals(cloud, grid_of(cloud), k=10)
+        graph = _oversegment(cloud, PipelineConfig())
         assert len(graph.patches) >= 2
         members = patch_members(graph)
         group = np.array([cloud.positions[m][:, 0].max() > 2.5 for m in members])
@@ -576,7 +685,7 @@ class TestOversegment:
         """Exhaustive scan: every point within 2 seed resolutions of its
         patch centroid."""
         cloud = _dense_plane_cloud(rng)
-        graph = oversegment(cloud, PipelineConfig(seed_resolution=0.1))
+        graph = _oversegment(cloud, PipelineConfig(seed_resolution=0.1))
         for p, m in enumerate(patch_members(graph)):
             d = np.linalg.norm(cloud.positions[m] - graph.centroids[p], axis=1)
             assert d.max() <= 2 * 0.1
@@ -585,8 +694,10 @@ class TestOversegment:
         spec = SceneSpec(seed=17, noise_sigma=0.0, room_extent=(4.2, 3.4, 2.3),
                          points_per_m2=3000.0)
         cloud = generate_scene(spec)
-        cloud = compute_normals(cloud, k=15)
-        graph = oversegment(cloud, PipelineConfig(voxel_resolution=0.02))
+        config = PipelineConfig(voxel_resolution=0.02)
+        grid = grid_of(cloud, config.voxel_resolution)
+        cloud = compute_normals(cloud, grid, k=15)
+        graph = oversegment(cloud, config, grid)
         pure = 0
         for m in patch_members(graph):
             hist = np.bincount(cloud.labels[m], minlength=8)
@@ -596,6 +707,6 @@ class TestOversegment:
 
     def test_min_patch_points_respected(self, rng):
         cloud = _dense_plane_cloud(rng)
-        graph = oversegment(cloud, PipelineConfig(min_patch_points=50))
+        graph = _oversegment(cloud, PipelineConfig(min_patch_points=50))
         assert len(graph) > 0
         assert (np.bincount(graph.point_to_patch[graph.point_to_patch >= 0]) >= 50).all()

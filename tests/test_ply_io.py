@@ -95,8 +95,8 @@ def test_ascii_field_outside_uchar_range(tmp_path, row):
     ("0 0 0 1 2 3 4 5", "vertex 1: expected 7 fields, got 8"),
     ("0 x 0 1 2 3 1", "vertex 1: bad numeric field"),
     ("0 0 0 1.5 2 3 1", "vertex 1: bad numeric field"),
-    # np.loadtxt would skip the blank line and split at the Latin-1 no-break
-    # space; the per-line parse rejects both
+    # a blank line, and a Latin-1 no-break space that `bytes.split` does
+    # not split on
     ("", "vertex 1: expected 7 fields, got 0"),
     ("0\xa0 0 0 1 2 3 1", "vertex 1: bad numeric field"),
 ])
