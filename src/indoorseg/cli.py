@@ -156,13 +156,16 @@ def _cmd_segment(args) -> int:
     }
     probs_path = Path(args.patch_probs) if args.patch_probs else \
         out_path.with_suffix(out_path.suffix + ".patches.json")
+    probs_path.parent.mkdir(parents=True, exist_ok=True)
     probs_path.write_text(
         _patches_json(dump, result.labeling.assignment, result.distributions) + "\n")
 
     if args.dump_patches:
         debug = dump_patch_colors(result.stage_output.graph, result.stage_output.cloud,
                                   seed=config.seed)
-        write_cloud(debug, args.dump_patches)
+        dump_path = Path(args.dump_patches)
+        dump_path.parent.mkdir(parents=True, exist_ok=True)
+        write_cloud(debug, dump_path)
 
     for stage, seconds in result.timings.items():
         print(f"{stage}: {1000.0 * seconds:.1f} ms")

@@ -22,8 +22,10 @@ The kNN stages stream. Normals walk the cloud in the kd-tree's own
 point order, and the seed assignment walks the voxels, in fixed slices of
 ``_KNN_CHUNK``: query, moments, eigenpair and orientation (or seed scores)
 run on one slice and go straight into the output arrays, so no (k, N)
-neighbour table or (V, k, 3) gather is ever built. `_prefetched` runs the
-next slice's kNN query on one helper thread while the caller does the
+neighbour table or (V, k, 3) gather is ever built. The seed scores gather
+one (slice, k) block per channel from per-channel float32 rows and sum
+the channels in order, as a length-3 `einsum` would. `_prefetched` runs
+the next slice's kNN query on one helper thread while the caller does the
 current slice's math. A query's result does not depend on the thread that
 runs it, and slices are consumed in order, so every float op sees the same
 operands in the same order: the output is byte-identical to a serial run,
@@ -31,7 +33,11 @@ whatever the thread count.
 
 The voxel grid keeps one empty layer on every side, so every 26-neighbour
 of an occupied voxel lies inside the grid and its packed key is the
-voxel's key plus a constant per offset.
+voxel's key plus a constant per offset. Keys are packed with the third
+axis fastest, so the three neighbours in one neighbouring column are three
+consecutive keys: `voxel_grid` finds them with one `searchsorted` probe
+per column, and the empty layer keeps a probe's -1 and +1 keys in its
+column.
 """
 
 from __future__ import annotations
@@ -91,7 +97,10 @@ def canonicalize_hemisphere(normals: np.ndarray) -> np.ndarray:
     """Flip normals into the upper (+z) hemisphere; ties broken on y then x."""
     n = normals.copy()
     flip = (n[:, 2] < 0) | ((n[:, 2] == 0) & ((n[:, 1] < 0) | ((n[:, 1] == 0) & (n[:, 0] < 0))))
-    n[flip] *= -1.0
+    # a masked multiply in place: no gather and scatter of the flipped rows.
+    # Multiply, not `np.negative`: x * -1.0 keeps a NaN's sign bit, and
+    # turns 0.0 into -0.0 and back, as a boolean-indexed `*= -1.0` does
+    np.multiply(n, -1.0, out=n, where=flip[:, None])
     return n
 
 
@@ -286,13 +295,10 @@ def _pack_grid(ijk: np.ndarray, dims: np.ndarray) -> np.ndarray:
     return (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
 
 
-# positive-halfspace 26-connectivity offsets (13 of 26; the rest are mirrors)
-_OFFSETS = np.array([
-    (0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1),
-    (1, -1, -1), (1, -1, 0), (1, -1, 1),
-    (1, 0, -1), (1, 0, 0), (1, 0, 1),
-    (1, 1, -1), (1, 1, 0), (1, 1, 1),
-], dtype=np.int64)
+# the neighbouring (di, dj) columns of the positive half-space. With dk in
+# (-1, 0, 1) each gives three of the 13 positive half-space 26-connectivity
+# offsets; (0, 0, 1), the 13th, lies in the voxel's own column
+_COLUMNS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -302,8 +308,10 @@ class VoxelGrid:
     ``keys`` are the voxels' packed grid keys, ascending, so voxel v is the
     v-th occupied key; ``vox_of_point`` maps every point to its voxel.
     ``pairs`` (M, 2) lists each adjacent voxel pair once, as (voxel,
-    neighbour) for the 13 positive half-space offsets of ``_OFFSETS``, one
-    offset's block after another, each block ascending in voxel.
+    neighbour) for the 13 positive half-space offsets, one offset's block
+    after another, each block ascending in voxel. The offsets come in the
+    order (0, 0, 1), then (di, dj, -1), (di, dj, 0), (di, dj, 1) for each
+    (di, dj) of ``_COLUMNS``.
     """
 
     keys: np.ndarray
@@ -323,14 +331,22 @@ class VoxelGrid:
 
 
 def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
-    """The `VoxelGrid` of ``positions`` (N, 3) at ``resolution`` meters."""
+    """The `VoxelGrid` of ``positions`` (N, 3) at ``resolution`` meters.
+
+    Keys are packed with k fastest, so a voxel's column neighbours
+    (di, dj, -1..1) hold three consecutive keys around one probe key. One
+    `searchsorted` per column of ``_COLUMNS`` finds the probe's position in
+    the sorted keys; the dk = -1, 0 and +1 neighbours are then the keys just
+    below, at, and just above it, and (0, 0, 1) is the voxel's next key.
+    """
     n_points = positions.shape[0]
     if n_points == 0:
         empty = np.zeros(0, dtype=np.int64)
         return VoxelGrid(keys=empty, vox_of_point=empty.astype(np.intp),
                          pairs=np.zeros((0, 2), dtype=np.int32))
     # one empty layer on every side of the grid: a neighbour of an occupied
-    # voxel is then always inside it, so its key is the voxel's plus a delta.
+    # voxel is then always inside it, so its key is the voxel's plus a delta
+    # (and the dk = -1 and +1 keys of a probe never wrap into another column).
     # Per-point arrays are deleted once used up: they set this step's peak
     ijk = np.floor(positions / resolution).astype(np.int64)
     ijk -= ijk.min(axis=0) - 1
@@ -343,12 +359,23 @@ def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
     # voxel ids fit 32 bits for any cloud that fits in memory; the pair
     # list is the grid's largest array
     index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
-    blocks = []
-    for delta in _pack_grid(_OFFSETS, dims):
-        cand_keys = uniq_keys + delta
-        loc = np.minimum(np.searchsorted(uniq_keys, cand_keys), n_vox - 1)
-        hit = np.nonzero(uniq_keys[loc] == cand_keys)[0]
-        blocks.append(np.stack([hit, loc[hit]], axis=1).astype(index))
+
+    def block(hit, loc):
+        hit = np.flatnonzero(hit)
+        return np.stack([hit, loc[hit]], axis=1).astype(index)
+
+    # the keys and one sentinel above them, which matches no probe; a probe
+    # lies above its voxel's own key, so the key below it is a real one
+    padded = np.append(uniq_keys, np.iinfo(np.int64).max)
+    blocks = [block(padded[1:] == uniq_keys + 1, np.arange(1, n_vox + 1))]
+    for di, dj in _COLUMNS:
+        probe = uniq_keys + (di * dims[1] + dj) * dims[2]
+        at = np.searchsorted(uniq_keys, probe)  # the first key >= probe
+        found = padded[at] == probe
+        above = at + found  # the first key > probe
+        blocks += [block(uniq_keys[at - 1] == probe - 1, at - 1),
+                   block(found, at),
+                   block(padded[above] == probe + 1, above)]
     return VoxelGrid(keys=uniq_keys, vox_of_point=vox_of_point,
                      pairs=np.concatenate(blocks))
 
@@ -469,7 +496,7 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.nd
     Every voxel has one in reach: `_select_seeds` seeds every occupied
     coarse cell, so the voxel's own cell holds a seed less than
     sqrt(3) seed resolutions away, and the nearest seed is always among
-    the query's valid candidates."""
+    the query's valid candidates. `_seed_scores` scores them."""
     n_vox = vox_centroid.shape[0]
     seed_res = config.seed_resolution
     tree = cKDTree(vox_centroid[seed_vox], leafsize=32, balanced_tree=False)
@@ -480,29 +507,44 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.nd
                                 distance_upper_bound=2.0 * seed_res, workers=-1)
         return dist.reshape(-1, k), cand.reshape(-1, k)
 
-    # distances are O(1); float32 keeps the big gathers cheap
-    seed_normal = vox_normal[seed_vox].astype(np.float32)
-    seed_lab = vox_lab[seed_vox].astype(np.float32)
+    # distances are O(1); float32 keeps the big gathers cheap. One
+    # contiguous row per channel, converted once
+    seed_normal = vox_normal[seed_vox].T.astype(np.float32, order="C")
+    seed_lab = vox_lab[seed_vox].T.astype(np.float32, order="C")
+    normal_rows = vox_normal.T.astype(np.float32, order="C")
+    lab_rows = vox_lab.T.astype(np.float32, order="C")
     assign = np.empty(n_vox, dtype=np.intp)
     for start, (dist, cand) in _prefetched(query, range(0, n_vox, _KNN_CHUNK)):
         here = slice(start, start + dist.shape[0])
-        valid = np.isfinite(dist)
-        cand_safe = np.where(valid, cand, 0)
-        vn = vox_normal[here].astype(np.float32)
-        vl = vox_lab[here].astype(np.float32)
-        d_spatial = (dist / (np.sqrt(3.0) * seed_res)).astype(np.float32)
-        dots = np.abs(np.einsum("vkc,vc->vk", seed_normal[cand_safe], vn))
-        d_normal = 1.0 - np.minimum(dots, 1.0)
-        diff = seed_lab[cand_safe] - vl[:, None, :]
-        d_color = np.sqrt(np.einsum("vkc,vkc->vk", diff, diff)) / 100.0
-
-        score = (np.float32(config.w_spatial) * d_spatial
-                 + np.float32(config.w_normal) * d_normal
-                 + np.float32(config.w_color) * d_color)
-        score[~valid] = np.inf
+        cand = np.where(np.isfinite(dist), cand, 0)
+        score = _seed_scores(dist, cand, seed_normal, seed_lab, normal_rows[:, here],
+                             lab_rows[:, here], config)
         best = np.argmin(score, axis=1)
-        assign[here] = cand_safe[np.arange(best.shape[0]), best]
+        assign[here] = cand[np.arange(best.shape[0]), best]
     return assign
+
+
+def _seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config):
+    """(v, k) float32 combined distances of v voxels to their k candidate
+    seeds ``cand`` (in-range indices) at kNN distances ``dist``; inf where
+    ``dist`` is (out of reach).
+
+    Normals and Lab colours come as float32, one contiguous row per channel
+    (x, y, z; L, a, b): (3, S) for the seeds, (3, v) for the voxels. Each
+    term gathers one (v, k) block per channel and sums the channels in
+    order, in float32: the terms and roundings of a length-3 `einsum`.
+    """
+    d_spatial = (dist / (np.sqrt(3.0) * config.seed_resolution)).astype(np.float32)
+    n0, n1, n2 = (s.take(cand) * v[:, None] for s, v in zip(seed_normal, vox_normal))
+    d_normal = 1.0 - np.minimum(np.abs(n0 + n1 + n2), 1.0)
+    c0, c1, c2 = (s.take(cand) - v[:, None] for s, v in zip(seed_lab, vox_lab))
+    d_color = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / 100.0
+
+    score = (np.float32(config.w_spatial) * d_spatial
+             + np.float32(config.w_normal) * d_normal
+             + np.float32(config.w_color) * d_color)
+    score[~np.isfinite(dist)] = np.inf
+    return score
 
 
 def _centroids(positions: np.ndarray, point_to_patch: np.ndarray,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from indoorseg import mrf
+from indoorseg import mrf, overseg
 from indoorseg.cloud import FRAME_GRAVITY, PointCloud
 from indoorseg.errors import InputError
 from indoorseg.mrf import Labeling, MrfProblem, energy_of
@@ -49,6 +49,34 @@ def patch_members(graph) -> list:
 
 
 # ------------------------------------------------------ oversegmentation oracle
+
+# positive-halfspace 26-connectivity offsets (13 of 26; the rest are mirrors)
+_OFFSETS = np.array([
+    (0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1),
+    (1, -1, -1), (1, -1, 0), (1, -1, 1),
+    (1, 0, -1), (1, 0, 0), (1, 0, 1),
+    (1, 1, -1), (1, 1, 0), (1, 1, 1),
+], dtype=np.int64)
+
+
+def voxel_pairs_reference(positions, resolution) -> np.ndarray:
+    """`overseg.voxel_grid`'s ``pairs`` with one `searchsorted` per offset:
+    each voxel's key plus the offset's key delta, looked up in the sorted
+    keys. `voxel_grid` must give the same values, order and dtype."""
+    ijk = np.floor(positions / resolution).astype(np.int64)
+    ijk -= ijk.min(axis=0) - 1
+    dims = ijk.max(axis=0) + 2
+    uniq_keys = np.unique(overseg._pack_grid(ijk, dims))
+    n_vox = uniq_keys.shape[0]
+    index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
+    blocks = []
+    for delta in overseg._pack_grid(_OFFSETS, dims):
+        cand_keys = uniq_keys + delta
+        loc = np.minimum(np.searchsorted(uniq_keys, cand_keys), n_vox - 1)
+        hit = np.nonzero(uniq_keys[loc] == cand_keys)[0]
+        blocks.append(np.stack([hit, loc[hit]], axis=1).astype(index))
+    return np.concatenate(blocks)
+
 
 def assign_voxels_whole(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.ndarray:
     """`overseg._assign_voxels` as one whole-array pass: a single kNN query

@@ -258,6 +258,22 @@ def test_dump_patches_debug_ply(workspace, tmp_path):
     assert (debug.colors.sum(axis=1) > 0).any()
 
 
+def test_segment_creates_the_side_outputs_directories(workspace, tmp_path):
+    """--patch-probs and --dump-patches into directories that do not exist
+    yet, as --output: all four files, exit 0."""
+    _, scenes, model, _ = workspace
+    out = tmp_path / "out" / "labeled.ply"
+    probs = tmp_path / "probs" / "nested" / "p.json"
+    dump = tmp_path / "dump" / "nested" / "d.ply"
+    assert main(["segment", "--input", str(scenes / "scene_000.ply"),
+                 "--model", str(model), "--output", str(out),
+                 "--patch-probs", str(probs), "--dump-patches", str(dump)] + CFG) == 0
+    assert read_cloud(out).labels is not None
+    assert out.with_suffix(".ply.config.json").exists()
+    assert "patches" in json.loads(probs.read_text())
+    assert len(read_cloud(dump)) == len(read_cloud(out))
+
+
 def test_segment_with_pose_file(workspace, tmp_path):
     """Robot mode: a known camera pose replaces the label-based plane fit.
 

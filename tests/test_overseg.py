@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from indoorseg.overseg import (
 from indoorseg.pipeline import PipelineConfig
 from indoorseg.synth import SceneSpec, generate_scene
 
-from conftest import assign_voxels_whole, grid_of, make_cloud, patch_members, sample_plane
+from conftest import (
+    assign_voxels_whole,
+    grid_of,
+    make_cloud,
+    patch_members,
+    sample_plane,
+    voxel_pairs_reference,
+)
 
 
 class TestComputeNormals:
@@ -398,6 +406,14 @@ def _serial(fn, starts):
         yield start, fn(start)
 
 
+def _recorded(fn, calls):
+    """``fn``, appending each result to ``calls``."""
+    def call(*args):
+        calls.append(fn(*args))
+        return calls[-1]
+    return call
+
+
 def _assert_same_graph(got, want):
     for name in ("point_to_patch", "edges", "centroids"):
         a, b = getattr(got, name), getattr(want, name)
@@ -410,23 +426,46 @@ class TestStreaming:
     next kNN query prefetched; none of that may change a single bit."""
 
     PARAMS = PipelineConfig(voxel_resolution=0.025, seed_resolution=0.15)
+    # at 0.08 m seeds, some 10% of this scene's voxels have fewer than 12
+    # seeds in reach, so the ~valid mask decides many more scores
+    FEW_SEEDS = replace(PARAMS, seed_resolution=0.08)
 
-    @pytest.mark.parametrize("frame", [FRAME_GRAVITY, FRAME_CAMERA])
-    def test_short_slices_match_whole_array_assignment(self, frame, monkeypatch):
+    @pytest.mark.parametrize("frame, params", [
+        pytest.param(FRAME_GRAVITY, PARAMS, id=FRAME_GRAVITY),
+        pytest.param(FRAME_CAMERA, PARAMS, id=FRAME_CAMERA),
+        # a zero weight times an out-of-reach candidate's infinite distance
+        # is NaN, which the ~valid mask must overwrite. Without distance,
+        # seeds reach across the room and most patches are tiny
+        pytest.param(FRAME_CAMERA, replace(PARAMS, w_spatial=0.0, min_patch_points=3),
+                     id="w_spatial=0"),
+        pytest.param(FRAME_CAMERA, replace(PARAMS, w_normal=0.0), id="w_normal=0"),
+        pytest.param(FRAME_CAMERA, replace(PARAMS, w_color=0.0), id="w_color=0"),
+        pytest.param(FRAME_CAMERA, FEW_SEEDS, id="few_seeds_in_reach"),
+    ])
+    def test_short_slices_match_whole_array_assignment(self, frame, params, monkeypatch):
+        """The streamed, per-channel scoring against `assign_voxels_whole`'s
+        `einsum`s, bit for bit, at the default and at zero weights."""
         cloud = _small_scene(frame)
         want_cloud = overseg._knn_normals(cloud, 15)
+        if params is self.FEW_SEEDS:
+            assert np.mean(_seeds_in_reach(want_cloud, params) < 12) > 0.05
+        want_assign, got_assign = [], []
         with monkeypatch.context() as m:
-            m.setattr(overseg, "_assign_voxels", assign_voxels_whole)
-            want = _oversegment(want_cloud, self.PARAMS)
+            m.setattr(overseg, "_assign_voxels", _recorded(assign_voxels_whole, want_assign))
+            want = _oversegment(want_cloud, params)
 
         # many short slices of points and of voxels, the last one partial
         monkeypatch.setattr(overseg, "_KNN_CHUNK", 997)
+        monkeypatch.setattr(overseg, "_assign_voxels",
+                            _recorded(overseg._assign_voxels, got_assign))
         got_cloud = overseg._knn_normals(cloud, 15)
         voxels = np.unique(np.floor(cloud.positions / self.PARAMS.voxel_resolution), axis=0)
         assert len(cloud) % 997 and len(voxels) % 997 and len(voxels) > 4 * 997
         assert got_cloud.normals.tobytes() == want_cloud.normals.tobytes()
         assert got_cloud.normal_flags.tobytes() == want_cloud.normal_flags.tobytes()
-        got = _oversegment(got_cloud, self.PARAMS)
+        got = _oversegment(got_cloud, params)
+        assert got_assign[0].dtype == want_assign[0].dtype
+        assert got_assign[0].tobytes() == want_assign[0].tobytes()
         assert len(got) > 50 and got.edges.shape[0] > 50
         _assert_same_graph(got, want)
 
@@ -465,6 +504,63 @@ class TestStreaming:
         monkeypatch.setattr(overseg, "cKDTree", _NoQuery)
         peak = _peak_bytes(lambda: compute_normals(cloud, grid, k=15))
         assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
+
+
+def reference_seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config):
+    """`overseg._seed_scores` on (N, 3) float32 arrays, with the (v, k, 3)
+    gathers and `einsum`s of `assign_voxels_whole`."""
+    d_spatial = (dist / (np.sqrt(3.0) * config.seed_resolution)).astype(np.float32)
+    dots = np.abs(np.einsum("vkc,vc->vk", seed_normal[cand], vox_normal))
+    d_normal = 1.0 - np.minimum(dots, 1.0)
+    diff = seed_lab[cand] - vox_lab[:, None, :]
+    d_color = np.sqrt(np.einsum("vkc,vkc->vk", diff, diff)) / 100.0
+    score = (np.float32(config.w_spatial) * d_spatial
+             + np.float32(config.w_normal) * d_normal
+             + np.float32(config.w_color) * d_color)
+    score[~np.isfinite(dist)] = np.inf
+    return score
+
+
+class TestSeedScoresOracle:
+    """Scores decide few argmins by their last bit, so the assignment
+    oracle alone would miss a change in rounding: compare the scores. A
+    weight of one on a single term gives that term's bits exactly."""
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                         (0.0, 0.0, 1.0), (0.4, 1.0, 0.2)],
+                             ids=["spatial", "normal", "color", "default"])
+    def test_per_channel_sums_match_einsum(self, weights, monkeypatch):
+        calls = []
+        monkeypatch.setattr(overseg, "_assign_voxels",
+                            lambda *args: calls.append(args) or assign_voxels_whole(*args))
+        cloud = overseg._knn_normals(_small_scene(FRAME_CAMERA), 15)
+        _oversegment(cloud, TestStreaming.PARAMS)
+        centroids, normals, lab, seeds, config = calls[0]
+        config = replace(config, **dict(zip(("w_spatial", "w_normal", "w_color"), weights)))
+        dist, cand = cKDTree(centroids[seeds]).query(
+            centroids, k=12, distance_upper_bound=2.0 * config.seed_resolution)
+        assert not np.isfinite(dist).all()
+        cand = np.where(np.isfinite(dist), cand, 0)
+        normals, lab = normals.astype(np.float32), lab.astype(np.float32)
+        got = overseg._seed_scores(
+            dist, cand, *(np.ascontiguousarray(a[seeds].T) for a in (normals, lab)),
+            *(np.ascontiguousarray(a.T) for a in (normals, lab)), config)
+        want = reference_seed_scores(dist, cand, normals[seeds], lab[seeds], normals, lab,
+                                     config)
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+
+def _seeds_in_reach(cloud, params):
+    """Per voxel, the seeds within `_assign_voxels`' 2-seed-resolution bound."""
+    grid = grid_of(cloud, params.voxel_resolution)
+    counts = np.bincount(grid.vox_of_point).astype(np.float64)
+    centroids = overseg.group_sums(grid.vox_of_point, cloud.positions,
+                                   counts.shape[0]) / counts[:, None]
+    seeds = centroids[overseg._select_seeds(centroids, params.seed_resolution)]
+    reach = cKDTree(seeds).query_ball_point(centroids, 2.0 * params.seed_resolution,
+                                            return_length=True)
+    return np.asarray(reach)
 
 
 def _peak_bytes(call):
@@ -506,6 +602,80 @@ def reference_select_seeds(vox_centroid, seed_res):
     firsts = np.ones(order.shape[0], dtype=bool)
     firsts[1:] = ckeys[order][1:] != ckeys[order][:-1]
     return np.sort(order[firsts])
+
+
+def reference_canonicalize_hemisphere(normals):
+    """`canonicalize_hemisphere` as a boolean-indexed ``*= -1.0``."""
+    n = normals.copy()
+    flip = (n[:, 2] < 0) | ((n[:, 2] == 0) & ((n[:, 1] < 0) | ((n[:, 1] == 0) & (n[:, 0] < 0))))
+    n[flip] *= -1.0
+    return n
+
+
+class TestCanonicalizeHemisphere:
+    def test_signed_zeros_and_nan_match_the_indexed_multiply(self):
+        """Every row over {±0.0, ±1.0, ±inf, ±NaN}^3, byte for byte: a flip
+        turns 0.0 into -0.0 and back, and keeps a NaN's sign bit, as
+        multiplying by -1.0 does."""
+        values = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
+        rows = np.stack(np.meshgrid(values, values, values, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        before = rows.copy()
+        got = canonicalize_hemisphere(rows)
+        assert got.tobytes() == reference_canonicalize_hemisphere(rows).tobytes()
+        assert rows.tobytes() == before.tobytes()
+        # a flipped row's z is negative or zero, never NaN, so its sign bit
+        # shows the flip; flipped rows hold signed zeros and NaNs
+        flipped = np.signbit(got[:, 2]) != np.signbit(rows[:, 2])
+        assert (flipped & (rows == 0).any(axis=1)).any()
+        assert (flipped & np.isnan(rows).any(axis=1)).any()
+
+
+def _lattice_pairs(ijk, resolution=1.0):
+    """`voxel_grid` and `voxel_pairs_reference` pairs of voxel centres at
+    integer lattice coordinates ``ijk``."""
+    positions = (np.asarray(ijk, dtype=np.float64) + 0.5) * resolution
+    return (voxel_grid(positions, resolution).pairs,
+            voxel_pairs_reference(positions, resolution))
+
+
+class TestVoxelGridPairs:
+    """`voxel_grid`'s four column probes against one `searchsorted` per
+    offset: the same pairs, in the same order, of the same dtype."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=arrays(np.int64, st.tuples(st.integers(1, 150), st.just(3)),
+                      elements=st.integers(0, 63)),
+           span=st.tuples(*[st.integers(1, 8)] * 3), shift=st.integers(-6, 2),
+           resolution=st.sampled_from([0.025, 0.5, 1.0]))
+    def test_matches_per_offset_searchsorted(self, raw, span, shift, resolution):
+        """Spans from one to eight voxels per axis: full and gapped
+        columns, lone voxels, negative coordinates, one-voxel clouds, and
+        probes past the last key."""
+        got, want = _lattice_pairs(raw % np.array(span) + shift, resolution)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_gapped_column_and_lone_voxel(self):
+        # voxels 0..5 in key order; (0, 0, 2) is a gap and (5, 5, 5) is alone
+        ijk = [(0, 0, 0), (0, 0, 1), (0, 0, 3), (0, 1, 2), (1, 0, 0), (5, 5, 5)]
+        got, want = _lattice_pairs(ijk)
+        assert got.tobytes() == want.tobytes()
+        # (0,0,1): 0-1; (0,1,-1): 2-3; (0,1,1): 1-3; (1,0,-1): 1-4; (1,0,0): 0-4
+        np.testing.assert_array_equal(got, [[0, 1], [2, 3], [1, 3], [1, 4], [0, 4]])
+
+    @pytest.mark.parametrize("ijk", [[(0, 0, 0)], [(-3, 7, -2)] * 4, [(0, 0, 0), (2, 0, 0)]],
+                             ids=["one_voxel", "one_voxel_repeated", "no_neighbours"])
+    def test_clouds_without_pairs(self, ijk):
+        got, want = _lattice_pairs(ijk)
+        assert got.shape == (0, 2) and got.dtype == want.dtype == np.int32
+
+    def test_frame_voxels(self):
+        cloud = _small_scene(FRAME_CAMERA)
+        got = voxel_grid(cloud.positions, 0.025).pairs
+        want = voxel_pairs_reference(cloud.positions, 0.025)
+        assert got.shape[0] > 100_000
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSelectSeedsOracle:
