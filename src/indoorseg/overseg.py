@@ -18,17 +18,16 @@ every point and the voxel adjacency pairs. On a cloud dense enough for it
 "Voxel Cloud Connectivity Segmentation", CVPR 2013); a sparser cloud
 takes them from its k nearest neighbours.
 
-The kNN stages stream. Normals walk the cloud in the kd-tree's own
-point order, and the seed assignment walks the voxels, in fixed slices of
-``_KNN_CHUNK``: query, moments, eigenpair and orientation (or seed scores)
-run on one slice and go straight into the output arrays, so no (k, N)
-neighbour table or (V, k, 3) gather is ever built. The seed scores gather
-one (slice, k) block per channel from per-channel float32 rows and sum
-the channels in order, as a length-3 `einsum` would. `_prefetched` runs
-the next slice's kNN query on one helper thread while the caller does the
-current slice's math. A query's result does not depend on the thread that
-runs it, and slices are consumed in order, so every float op sees the same
-operands in the same order: the output is byte-identical to a serial run,
+Normals and seed scores stream in fixed slices of ``_KNN_CHUNK``, so no
+(k, N) neighbour table or (V, k, 3) gather is ever built. The kNN normals
+walk the cloud in the kd-tree's own point order: query, moments,
+eigenpair and orientation run on one slice and go straight into the
+output arrays. The seed assignment makes one kd-tree query for all voxels
+and scores its candidates slice by slice. The seed scores gather one
+(slice, k) block per channel from per-channel float32 rows and sum the
+channels in order, as a length-3 `einsum` would. Everything runs on the
+caller's thread; only scipy's own query workers run in parallel, and a
+query's result does not depend on them, so the output is the same bytes
 whatever the thread count.
 
 The voxel grid keeps one empty layer on every side, so every 26-neighbour
@@ -42,7 +41,6 @@ column.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -143,15 +141,10 @@ def _knn_normals(cloud: PointCloud, k: int) -> PointCloud:
     normals = np.empty((n_points, 3))
     flags = np.empty(n_points, dtype=bool)
 
-    def points(here):
-        return np.ascontiguousarray(xyz[:, here].T)
-
-    def query(start):
-        idx = tree.query(points(slice(start, start + _KNN_CHUNK)), k=k, workers=-1)[1]
-        return idx.reshape(-1, k)
-
-    for start, idx in _prefetched(query, range(0, n_points, _KNN_CHUNK)):
-        here = slice(start, start + idx.shape[0])
+    for start in range(0, n_points, _KNN_CHUNK):
+        here = slice(start, start + _KNN_CHUNK)
+        points = np.ascontiguousarray(xyz[:, here].T)
+        idx = tree.query(points, k=k, workers=-1)[1].reshape(-1, k)
         # accumulate neighbor moments in query-point-local coordinates, one
         # neighbor rank at a time on contiguous per-axis arrays
         xs, ys, zs = x[here], y[here], z[here]
@@ -169,7 +162,7 @@ def _knn_normals(cloud: PointCloud, k: int) -> PointCloud:
             sxz += gx * gz
             syz += gy * gz
         moments /= float(k)
-        vec, degenerate = _oriented_normals(moments, points(here), cloud.frame)
+        vec, degenerate = _oriented_normals(moments, points, cloud.frame)
         normals[order[here]] = vec
         flags[order[here]] = degenerate
     return cloud.with_(normals=normals, normal_flags=flags)
@@ -231,21 +224,6 @@ def _oriented_normals(means, points: np.ndarray, frame: str):
         vec = canonicalize_hemisphere(vec)
     vec[degenerate] = up_vector(frame)
     return vec, degenerate
-
-
-def _prefetched(fn, starts):
-    """``(start, fn(start))`` for each of ``starts``, in order. The call for
-    the next start runs on one helper thread while the caller works on the
-    current result, so a kNN query overlaps the math on the slice before it."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = None
-        for start in starts:
-            future = pool.submit(fn, start)
-            if pending is not None:
-                yield pending[0], pending[1].result()
-            pending = start, future
-        if pending is not None:
-            yield pending[0], pending[1].result()
 
 
 def eigvals_3x3(a00, a01, a02, a11, a12, a22):
@@ -493,19 +471,21 @@ def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
 def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.ndarray:
     """Nearest seed (in combined distance) within 2 seed resolutions.
 
-    Every voxel has one in reach: `_select_seeds` seeds every occupied
-    coarse cell, so the voxel's own cell holds a seed less than
-    sqrt(3) seed resolutions away, and the nearest seed is always among
-    the query's valid candidates. `_seed_scores` scores them."""
+    One kd-tree query finds every voxel's k nearest seeds within reach;
+    `_seed_scores` scores them in ``_KNN_CHUNK`` slices of voxels. Every
+    voxel has a seed in reach: `_select_seeds` seeds every occupied coarse
+    cell, so the voxel's own cell holds a seed less than sqrt(3) seed
+    resolutions away, and the nearest seed is always among the query's
+    valid candidates."""
     n_vox = vox_centroid.shape[0]
-    seed_res = config.seed_resolution
     tree = cKDTree(vox_centroid[seed_vox], leafsize=32, balanced_tree=False)
     k = min(12, seed_vox.shape[0])
-
-    def query(start):
-        dist, cand = tree.query(vox_centroid[start:start + _KNN_CHUNK], k=k,
-                                distance_upper_bound=2.0 * seed_res, workers=-1)
-        return dist.reshape(-1, k), cand.reshape(-1, k)
+    dist, cand = tree.query(vox_centroid, k=k,
+                            distance_upper_bound=2.0 * config.seed_resolution, workers=-1)
+    dist, cand = dist.reshape(-1, k), cand.reshape(-1, k)
+    # out-of-reach candidates hold the seed count; any seed will do for
+    # their (discarded) scores
+    cand[~np.isfinite(dist)] = 0
 
     # distances are O(1); float32 keeps the big gathers cheap. One
     # contiguous row per channel, converted once
@@ -514,27 +494,29 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.nd
     normal_rows = vox_normal.T.astype(np.float32, order="C")
     lab_rows = vox_lab.T.astype(np.float32, order="C")
     assign = np.empty(n_vox, dtype=np.intp)
-    for start, (dist, cand) in _prefetched(query, range(0, n_vox, _KNN_CHUNK)):
-        here = slice(start, start + dist.shape[0])
-        cand = np.where(np.isfinite(dist), cand, 0)
-        score = _seed_scores(dist, cand, seed_normal, seed_lab, normal_rows[:, here],
-                             lab_rows[:, here], config)
+    for start in range(0, n_vox, _KNN_CHUNK):
+        here = slice(start, start + _KNN_CHUNK)
+        score = _seed_scores(dist[here], cand[here], seed_normal, seed_lab,
+                             normal_rows[:, here], lab_rows[:, here], config)
         best = np.argmin(score, axis=1)
-        assign[here] = cand[np.arange(best.shape[0]), best]
+        assign[here] = cand[here][np.arange(best.shape[0]), best]
     return assign
 
 
 def _seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config):
     """(v, k) float32 combined distances of v voxels to their k candidate
     seeds ``cand`` (in-range indices) at kNN distances ``dist``; inf where
-    ``dist`` is (out of reach).
+    ``dist`` is inf (out of reach).
 
     Normals and Lab colours come as float32, one contiguous row per channel
     (x, y, z; L, a, b): (3, S) for the seeds, (3, v) for the voxels. Each
     term gathers one (v, k) block per channel and sums the channels in
     order, in float32: the terms and roundings of a length-3 `einsum`.
     """
-    d_spatial = (dist / (np.sqrt(3.0) * config.seed_resolution)).astype(np.float32)
+    reach = np.isfinite(dist)
+    # zero, not inf, out of reach: a zero weight times inf would be NaN
+    d_spatial = (np.where(reach, dist, 0.0)
+                 / (np.sqrt(3.0) * config.seed_resolution)).astype(np.float32)
     n0, n1, n2 = (s.take(cand) * v[:, None] for s, v in zip(seed_normal, vox_normal))
     d_normal = 1.0 - np.minimum(np.abs(n0 + n1 + n2), 1.0)
     c0, c1, c2 = (s.take(cand) - v[:, None] for s, v in zip(seed_lab, vox_lab))
@@ -543,7 +525,7 @@ def _seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config)
     score = (np.float32(config.w_spatial) * d_spatial
              + np.float32(config.w_normal) * d_normal
              + np.float32(config.w_color) * d_color)
-    score[~np.isfinite(dist)] = np.inf
+    score[~reach] = np.inf
     return score
 
 

@@ -99,7 +99,7 @@ def assign_voxels_whole(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> 
     seed_lab = vox_lab[seed_vox].astype(np.float32)
     vn = vox_normal.astype(np.float32)
     vl = vox_lab.astype(np.float32)
-    d_spatial = (dist / (np.sqrt(3.0) * seed_res)).astype(np.float32)
+    d_spatial = (np.where(valid, dist, 0.0) / (np.sqrt(3.0) * seed_res)).astype(np.float32)
     dots = np.abs(np.einsum("vkc,vc->vk", seed_normal[cand_safe], vn))
     d_normal = 1.0 - np.minimum(dots, 1.0)
     diff = seed_lab[cand_safe] - vl[:, None, :]

@@ -400,12 +400,6 @@ def _small_scene(frame):
     return cloud
 
 
-def _serial(fn, starts):
-    """`overseg._prefetched` without the helper thread."""
-    for start in starts:
-        yield start, fn(start)
-
-
 def _recorded(fn, calls):
     """``fn``, appending each result to ``calls``."""
     def call(*args):
@@ -422,8 +416,8 @@ def _assert_same_graph(got, want):
 
 
 class TestStreaming:
-    """Normals and seed assignment stream over `_KNN_CHUNK` slices with the
-    next kNN query prefetched; none of that may change a single bit."""
+    """Normals and seed scores stream over `_KNN_CHUNK` slices; that may
+    change neither a single bit nor the stage's memory bound."""
 
     PARAMS = PipelineConfig(voxel_resolution=0.025, seed_resolution=0.15)
     # at 0.08 m seeds, some 10% of this scene's voxels have fewer than 12
@@ -442,6 +436,7 @@ class TestStreaming:
         pytest.param(FRAME_CAMERA, replace(PARAMS, w_color=0.0), id="w_color=0"),
         pytest.param(FRAME_CAMERA, FEW_SEEDS, id="few_seeds_in_reach"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_short_slices_match_whole_array_assignment(self, frame, params, monkeypatch):
         """The streamed, per-channel scoring against `assign_voxels_whole`'s
         `einsum`s, bit for bit, at the default and at zero weights."""
@@ -469,23 +464,6 @@ class TestStreaming:
         assert len(got) > 50 and got.edges.shape[0] > 50
         _assert_same_graph(got, want)
 
-    def test_same_bytes_without_the_prefetch_thread(self, monkeypatch):
-        cloud = _small_scene(FRAME_CAMERA)
-        monkeypatch.setattr(overseg, "_KNN_CHUNK", 997)
-        threaded = overseg._knn_normals(cloud, 15)
-        threaded_graph = _oversegment(threaded, self.PARAMS)
-        monkeypatch.setattr(overseg, "_prefetched", _serial)
-        serial = overseg._knn_normals(cloud, 15)
-        assert serial.normals.tobytes() == threaded.normals.tobytes()
-        assert serial.normal_flags.tobytes() == threaded.normal_flags.tobytes()
-        _assert_same_graph(_oversegment(serial, self.PARAMS), threaded_graph)
-
-    def test_prefetched_yields_every_start_in_order(self):
-        starts = range(0, 50, 7)
-        assert list(overseg._prefetched(lambda s: s * s, starts)) == \
-            [(s, s * s) for s in starts]
-        assert list(overseg._prefetched(lambda s: s, [])) == []
-
     def test_normals_peak_memory_stays_bounded(self):
         """A (k, N) neighbour table alone would take 37 MB here: the bound
         keeps whole-cloud neighbour tables and gathers out of this stage."""
@@ -505,11 +483,24 @@ class TestStreaming:
         peak = _peak_bytes(lambda: compute_normals(cloud, grid, k=15))
         assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
 
+    def test_oversegment_peak_memory_stays_bounded(self):
+        """One seed query for every voxel, scored in slices: (V, k, 3) seed
+        gathers of the whole query would break this bound."""
+        config = PipelineConfig()
+        cloud = generate_scene(SceneSpec())
+        grid = voxel_grid(cloud.positions, config.voxel_resolution)
+        cloud = compute_normals(cloud, grid, k=config.normals_k)
+        assert grid.keys.shape[0] > 4 * overseg._KNN_CHUNK
+        peak = _peak_bytes(lambda: oversegment(cloud, config, grid))
+        assert peak < 96e6, f"oversegment peaked at {peak / 1e6:.1f} MB"
+
 
 def reference_seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config):
     """`overseg._seed_scores` on (N, 3) float32 arrays, with the (v, k, 3)
     gathers and `einsum`s of `assign_voxels_whole`."""
-    d_spatial = (dist / (np.sqrt(3.0) * config.seed_resolution)).astype(np.float32)
+    valid = np.isfinite(dist)
+    d_spatial = (np.where(valid, dist, 0.0)
+                 / (np.sqrt(3.0) * config.seed_resolution)).astype(np.float32)
     dots = np.abs(np.einsum("vkc,vc->vk", seed_normal[cand], vox_normal))
     d_normal = 1.0 - np.minimum(dots, 1.0)
     diff = seed_lab[cand] - vox_lab[:, None, :]
@@ -517,7 +508,7 @@ def reference_seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab
     score = (np.float32(config.w_spatial) * d_spatial
              + np.float32(config.w_normal) * d_normal
              + np.float32(config.w_color) * d_color)
-    score[~np.isfinite(dist)] = np.inf
+    score[~valid] = np.inf
     return score
 
 
@@ -529,6 +520,7 @@ class TestSeedScoresOracle:
     @pytest.mark.parametrize("weights", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                                          (0.0, 0.0, 1.0), (0.4, 1.0, 0.2)],
                              ids=["spatial", "normal", "color", "default"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_per_channel_sums_match_einsum(self, weights, monkeypatch):
         calls = []
         monkeypatch.setattr(overseg, "_assign_voxels",

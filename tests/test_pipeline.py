@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -24,10 +25,17 @@ from indoorseg.synth import SceneSpec, generate_scene
 from conftest import make_cloud, patch_members
 
 
-def small_scene(seed=0):
+def small_scene(seed=0, density=900.0):
     return generate_scene(SceneSpec(
-        seed=seed, room_extent=(3.6, 3.0, 2.2), points_per_m2=900.0,
+        seed=seed, room_extent=(3.6, 3.0, 2.2), points_per_m2=density,
         furniture_counts={"table": 1, "chair": 1, "cabinet": 0, "object": 1}))
+
+
+class _SerialTree(overseg.cKDTree):
+    """A kd-tree whose queries run on one scipy worker."""
+
+    def query(self, *args, **kwargs):
+        return super().query(*args, **{**kwargs, "workers": 1})
 
 
 CFG = PipelineConfig(voxel_resolution=0.03, seed_resolution=0.15,
@@ -232,15 +240,33 @@ class TestStages:
         assert len(cloud) > overseg._KNN_CHUNK
         assert len(cloud) % overseg._KNN_CHUNK != 0
         parallel = segment_cloud(cloud, model, CFG)
-
-        class SerialTree(overseg.cKDTree):
-            def query(self, *args, **kwargs):
-                return super().query(*args, **{**kwargs, "workers": 1})
-
-        monkeypatch.setattr(overseg, "cKDTree", SerialTree)
+        monkeypatch.setattr(overseg, "cKDTree", _SerialTree)
         serial = segment_cloud(cloud, model, CFG)
         np.testing.assert_array_equal(serial.point_labels, parallel.point_labels)
         np.testing.assert_array_equal(serial.stage_output.graph.edges,
                                       parallel.stage_output.graph.edges)
         np.testing.assert_array_equal(serial.stage_output.cloud.normals,
                                       parallel.stage_output.cloud.normals)
+
+    @pytest.mark.parametrize("density, normals_path", [(4000.0, "_voxel_normals"),
+                                                       (900.0, "_knn_normals")])
+    def test_stages_start_no_thread(self, density, normals_path, monkeypatch):
+        """Normals and oversegmentation run on the caller's thread. scipy
+        starts its query workers as Python threads, so they are held at one
+        here; `test_knn_thread_count_does_not_change_results` shows that
+        they change no result."""
+        cloud = small_scene(density=density)
+        assert len(cloud) > overseg._KNN_CHUNK
+        paths = []
+        for name in ("_voxel_normals", "_knn_normals"):
+            monkeypatch.setattr(overseg, name, lambda *args, name=name, fn=getattr(overseg, name):
+                                paths.append(name) or fn(*args))
+
+        def start(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(overseg, "cKDTree", _SerialTree)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        stages = run_stages(cloud, CFG)
+        assert paths == [normals_path]
+        assert len(stages.graph) > 0
