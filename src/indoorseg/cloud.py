@@ -132,7 +132,8 @@ class PointCloud:
             if normals.shape != (n, 3):
                 raise InputError(f"normals must have shape ({n}, 3), got {normals.shape}")
             if normals.size:
-                norms = np.linalg.norm(normals, axis=1)
+                # row-wise, with no (N, 3) temporary of squares
+                norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
                 if np.abs(norms - 1.0).max() > 1e-6:
                     raise InputError("normals must be unit length within 1e-6")
             object.__setattr__(self, "normals", _freeze(normals))

@@ -31,7 +31,7 @@ import numpy as np
 from .cloud import FRAME_GRAVITY, PointCloud
 from .colorspace import srgb_to_lab
 from .errors import FeatureError, InputError
-from .overseg import PatchGraph, canonicalize_hemisphere, eigvals_3x3, group_sums
+from .overseg import PatchGraph, eigvals_3x3, group_sums, hemisphere_sign
 
 FEATURE_DIM = 14
 FEATURE_CONTRACT_VERSION = 1
@@ -59,24 +59,16 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
 
     member = graph.point_to_patch >= 0
     pid = graph.point_to_patch[member]
-    pos = cloud.positions[member]
-    normals = cloud.normals[member]
-    lab = srgb_to_lab(cloud.colors[member])
-
     sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
     if sizes.min() < 3:
         raise FeatureError(f"patch {int(np.argmin(sizes))} has {int(sizes.min())} points; "
                            "its scatter features need at least 3")
 
-    # spectral: centered second moments -> batched 3x3 eigenvalues
+    # the member copies (positions, normals, Lab) set this step's peak: each
+    # is made when its features need it and dropped after them, and
+    # positions and Lab are centred in place, one column at a time
+    pos = cloud.positions[member]
     mean_pos = group_sums(pid, pos, n_patches) / sizes[:, None]
-    d = pos - mean_pos[pid]
-    l0, l1, l2 = eigvals_3x3(*(
-        np.bincount(pid, weights=d[:, i] * d[:, j], minlength=n_patches) / sizes
-        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))))
-    spectral = np.stack([np.maximum(l0, 0.0),
-                         np.maximum(l1 - l0, 0.0),
-                         np.maximum(l2 - l1, 0.0)], axis=1)
 
     # heights: every patch has a point, so no infinity survives
     min_h = np.full(n_patches, np.inf)
@@ -85,25 +77,42 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
     np.maximum.at(max_h, pid, pos[:, 2])
     mid_h = np.clip(mean_pos[:, 2], min_h, max_h)
 
+    # spectral: centered second moments -> batched 3x3 eigenvalues
+    for c in range(3):
+        pos[:, c] -= mean_pos[:, c][pid]
+    l0, l1, l2 = eigvals_3x3(*(
+        np.bincount(pid, weights=pos[:, i] * pos[:, j], minlength=n_patches) / sizes
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))))
+    del pos
+    spectral = np.stack([np.maximum(l0, 0.0),
+                         np.maximum(l1 - l0, 0.0),
+                         np.maximum(l2 - l1, 0.0)], axis=1)
+
     # normal angles (axial statistics on the angle to the ground plane)
-    canon = canonicalize_hemisphere(normals)
-    normal_sum = group_sums(pid, canon, n_patches)
+    normals = cloud.normals[member]
+    normal_sum = group_sums(pid, normals, n_patches, hemisphere_sign(normals))
     sum_norm = np.linalg.norm(normal_sum, axis=1)
     zero_sum = sum_norm < 1e-12
     angle = np.arcsin(np.clip(np.abs(normal_sum[:, 2]) / np.maximum(sum_norm, 1e-300),
                               0.0, 1.0))
     theta = np.arcsin(np.clip(np.abs(normals[:, 2]), 0.0, 1.0))
+    del normals
     r_cos = np.bincount(pid, weights=np.cos(2.0 * theta), minlength=n_patches) / sizes
     r_sin = np.bincount(pid, weights=np.sin(2.0 * theta), minlength=n_patches) / sizes
+    del theta
     r = np.clip(np.hypot(r_cos, r_sin), _R_CLAMP, 1.0)
     circ = np.sqrt(-2.0 * np.log(r))
     angle[zero_sum] = 0.0
     circ[zero_sum] = _CIRC_STD_MAX
 
     # color moments
+    lab = srgb_to_lab(cloud.colors[member])
     mean_lab = group_sums(pid, lab, n_patches) / sizes[:, None]
-    dl = lab - mean_lab[pid]
-    var_lab = group_sums(pid, dl * dl, n_patches) / sizes[:, None]
+    for c in range(3):
+        lab[:, c] -= mean_lab[:, c][pid]
+    var_lab = np.stack([np.bincount(pid, weights=col * col, minlength=n_patches)
+                        for col in lab.T], axis=1) / sizes[:, None]
+    del lab
     std_lab = np.sqrt(np.maximum(var_lab, 0.0))
 
     return np.arange(n_patches, dtype=np.int64), np.concatenate([

@@ -23,6 +23,9 @@ from .errors import FrameDiscardError, InputError
 from .labels import Label
 
 
+_SCORE_BLOCK = 1 << 18  # floats (2 MiB) per block of hypothesis distances
+
+
 @dataclass(frozen=True)
 class GroundPlane:
     normal: np.ndarray
@@ -62,11 +65,12 @@ def estimate_ground_plane(
     offsets = -np.einsum("ij,ij->i", normals, p1[usable])
 
     # score all hypotheses at once, chunked over points to bound memory.
-    # Every chunk's distances are built in place in one reused buffer, so the
-    # scoring holds one (chunk, hypotheses) float block instead of three; the
-    # float ops are those of `np.abs(block @ normals.T + offsets)`
+    # Every chunk's distances are built in place in one reused buffer of
+    # about _SCORE_BLOCK floats; the float ops are those of
+    # `np.abs(block @ normals.T + offsets)`, and the counts do not depend on
+    # the chunk
     counts = np.zeros(normals.shape[0], dtype=np.int64)
-    chunk = max(1, int(4e6) // normals.shape[0])
+    chunk = max(1, _SCORE_BLOCK // normals.shape[0])
     buffer = np.empty((min(chunk, m), normals.shape[0]))
     for start in range(0, m, chunk):
         block = floor[start:start + chunk]
@@ -116,7 +120,8 @@ def alignment_transform(plane: GroundPlane) -> tuple[np.ndarray, np.ndarray]:
 def gravity_align(cloud: PointCloud, plane: GroundPlane) -> PointCloud:
     """Rigidly move the cloud so that the plane becomes z = 0, +z up."""
     rotation, translation = alignment_transform(plane)
-    positions = cloud.positions @ rotation.T + translation
+    positions = cloud.positions @ rotation.T
+    positions += translation
     normals = cloud.normals @ rotation.T if cloud.normals is not None else None
     return cloud.with_(positions=positions, normals=normals, frame=FRAME_GRAVITY)
 

@@ -19,16 +19,18 @@ every point and the voxel adjacency pairs. On a cloud dense enough for it
 takes them from its k nearest neighbours.
 
 Normals and seed scores stream in fixed slices of ``_KNN_CHUNK``, so no
-(k, N) neighbour table or (V, k, 3) gather is ever built. The kNN normals
-walk the cloud in the kd-tree's own point order: query, moments,
-eigenpair and orientation run on one slice and go straight into the
-output arrays. The seed assignment makes one kd-tree query for all voxels
-and scores its candidates slice by slice. The seed scores gather one
-(slice, k) block per channel from per-channel float32 rows and sum the
-channels in order, as a length-3 `einsum` would. Everything runs on the
-caller's thread; only scipy's own query workers run in parallel, and a
-query's result does not depend on them, so the output is the same bytes
-whatever the thread count.
+(k, N) neighbour table, (V, k) candidate table or (V, k, 3) gather is ever
+built. The kNN normals walk the cloud in the kd-tree's own point order:
+query, moments, eigenpair and orientation run on one slice and go straight
+into the output arrays. The seed assignment queries the seed tree for one
+slice of voxels at a time and scores that slice's candidates at once. The
+seed scores gather one (slice, k) block per channel from per-channel
+float32 rows and sum the channels in order, as a length-3 `einsum` would.
+The per-voxel normal sums take the canonicalized normals one column at a
+time, from a per-point ±1.0 `hemisphere_sign`, with no flipped (N, 3) copy.
+Everything runs on the caller's thread; only scipy's own query workers run
+in parallel, and a query's result does not depend on them, so the output
+is the same bytes whatever the thread count.
 
 The voxel grid keeps one empty layer on every side, so every 26-neighbour
 of an occupied voxel lies inside the grid and its packed key is the
@@ -84,22 +86,33 @@ class PatchGraph:
         return range(len(self))
 
 
-def group_sums(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+def group_sums(ids: np.ndarray, values: np.ndarray, n: int,
+               scale: np.ndarray | None = None) -> np.ndarray:
     """(n, C) per-group column sums of the (N, C) ``values``: row g sums the
-    rows whose id is g. One `bincount` per column."""
-    return np.stack([np.bincount(ids, weights=values[:, c], minlength=n)
-                     for c in range(values.shape[1])], axis=1)
+    rows whose id is g, each times its entry of the (N,) ``scale`` if one is
+    given. One `bincount` per column, so no scaled (N, C) copy is built."""
+    return np.stack([np.bincount(ids, weights=col if scale is None else col * scale,
+                                 minlength=n)
+                     for col in values.T], axis=1)
+
+
+def hemisphere_sign(normals: np.ndarray) -> np.ndarray:
+    """(N,) -1.0 where a normal points into the lower (-z) hemisphere, 1.0
+    elsewhere; ties on z are broken on y, then on x."""
+    x, y, z = normals.T
+    flip = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
+    return np.where(flip, -1.0, 1.0)
 
 
 def canonicalize_hemisphere(normals: np.ndarray) -> np.ndarray:
-    """Flip normals into the upper (+z) hemisphere; ties broken on y then x."""
-    n = normals.copy()
-    flip = (n[:, 2] < 0) | ((n[:, 2] == 0) & ((n[:, 1] < 0) | ((n[:, 1] == 0) & (n[:, 0] < 0))))
-    # a masked multiply in place: no gather and scatter of the flipped rows.
-    # Multiply, not `np.negative`: x * -1.0 keeps a NaN's sign bit, and
-    # turns 0.0 into -0.0 and back, as a boolean-indexed `*= -1.0` does
-    np.multiply(n, -1.0, out=n, where=flip[:, None])
-    return n
+    """Flip normals into the upper (+z) hemisphere; ties broken on y then x.
+
+    Multiplying by the `hemisphere_sign`, not negating: x * -1.0 keeps a
+    NaN's sign bit and turns 0.0 into -0.0 and back, and x * 1.0 is x, so
+    a row's bits are those of a boolean-indexed ``*= -1.0``, and a sum of
+    ``normals[:, c] * sign`` adds up exactly the canonicalized values.
+    """
+    return normals * hemisphere_sign(normals)[:, None]
 
 
 def compute_normals(cloud: PointCloud, grid: VoxelGrid, k: int = 15) -> PointCloud:
@@ -179,15 +192,19 @@ def _voxel_normals(cloud: PointCloud, grid: VoxelGrid, reach: np.ndarray) -> Poi
     """
     vox = grid.vox_of_point
     n_vox = grid.keys.shape[0]
-    origin = cloud.positions.mean(axis=0)
-    xyz = cloud.positions.T - origin[:, None]
+    pos = cloud.positions
+    origin = pos.mean(axis=0)
+
+    def centred(i):
+        return pos[:, i] - origin[i]
+
     moments = np.empty((9, n_vox))
-    # rows x, y, z, xx, yy, zz, xy, xz, yz; one product alive at a time
+    # rows x, y, z, xx, yy, zz, xy, xz, yz; each centred on the fly, so at
+    # most two centred axes and one product are alive at a time
     for row, (i, j) in zip(moments, ((0, -1), (1, -1), (2, -1), (0, 0), (1, 1), (2, 2),
                                      (0, 1), (0, 2), (1, 2))):
-        row[:] = np.bincount(vox, weights=xyz[i] if j < 0 else xyz[i] * xyz[j],
+        row[:] = np.bincount(vox, weights=centred(i) if j < 0 else centred(i) * centred(j),
                              minlength=n_vox)
-    del xyz
     grid.add_neighbours(moments)
     vox_normal = np.empty((n_vox, 3))
     vox_flag = np.empty(n_vox, dtype=bool)
@@ -379,16 +396,18 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     counts = np.bincount(vox_of_point, minlength=n_vox).astype(np.float64)
     vox_centroid = group_sums(vox_of_point, pos, n_vox) / counts[:, None]
 
-    canon = canonicalize_hemisphere(cloud.normals)
-    vox_normal = group_sums(vox_of_point, canon, n_vox)
+    # the canonicalized normals' sums, one column at a time
+    sign = hemisphere_sign(cloud.normals)
+    vox_normal = group_sums(vox_of_point, cloud.normals, n_vox, sign)
     norm = np.linalg.norm(vox_normal, axis=1)
     weak = norm < 1e-12
     if weak.any():
         order = np.argsort(vox_of_point, kind="stable")
         starts = np.searchsorted(vox_of_point[order], np.arange(n_vox))
-        vox_normal[weak] = canon[order[starts[weak]]]
+        first = order[starts[weak]]
+        vox_normal[weak] = cloud.normals[first] * sign[first, None]
         norm = np.linalg.norm(vox_normal, axis=1)
-    del canon
+    del sign
     vox_normal /= np.maximum(norm, 1e-300)[:, None]
 
     lab = srgb_to_lab(cloud.colors)
@@ -397,6 +416,7 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
 
     seed_vox = _select_seeds(vox_centroid, config.seed_resolution)
     assign = _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config)
+    del vox_centroid, vox_normal, vox_lab
 
     # the voxel adjacency pairs, split by whether both ends went to the same
     # seed: only same-seed pairs join voxels into patches, and two touching
@@ -449,11 +469,21 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
 def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
     """One seed voxel per occupied coarse cell: the voxel nearest the cell
     center, the lowest index on a tie."""
-    floored = np.floor(vox_centroid / seed_res)
+    floored = vox_centroid / seed_res
+    np.floor(floored, out=floored)
     cell = floored.astype(np.int64)
     cell -= cell.min(axis=0)
     ckeys = _pack_grid(cell, cell.max(axis=0) + 2)
-    dist = np.linalg.norm(vox_centroid - (floored + 0.5) * seed_res, axis=1)
+    del cell
+    # the distance to the cell center, with `np.linalg.norm`'s float ops
+    # but built in place: no (V, 3) temporary beside ``floored``
+    offset = floored
+    offset += 0.5
+    offset *= seed_res
+    np.subtract(vox_centroid, offset, out=offset)
+    offset *= offset
+    dist = np.sqrt(offset.sum(axis=1))
+    del floored, offset
     # a stable sort keeps each cell's voxels in index order, so the first
     # voxel at its cell's least distance is the lowest index among ties
     order = np.argsort(ckeys, kind="stable")
@@ -471,21 +501,16 @@ def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
 def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.ndarray:
     """Nearest seed (in combined distance) within 2 seed resolutions.
 
-    One kd-tree query finds every voxel's k nearest seeds within reach;
-    `_seed_scores` scores them in ``_KNN_CHUNK`` slices of voxels. Every
-    voxel has a seed in reach: `_select_seeds` seeds every occupied coarse
-    cell, so the voxel's own cell holds a seed less than sqrt(3) seed
-    resolutions away, and the nearest seed is always among the query's
-    valid candidates."""
+    Voxels go in ``_KNN_CHUNK`` slices: one kd-tree query finds each
+    slice's k nearest seeds within reach, and `_seed_scores` scores them
+    there, so no (V, k) candidate table is built. Every voxel has a seed in
+    reach: `_select_seeds` seeds every occupied coarse cell, so the voxel's
+    own cell holds a seed less than sqrt(3) seed resolutions away, and the
+    nearest seed is always among the query's valid candidates."""
     n_vox = vox_centroid.shape[0]
     tree = cKDTree(vox_centroid[seed_vox], leafsize=32, balanced_tree=False)
     k = min(12, seed_vox.shape[0])
-    dist, cand = tree.query(vox_centroid, k=k,
-                            distance_upper_bound=2.0 * config.seed_resolution, workers=-1)
-    dist, cand = dist.reshape(-1, k), cand.reshape(-1, k)
-    # out-of-reach candidates hold the seed count; any seed will do for
-    # their (discarded) scores
-    cand[~np.isfinite(dist)] = 0
+    reach = 2.0 * config.seed_resolution
 
     # distances are O(1); float32 keeps the big gathers cheap. One
     # contiguous row per channel, converted once
@@ -496,10 +521,16 @@ def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.nd
     assign = np.empty(n_vox, dtype=np.intp)
     for start in range(0, n_vox, _KNN_CHUNK):
         here = slice(start, start + _KNN_CHUNK)
-        score = _seed_scores(dist[here], cand[here], seed_normal, seed_lab,
+        dist, cand = tree.query(vox_centroid[here], k=k, distance_upper_bound=reach,
+                                workers=-1)
+        dist, cand = dist.reshape(-1, k), cand.reshape(-1, k)
+        # out-of-reach candidates hold the seed count; any seed will do for
+        # their (discarded) scores
+        cand[~np.isfinite(dist)] = 0
+        score = _seed_scores(dist, cand, seed_normal, seed_lab,
                              normal_rows[:, here], lab_rows[:, here], config)
         best = np.argmin(score, axis=1)
-        assign[here] = cand[here][np.arange(best.shape[0]), best]
+        assign[here] = cand[np.arange(best.shape[0]), best]
     return assign
 
 
@@ -511,31 +542,58 @@ def _seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config)
     Normals and Lab colours come as float32, one contiguous row per channel
     (x, y, z; L, a, b): (3, S) for the seeds, (3, v) for the voxels. Each
     term gathers one (v, k) block per channel and sums the channels in
-    order, in float32: the terms and roundings of a length-3 `einsum`.
+    order, in float32: the terms and roundings of a length-3 `einsum`. The
+    terms are weighted and added up in place, in the order of
+    ``w_spatial * d_spatial + w_normal * d_normal + w_color * d_color``,
+    so a few (v, k) blocks are alive at a time, not one per term and
+    channel.
     """
     reach = np.isfinite(dist)
     # zero, not inf, out of reach: a zero weight times inf would be NaN
-    d_spatial = (np.where(reach, dist, 0.0)
-                 / (np.sqrt(3.0) * config.seed_resolution)).astype(np.float32)
-    n0, n1, n2 = (s.take(cand) * v[:, None] for s, v in zip(seed_normal, vox_normal))
-    d_normal = 1.0 - np.minimum(np.abs(n0 + n1 + n2), 1.0)
-    c0, c1, c2 = (s.take(cand) - v[:, None] for s, v in zip(seed_lab, vox_lab))
-    d_color = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / 100.0
+    spatial = np.where(reach, dist, 0.0)
+    spatial /= np.sqrt(3.0) * config.seed_resolution
+    score = spatial.astype(np.float32)
+    del spatial
+    score *= np.float32(config.w_spatial)
 
-    score = (np.float32(config.w_spatial) * d_spatial
-             + np.float32(config.w_normal) * d_normal
-             + np.float32(config.w_color) * d_color)
+    # |n . n_seed|, channel by channel
+    term = seed_normal[0].take(cand)
+    term *= vox_normal[0][:, None]
+    part = np.empty_like(term)
+    for s, v in zip(seed_normal[1:], vox_normal[1:]):
+        np.multiply(s.take(cand), v[:, None], out=part)
+        term += part
+    np.abs(term, out=term)
+    np.minimum(term, 1.0, out=term)
+    np.subtract(1.0, term, out=term)
+    term *= np.float32(config.w_normal)
+    score += term
+
+    # |lab - lab_seed|, channel by channel
+    np.subtract(seed_lab[0].take(cand), vox_lab[0][:, None], out=term)
+    term *= term
+    for s, v in zip(seed_lab[1:], vox_lab[1:]):
+        np.subtract(s.take(cand), v[:, None], out=part)
+        part *= part
+        term += part
+    np.sqrt(term, out=term)
+    term /= 100.0
+    term *= np.float32(config.w_color)
+    score += term
+
     score[~reach] = np.inf
     return score
 
 
 def _centroids(positions: np.ndarray, point_to_patch: np.ndarray,
                n_patches: int) -> np.ndarray:
-    """(P, 3) mean position of each patch's points."""
+    """(P, 3) mean position of each patch's points, summed one axis at a
+    time."""
     member = point_to_patch >= 0
     pid = point_to_patch[member]
     sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
-    return group_sums(pid, positions[member], n_patches) / sizes[:, None]
+    return np.stack([np.bincount(pid, weights=col[member], minlength=n_patches)
+                     for col in positions.T], axis=1) / sizes[:, None]
 
 
 def refresh_patch_stats(graph: PatchGraph, cloud: PointCloud) -> PatchGraph:

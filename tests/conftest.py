@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -117,6 +119,21 @@ def assign_voxels_whole(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> 
         _, nearest = tree.query(vox_centroid[unreached], k=1, workers=-1)
         assign[unreached] = nearest
     return assign
+
+
+def peak_bytes(call):
+    """tracemalloc's peak over ``call()``, in bytes above its start."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------- MRF oracles

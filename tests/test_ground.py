@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from indoorseg import ground
 from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
 from indoorseg.errors import FrameDiscardError, InputError
 from indoorseg.ground import (
@@ -60,6 +61,22 @@ class TestEstimate:
         p2 = estimate_ground_plane(cloud, min_floor_points=100, seed=7)
         np.testing.assert_array_equal(p1.normal, p2.normal)
         assert p1.offset == p2.offset
+
+    def test_scoring_block_does_not_change_the_plane(self, rng, monkeypatch):
+        """The hypotheses are scored over blocks of floor points; a block of
+        one point gives the same plane and inliers, bit for bit."""
+        cloud = camera_floor_cloud(rng, n=4000, height=1.2, outlier_frac=0.2)
+        # a noisy floor, so many points lie near the threshold of some plane
+        noisy = cloud.positions + rng.normal(0.0, 0.01, cloud.positions.shape)
+        cloud = cloud.with_(positions=noisy)
+        want = estimate_ground_plane(cloud, min_floor_points=100, seed=5)
+        assert 0 < want.inlier_count < len(cloud)
+        assert len(cloud) > ground._SCORE_BLOCK // 200
+        monkeypatch.setattr(ground, "_SCORE_BLOCK", 1)
+        got = estimate_ground_plane(cloud, min_floor_points=100, seed=5)
+        assert got.normal.tobytes() == want.normal.tobytes()
+        assert got.offset == want.offset
+        assert got.inlier_count == want.inlier_count
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gravity_frame_floor_normal_points_up(self, seed):

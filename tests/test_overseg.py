@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from conftest import (
     grid_of,
     make_cloud,
     patch_members,
+    peak_bytes,
     sample_plane,
     voxel_pairs_reference,
 )
@@ -470,7 +470,7 @@ class TestStreaming:
         cloud = generate_scene(SceneSpec(seed=77, points_per_m2=4000.0,
                                          max_points=307200))
         assert len(cloud) > 250_000
-        peak = _peak_bytes(lambda: overseg._knn_normals(cloud, 15))
+        peak = peak_bytes(lambda: overseg._knn_normals(cloud, 15))
         assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
 
     def test_voxel_normals_peak_memory_stays_bounded(self, monkeypatch):
@@ -480,19 +480,21 @@ class TestStreaming:
                                          max_points=307200))
         grid = voxel_grid(cloud.positions, 0.025)
         monkeypatch.setattr(overseg, "cKDTree", _NoQuery)
-        peak = _peak_bytes(lambda: compute_normals(cloud, grid, k=15))
+        peak = peak_bytes(lambda: compute_normals(cloud, grid, k=15))
         assert peak < 64e6, f"compute_normals peaked at {peak / 1e6:.1f} MB"
 
     def test_oversegment_peak_memory_stays_bounded(self):
-        """One seed query for every voxel, scored in slices: (V, k, 3) seed
-        gathers of the whole query would break this bound."""
+        """The seed query and its scores go slice by slice, and the normal
+        sums column by column: one whole query's (V, k) distances and
+        candidates (36 MB here), or a canonicalized (N, 3) copy of the
+        normals held beside them, would break this bound."""
         config = PipelineConfig()
         cloud = generate_scene(SceneSpec())
         grid = voxel_grid(cloud.positions, config.voxel_resolution)
         cloud = compute_normals(cloud, grid, k=config.normals_k)
         assert grid.keys.shape[0] > 4 * overseg._KNN_CHUNK
-        peak = _peak_bytes(lambda: oversegment(cloud, config, grid))
-        assert peak < 96e6, f"oversegment peaked at {peak / 1e6:.1f} MB"
+        peak = peak_bytes(lambda: oversegment(cloud, config, grid))
+        assert peak < 56e6, f"oversegment peaked at {peak / 1e6:.1f} MB"
 
 
 def reference_seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config):
@@ -553,21 +555,6 @@ def _seeds_in_reach(cloud, params):
     reach = cKDTree(seeds).query_ball_point(centroids, 2.0 * params.seed_resolution,
                                             return_length=True)
     return np.asarray(reach)
-
-
-def _peak_bytes(call):
-    """tracemalloc's peak over ``call()``, in bytes."""
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
 
 
 class TestSeeds:

@@ -22,7 +22,7 @@ from indoorseg.pipeline import (
 )
 from indoorseg.synth import SceneSpec, generate_scene
 
-from conftest import make_cloud, patch_members
+from conftest import make_cloud, patch_members, peak_bytes
 
 
 def small_scene(seed=0, density=900.0):
@@ -168,6 +168,16 @@ class TestStages:
             [stages.cloud.positions[m].mean(axis=0) for m in patch_members(graph)])
         for key in ("normals", "oversegmentation", "ground", "features"):
             assert key in stages.timings
+
+    def test_run_stages_peak_memory_stays_bounded(self):
+        """Every per-point and per-voxel stage works in slices or columns,
+        so no stage holds whole-cloud (N, 3) or (V, k) temporaries it does
+        not return. With them, this run peaked at 125 MB."""
+        cloud = generate_scene(SceneSpec(seed=77, points_per_m2=4000.0,
+                                         max_points=307200))
+        assert len(cloud) > 250_000
+        peak = peak_bytes(lambda: run_stages(cloud, PipelineConfig()))
+        assert peak < 84e6, f"run_stages peaked at {peak / 1e6:.1f} MB"
 
     def test_patch_majority_labels(self):
         cloud = small_scene()
