@@ -18,19 +18,22 @@ every point and the voxel adjacency pairs. On a cloud dense enough for it
 "Voxel Cloud Connectivity Segmentation", CVPR 2013); a sparser cloud
 takes them from its k nearest neighbours.
 
-Normals and seed scores stream in fixed slices of ``_KNN_CHUNK``, so no
-(k, N) neighbour table, (V, k) candidate table or (V, k, 3) gather is ever
-built. The kNN normals walk the cloud in the kd-tree's own point order:
-query, moments, eigenpair and orientation run on one slice and go straight
-into the output arrays. The seed assignment queries the seed tree for one
-slice of voxels at a time and scores that slice's candidates at once. The
-seed scores gather one (slice, k) block per channel from per-channel
-float32 rows and sum the channels in order, as a length-3 `einsum` would.
-The per-voxel normal sums take the canonicalized normals one column at a
-time, from a per-point ±1.0 `hemisphere_sign`, with no flipped (N, 3) copy.
-Everything runs on the caller's thread; only scipy's own query workers run
-in parallel, and a query's result does not depend on them, so the output
-is the same bytes whatever the thread count.
+Normals stream in fixed slices of ``_KNN_CHUNK``, so no (k, N) neighbour
+table is built. The kNN normals walk the cloud in the kd-tree's own point
+order: query, moments, eigenpair and orientation run on one slice and go
+straight into the output arrays. The seed assignment needs no kd-tree:
+`_select_seeds` puts one seed in each occupied coarse cell, so a voxel's
+nearest seeds lie in the rings of cells around its own (`_assign_voxels`),
+and blocks of (voxel, seed) pairs are scored without any (V, k) candidate
+table or (V, k, 3) gather. The seed scores gather one block per channel
+from per-channel float32 rows and sum the channels in order, as a length-3
+`einsum` would. The per-voxel normal sums take the canonicalized normals
+one column at a time, from a per-point ±1.0 `hemisphere_sign`, with no
+flipped (N, 3) copy. Everything runs on the caller's thread. A dense cloud
+starts no thread at all and loads no scipy module; only a sparse cloud's
+kNN query runs scipy's own workers in parallel, and a query's result does
+not depend on them, so the output is the same bytes whatever the thread
+count.
 
 The voxel grid keeps one empty layer on every side, so every 26-neighbour
 of an occupied voxel lies inside the grid and its packed key is the
@@ -38,18 +41,18 @@ voxel's key plus a constant per offset. Keys are packed with the third
 axis fastest, so the three neighbours in one neighbouring column are three
 consecutive keys: `voxel_grid` finds them with one `searchsorted` probe
 per column, and the empty layer keeps a probe's -1 and +1 keys in its
-column.
+column. A grid whose keys would not fit int64 is an input error.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
+import types
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .cloud import FRAME_CAMERA, PointCloud, up_vector
 from .colorspace import srgb_to_lab
@@ -58,7 +61,56 @@ from .errors import InputError
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import PipelineConfig
 
-_KNN_CHUNK = 1 << 15  # points (or voxels) per kNN query or eigenpair slice
+# points (or voxels) per kNN query or eigenpair slice; a seed search block
+# holds twice as many (voxel, seed) pairs
+_KNN_CHUNK = 1 << 15
+_SEEDS_SCORED = 12  # candidate seeds per voxel: its nearest within reach
+
+# the (di, dj, dk) offsets of the 3x3x3 and 5x5x5 blocks of coarse cells
+# around a cell, the seed search's two rings
+_RING_1 = np.array(list(itertools.product(range(-1, 2), repeat=3)))
+_RING_2 = np.array(list(itertools.product(range(-2, 3), repeat=3)))
+
+
+class _LazyKDTree:
+    """scipy's cKDTree, loaded when the first tree is built; `query` and
+    `indices` are the built tree's."""
+
+    def __init__(self, *args, **kwargs):
+        from scipy.spatial import cKDTree
+        self._tree = cKDTree(*args, **kwargs)
+
+    def query(self, *args, **kwargs):
+        return self._tree.query(*args, **kwargs)
+
+    @property
+    def indices(self):
+        return self._tree.indices
+
+
+class _Module(types.ModuleType):
+    """This module, with ``cKDTree`` as a property: the kd-tree class set
+    on the module, else scipy's cKDTree once scipy.spatial is loaded, else
+    `_LazyKDTree`. Only sparse clouds' kNN normals build a tree, so a dense
+    cloud's run never loads scipy, and reading the name (as the benchmark's
+    tracer does to wrap it) loads nothing either. Setting `_LazyKDTree`
+    back, as the tracer restores what it read, unsets the class."""
+
+    @property
+    def cKDTree(self):
+        if _kd_tree_set is not None:
+            return _kd_tree_set
+        spatial = sys.modules.get("scipy.spatial")
+        return _LazyKDTree if spatial is None else spatial.cKDTree
+
+    @cKDTree.setter
+    def cKDTree(self, value):
+        global _kd_tree_set
+        _kd_tree_set = None if value is _LazyKDTree else value
+
+
+_kd_tree_set = None
+sys.modules[__name__].__class__ = _Module
 
 
 @dataclass(frozen=True)
@@ -142,7 +194,8 @@ def compute_normals(cloud: PointCloud, grid: VoxelGrid, k: int = 15) -> PointClo
 def _knn_normals(cloud: PointCloud, k: int) -> PointCloud:
     """`compute_normals` over each point's k nearest neighbours."""
     n_points = len(cloud)
-    tree = cKDTree(cloud.positions, leafsize=32, balanced_tree=False)
+    # looked up on the module, so a kd-tree class set on it is the one used
+    tree = sys.modules[__name__].cKDTree(cloud.positions, leafsize=32, balanced_tree=False)
     # everything below runs in the tree's own point order: a slice of
     # neighbouring queries walks the same leaves, and the neighbours' entries
     # sit close together in the per-axis arrays
@@ -287,7 +340,34 @@ def _smallest_eigenpair_3x3(a00, a01, a02, a11, a12, a22):
 
 
 def _pack_grid(ijk: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """int64 keys of cells ``ijk`` (n, 3) on a grid of ``dims`` cells, the
+    third axis fastest. InputError when the grid has too many cells for
+    its keys, and the largest int64 left free as a sentinel, to fit int64."""
+    if int(dims[0]) * int(dims[1]) * int(dims[2]) >= np.iinfo(np.int64).max:
+        raise InputError(f"a grid of {' x '.join(str(int(d)) for d in dims)} cells "
+                         f"is too large for int64 keys")
     return (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
+
+
+def _grid_keys(floored: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `_pack_grid` keys of cells ``floored`` ((n, 3) floats, already
+    floored) on the grid that holds them with ``pad`` empty layers on every
+    side, and that grid's dims."""
+    low, high = floored.min(axis=0), floored.max(axis=0)
+    if not max(-low.min(), high.max()) < 2.0 ** 62:
+        raise InputError("coordinates too large for the grid's int64 cells")
+    ijk = floored.astype(np.int64)
+    ijk -= low.astype(np.int64) - pad
+    dims = (high - low).astype(np.int64) + 2 * pad + 1
+    return _pack_grid(ijk, dims), dims
+
+
+class _Cells(NamedTuple):
+    """Each voxel's coarse seed cell, as a key packed on a grid of
+    ``dims``."""
+
+    keys: np.ndarray
+    dims: np.ndarray
 
 
 # the neighbouring (di, dj) columns of the positive half-space. With dk in
@@ -343,11 +423,7 @@ def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
     # voxel is then always inside it, so its key is the voxel's plus a delta
     # (and the dk = -1 and +1 keys of a probe never wrap into another column).
     # Per-point arrays are deleted once used up: they set this step's peak
-    ijk = np.floor(positions / resolution).astype(np.int64)
-    ijk -= ijk.min(axis=0) - 1
-    dims = ijk.max(axis=0) + 2
-    keys = _pack_grid(ijk, dims)
-    del ijk
+    keys, dims = _grid_keys(np.floor(positions / resolution), 1)
     uniq_keys, vox_of_point = np.unique(keys, return_inverse=True)
     del keys
     n_vox = uniq_keys.shape[0]
@@ -414,9 +490,9 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     vox_lab = group_sums(vox_of_point, lab, n_vox) / counts[:, None]
     del lab
 
-    seed_vox = _select_seeds(vox_centroid, config.seed_resolution)
-    assign = _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config)
-    del vox_centroid, vox_normal, vox_lab
+    seed_vox, cells = _select_seeds(vox_centroid, config.seed_resolution)
+    assign = _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, cells, config)
+    del vox_centroid, vox_normal, vox_lab, cells
 
     # the voxel adjacency pairs, split by whether both ends went to the same
     # seed: only same-seed pairs join voxels into patches, and two touching
@@ -427,13 +503,7 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     border = pairs[~same]
 
     # split spatially disconnected assignments into separate patches
-    same_a, same_b = pairs[same].T
-    graph = sparse.csr_matrix(
-        (np.ones(same_a.shape[0], dtype=np.int8), (same_a, same_b)), shape=(n_vox, n_vox))
-    # the pair list itself is the caller's grid's, alive until the grid is
-    del same_a, same_b
-    _, comp = connected_components(graph, directed=False)
-    del graph
+    comp = connected_components(n_vox, pairs[same])
 
     point_comp = comp[vox_of_point]
     del vox_of_point
@@ -466,15 +536,17 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
                       centroids=_centroids(pos, point_to_patch, n_patches))
 
 
-def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
+def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> tuple[np.ndarray, _Cells]:
     """One seed voxel per occupied coarse cell: the voxel nearest the cell
-    center, the lowest index on a tie."""
+    center, the lowest index on a tie.
+
+    Returns the seed voxels, ascending, and the voxels' `_Cells`: the cell
+    grid keeps two empty layers on every side, so the 5x5x5 block around an
+    occupied cell lies inside it and each of the block's keys is the cell's
+    key plus a constant per offset."""
     floored = vox_centroid / seed_res
     np.floor(floored, out=floored)
-    cell = floored.astype(np.int64)
-    cell -= cell.min(axis=0)
-    ckeys = _pack_grid(cell, cell.max(axis=0) + 2)
-    del cell
+    cells = _Cells(*_grid_keys(floored, 2))
     # the distance to the cell center, with `np.linalg.norm`'s float ops
     # but built in place: no (V, 3) temporary beside ``floored``
     offset = floored
@@ -486,8 +558,8 @@ def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
     del floored, offset
     # a stable sort keeps each cell's voxels in index order, so the first
     # voxel at its cell's least distance is the lowest index among ties
-    order = np.argsort(ckeys, kind="stable")
-    sorted_keys = ckeys[order]
+    order = np.argsort(cells.keys, kind="stable")
+    sorted_keys = cells.keys[order]
     firsts = np.ones(sorted_keys.shape[0], dtype=bool)
     firsts[1:] = sorted_keys[1:] != sorted_keys[:-1]
     starts = np.flatnonzero(firsts)
@@ -495,48 +567,172 @@ def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> np.ndarray:
     least = np.minimum.reduceat(sorted_dist, starts)
     at_least = sorted_dist == least[np.cumsum(firsts) - 1]
     position = np.where(at_least, np.arange(order.shape[0]), order.shape[0])
-    return np.sort(order[np.minimum.reduceat(position, starts)])
+    return np.sort(order[np.minimum.reduceat(position, starts)]), cells
 
 
-def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, config) -> np.ndarray:
-    """Nearest seed (in combined distance) within 2 seed resolutions.
+def _assign_voxels(vox_centroid, vox_normal, vox_lab, seed_vox, cells, config) -> np.ndarray:
+    """The best-scoring (`_seed_scores`) of each voxel's 12 nearest seeds
+    within 2 seed resolutions (s), the nearest of them on a tied score.
 
-    Voxels go in ``_KNN_CHUNK`` slices: one kd-tree query finds each
-    slice's k nearest seeds within reach, and `_seed_scores` scores them
-    there, so no (V, k) candidate table is built. Every voxel has a seed in
-    reach: `_select_seeds` seeds every occupied coarse cell, so the voxel's
-    own cell holds a seed less than sqrt(3) seed resolutions away, and the
-    nearest seed is always among the query's valid candidates."""
-    n_vox = vox_centroid.shape[0]
-    tree = cKDTree(vox_centroid[seed_vox], leafsize=32, balanced_tree=False)
-    k = min(12, seed_vox.shape[0])
-    reach = 2.0 * config.seed_resolution
+    Seeds are searched in rings of coarse cells, with no kd-tree.
+    `_select_seeds` puts exactly one seed in every occupied cell
+    (``cells``), so every seed nearer than r * s to a voxel lies in the
+    (2r + 1)^3 cells around the voxel's own, and the own cell's seed is
+    less than sqrt(3) s away: every voxel has a seed in reach.
 
+    Ring 1 scores each voxel against the seeds of its 3x3x3 block nearer
+    than r1, a hair under s. A voxel is settled there when it has at most
+    12 of them, so all of them are among its 12 nearest, and its best score
+    is below ``w_spatial`` times r1's spatial term: every other seed is at
+    least r1 away, and no score is less than its spatial term. r1's margin
+    grows with the coordinates, so no rounding brings a seed outside the
+    block within r1. Ring 2 settles the rest from their 5x5x5 blocks: the
+    12 nearest seeds in reach, then the best score among them. Where
+    ``w_spatial`` is 0 no voxel can settle in ring 1, so ring 2 takes all.
+
+    This is the assignment of one scipy kd-tree query for the 12 nearest
+    seeds within 2 s, scored the same way: squared distances are summed as
+    the kd-tree sums them and compared with the squared radii, as it
+    compares them, and of equal scores the nearest seed wins, as the first
+    in the kd-tree's distance order does. Two cases may still differ. Seeds
+    at exactly equal distances are ordered by seed index here (ring 1) or
+    by `np.argpartition` (ring 2), and by its traversal in the kd-tree;
+    such exact ties need lattice-like centroids.
+    And a seed outside the 5x5x5 block can round to within 2 s only when a
+    centroid lies within rounding (about 1e-16 of its coordinates) of a
+    cell face.
+
+    Voxels go in blocks of about 2 * ``_KNN_CHUNK`` (voxel, seed) pairs,
+    sorted by the size of their cell's pool of seeds, so a block's pools
+    are about equally wide and no (V, 12) candidate table is built. Only
+    ring 1's near seeds and ring 2's 12 nearest are scored.
+    """
+    n_vox, n_seeds = vox_centroid.shape[0], seed_vox.shape[0]
+    k = min(_SEEDS_SCORED, n_seeds)
+    seed_res = config.seed_resolution
+    seed_keys = cells.keys[seed_vox]
+    by_key = np.argsort(seed_keys)
+    sorted_keys = seed_keys[by_key]
+    home = by_key[np.searchsorted(sorted_keys, cells.keys)]  # the seed of each voxel's cell
+    pairs = 2 * _KNN_CHUNK  # per block
+
+    def pools(rows, offsets):
+        """(len(rows), W) the seeds in the ``offsets`` block around the
+        cells of seeds ``rows``, ascending, padded with ``n_seeds``; and
+        each row's seed count."""
+        deltas = _pack_grid(offsets, cells.dims)
+        table = np.empty((rows.shape[0], offsets.shape[0]), dtype=np.int32)
+        step = max(1, _KNN_CHUNK // offsets.shape[0])
+        for start in range(0, rows.shape[0], step):
+            probe = seed_keys[rows[start:start + step], None] + deltas
+            at = np.searchsorted(sorted_keys, probe)
+            np.minimum(at, n_seeds - 1, out=at)
+            block = np.where(sorted_keys[at] == probe, by_key[at], n_seeds)
+            block.sort(axis=1)
+            table[start:start + step] = block
+        width = (table < n_seeds).sum(axis=1)
+        return table[:, :width.max()], width
+
+    # one column past the seeds pads the pools: infinitely far, with
+    # finite (discarded) normal and colour terms
+    seed_xyz = np.full((3, n_seeds + 1), np.inf)
+    seed_xyz[:, :n_seeds] = vox_centroid[seed_vox].T
+    seed_normal = np.zeros((3, n_seeds + 1), dtype=np.float32)
+    seed_normal[:, :n_seeds] = vox_normal[seed_vox].T
+    seed_lab = np.zeros((3, n_seeds + 1), dtype=np.float32)
+    seed_lab[:, :n_seeds] = vox_lab[seed_vox].T
     # distances are O(1); float32 keeps the big gathers cheap. One
     # contiguous row per channel, converted once
-    seed_normal = vox_normal[seed_vox].T.astype(np.float32, order="C")
-    seed_lab = vox_lab[seed_vox].T.astype(np.float32, order="C")
     normal_rows = vox_normal.T.astype(np.float32, order="C")
     lab_rows = vox_lab.T.astype(np.float32, order="C")
-    assign = np.empty(n_vox, dtype=np.intp)
-    for start in range(0, n_vox, _KNN_CHUNK):
-        here = slice(start, start + _KNN_CHUNK)
-        dist, cand = tree.query(vox_centroid[here], k=k, distance_upper_bound=reach,
-                                workers=-1)
-        dist, cand = dist.reshape(-1, k), cand.reshape(-1, k)
-        # out-of-reach candidates hold the seed count; any seed will do for
-        # their (discarded) scores
-        cand[~np.isfinite(dist)] = 0
+
+    def blocks(vox, row, table, width):
+        """Voxels ``vox`` against their pools ``table[row]``, sorted by
+        pool width: per block, the voxels, their (v, w) candidates and
+        squared distances (inf on the padding)."""
+        order = np.argsort(width[row], kind="stable")
+        vox, row = vox[order], row[order]
+        step = max(1, pairs // max(table.shape[1], 1))
+        for start in range(0, vox.shape[0], step):
+            here = slice(start, start + step)
+            rows = row[here]
+            cand = table[rows, :width[rows[-1]]].astype(np.intp)
+            yield vox[here], cand, _squared_distances(vox_centroid[vox[here]], seed_xyz, cand)
+
+    def best(vox, cand, sq):
+        """Per voxel, its least score and that score's candidate: of equal
+        scores the nearest, and of equal distances the first."""
+        dist = np.sqrt(sq)
         score = _seed_scores(dist, cand, seed_normal, seed_lab,
-                             normal_rows[:, here], lab_rows[:, here], config)
-        best = np.argmin(score, axis=1)
-        assign[here] = cand[np.arange(best.shape[0]), best]
+                             normal_rows[:, vox], lab_rows[:, vox], config)
+        least = score.min(axis=1)
+        tied = np.where(score == least[:, None], dist, np.inf)
+        return least, cand[np.arange(cand.shape[0]), tied.argmin(axis=1)]
+
+    assign = np.full(n_vox, -1, dtype=np.intp)
+    todo = np.arange(n_vox)
+    # the margin covers the rounding of the cells and of the distances
+    largest = max(-vox_centroid.min(), vox_centroid.max(), seed_res)
+    ring_1 = seed_res * max(0.0, 1.0 - 1e-12 * largest / seed_res)
+    ring_1_sq = ring_1 * ring_1
+    # the least score of a seed outside ring 1: `_seed_scores`' float32
+    # spatial term at the least distance, and every other term is >= 0
+    bound = (np.float32(np.sqrt(ring_1_sq) / (np.sqrt(3.0) * seed_res))
+             * np.float32(config.w_spatial))
+    if bound > 0:
+        table, width = pools(np.arange(n_seeds), _RING_1)
+        for vox, cand, sq in blocks(todo, home, table, width):
+            # score the near seeds only, moved to the front of their rows
+            flat = np.flatnonzero(sq < ring_1_sq)
+            rows = flat // cand.shape[1]
+            near = np.bincount(rows, minlength=vox.shape[0])
+            cols = np.arange(flat.shape[0]) - (np.cumsum(near) - near)[rows]
+            shape = (vox.shape[0], max(near.max(), 1))
+            near_cand = np.full(shape, n_seeds)
+            near_cand[rows, cols] = cand.ravel()[flat]
+            near_sq = np.full(shape, np.inf)
+            near_sq[rows, cols] = sq.ravel()[flat]
+            least, pick = best(vox, near_cand, near_sq)
+            done = (near <= k) & (least < bound)
+            assign[vox[done]] = pick[done]
+        todo = np.flatnonzero(assign < 0)
+        if not todo.shape[0]:
+            return assign
+
+    # ring 2 pools only for the cells that hold unsettled voxels
+    cells_left, row = np.unique(home[todo], return_inverse=True)
+    table, width = pools(cells_left, _RING_2)
+    reach_sq = (2.0 * seed_res) ** 2
+    for vox, cand, sq in blocks(todo, row, table, width):
+        if cand.shape[1] > k:
+            nearest = np.argpartition(sq, k - 1, axis=1)[:, :k]
+            cand = np.take_along_axis(cand, nearest, axis=1)
+            sq = np.take_along_axis(sq, nearest, axis=1)
+        sq[~(sq < reach_sq)] = np.inf
+        assign[vox] = best(vox, cand, sq)[1]
     return assign
+
+
+def _squared_distances(points: np.ndarray, seed_xyz: np.ndarray,
+                       cand: np.ndarray) -> np.ndarray:
+    """(v, w) squared distances of v ``points`` (v, 3) to their candidates
+    ``cand`` among the seeds ``seed_xyz`` (3, S), summed as scipy's
+    kd-tree sums them, ``(dx*dx + dy*dy) + dz*dz``: the same bits."""
+    total = None
+    for axis in range(3):
+        part = seed_xyz[axis].take(cand)
+        part -= points[:, axis, None]
+        part *= part
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
 
 
 def _seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config):
     """(v, k) float32 combined distances of v voxels to their k candidate
-    seeds ``cand`` (in-range indices) at kNN distances ``dist``; inf where
+    seeds ``cand`` (in-range indices) at distances ``dist``; inf where
     ``dist`` is inf (out of reach).
 
     Normals and Lab colours come as float32, one contiguous row per channel
@@ -583,6 +779,38 @@ def _seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config)
 
     score[~reach] = np.inf
     return score
+
+
+def connected_components(n: int, edges: np.ndarray) -> np.ndarray:
+    """(n,) component labels of the undirected graph on nodes 0..n-1 with
+    ``edges`` (E, 2), numbered by each component's least node, as scipy's
+    `connected_components` numbers them.
+
+    Min-label hooking with pointer jumping: every round hooks the larger
+    root of each edge whose ends lie in different trees onto the smaller,
+    then points every node at its root. A node only ever points at a
+    smaller one, so each tree's root is its least node, and an edge whose
+    ends share a root drops out for good.
+    """
+    parent = np.arange(n)
+    while edges.shape[0]:
+        root_a, root_b = parent[edges[:, 0]], parent[edges[:, 1]]
+        apart = root_a != root_b
+        if not apart.any():
+            break
+        edges, root_a, root_b = edges[apart], root_a[apart], root_b[apart]
+        low = np.minimum(root_a, root_b)
+        np.maximum(root_a, root_b, out=root_a)
+        del root_b
+        np.minimum.at(parent, root_a, low)
+        del root_a, low
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    is_root = parent == np.arange(n)
+    return (np.cumsum(is_root) - 1)[parent]
 
 
 def _centroids(positions: np.ndarray, point_to_patch: np.ndarray,

@@ -14,13 +14,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .cloud import FRAME_GRAVITY, PointCloud
 from .errors import InputError
 from .labels import Label
+from .overseg import connected_components
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,10 @@ def cluster_tables(cloud: PointCloud, radius: float = 0.05,
     if pts.shape[0] == 0:
         return []
 
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    n = pts.shape[0]
-    graph = sparse.csr_matrix(
-        (np.ones(pairs.shape[0], dtype=np.int8), (pairs[:, 0], pairs[:, 1])),
-        shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
+    # imported here: a run that finds no table never loads scipy
+    from scipy.spatial import cKDTree
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    comp = connected_components(pts.shape[0], pairs)
 
     clusters: list[TableCluster] = []
     order = np.argsort(comp, kind="stable")

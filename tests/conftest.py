@@ -80,10 +80,11 @@ def voxel_pairs_reference(positions, resolution) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def assign_voxels_whole(vox_centroid, vox_normal, vox_lab, seed_vox, params) -> np.ndarray:
-    """`overseg._assign_voxels` as one whole-array pass: a single kNN query
-    for every voxel and (V, k, 3) seed gathers. The streamed version must
-    give the same assignment bit for bit."""
+def assign_voxels_whole(vox_centroid, vox_normal, vox_lab, seed_vox, cells, params) -> np.ndarray:
+    """`overseg._assign_voxels` as one whole-array pass: a single kd-tree
+    query for every voxel's 12 nearest seeds in reach and (V, k, 3) seed
+    gathers. The ring search must give the same assignment bit for bit.
+    ``cells``, the seed cells the ring search walks, is not used here."""
     n_vox = vox_centroid.shape[0]
     n_seeds = seed_vox.shape[0]
     seed_res = params.seed_resolution

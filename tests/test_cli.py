@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import indoorseg
 
 from indoorseg import evalkit
 from indoorseg.cli import _patches_json, _scene_paths, main
@@ -515,3 +521,50 @@ def test_non_utf8_file_exits_1(workspace, tmp_path, capsys, which):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"{which}.bin: not UTF-8" in err
     assert "Traceback" not in err
+
+
+def test_segment_exits_1_when_the_grid_overflows_int64(workspace, tmp_path, capsys):
+    """At 1 m voxels the third point makes a 4 x 2^32 x 2^32 voxel grid,
+    too large for int64 keys: an input error, not keys that wrap."""
+    _, _, model, _ = workspace
+    path = tmp_path / "far.ply"
+    write_cloud(make_cloud([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5],
+                            [0.5, 2.0**32 - 2.5, 2.0**32 - 2.5]]), path)
+    code = main(["segment", "--input", str(path), "--model", str(model),
+                 "--output", str(tmp_path / "o.ply"), "--ground-mode", "none",
+                 "--voxel-resolution", "1.0", "--seed-resolution", "2.0"])
+    assert code == 1
+    assert "too large for int64 keys" in capsys.readouterr().err
+
+
+_SCIPY_PROBE = """
+import sys
+from indoorseg import cli, overseg
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+dense, sparse, *flags = sys.argv[1:]
+assert cli.main(["segment", "--input", dense, "--output", dense + ".out.ply", *flags]) == 0
+assert not scipy_modules(), scipy_modules()
+assert cli.main(["segment", "--input", sparse, "--output", sparse + ".out.ply", *flags]) == 0
+assert "scipy.spatial" in scipy_modules()
+import scipy.spatial
+assert overseg.cKDTree is scipy.spatial.cKDTree
+"""
+
+
+def test_dense_segment_loads_no_scipy(workspace, tmp_path):
+    """A cold `segment` of a cloud dense on its voxel grid loads no scipy
+    module: its normals come from the grid and its seeds from rings of
+    cells. A sparse cloud's kNN normals still load scipy's kd-tree."""
+    _, scenes, model, _ = workspace
+    dense = tmp_path / "dense"
+    assert main(synth_args(dense, 1) + ["--density", "4000"]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(indoorseg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(dense / "scene_000.ply"),
+         str(scenes / "scene_000.ply"), "--model", str(model)] + CFG,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -529,7 +529,7 @@ class TestSeedScoresOracle:
                             lambda *args: calls.append(args) or assign_voxels_whole(*args))
         cloud = overseg._knn_normals(_small_scene(FRAME_CAMERA), 15)
         _oversegment(cloud, TestStreaming.PARAMS)
-        centroids, normals, lab, seeds, config = calls[0]
+        centroids, normals, lab, seeds, _, config = calls[0]
         config = replace(config, **dict(zip(("w_spatial", "w_normal", "w_color"), weights)))
         dist, cand = cKDTree(centroids[seeds]).query(
             centroids, k=12, distance_upper_bound=2.0 * config.seed_resolution)
@@ -551,7 +551,7 @@ def _seeds_in_reach(cloud, params):
     counts = np.bincount(grid.vox_of_point).astype(np.float64)
     centroids = overseg.group_sums(grid.vox_of_point, cloud.positions,
                                    counts.shape[0]) / counts[:, None]
-    seeds = centroids[overseg._select_seeds(centroids, params.seed_resolution)]
+    seeds = centroids[overseg._select_seeds(centroids, params.seed_resolution)[0]]
     reach = cKDTree(seeds).query_ball_point(centroids, 2.0 * params.seed_resolution,
                                             return_length=True)
     return np.asarray(reach)
@@ -565,7 +565,7 @@ class TestSeeds:
     def test_nearest_seed_within_sqrt3_seed_resolutions(self, centroids, seed_res):
         """Every voxel's own coarse cell holds a seed, so the nearest seed is
         always inside `_assign_voxels`' 2-seed-resolution query bound."""
-        seeds = centroids[overseg._select_seeds(centroids, seed_res)]
+        seeds = centroids[overseg._select_seeds(centroids, seed_res)[0]]
         gaps = np.linalg.norm(centroids[:, None, :] - seeds[None, :, :], axis=2)
         assert gaps.min(axis=1).max() <= np.sqrt(3.0) * seed_res * (1 + 1e-9)
 
@@ -667,14 +667,14 @@ class TestSelectSeedsOracle:
         """Few distinct coordinates, repeated centroids: many tied distances
         within a cell, and cells of one voxel."""
         centroids = np.repeat(centroids, repeats, axis=0)
-        np.testing.assert_array_equal(overseg._select_seeds(centroids, seed_res),
+        np.testing.assert_array_equal(overseg._select_seeds(centroids, seed_res)[0],
                                       reference_select_seeds(centroids, seed_res))
 
     def test_ties_take_the_lowest_index_and_lone_voxels_seed_their_cell(self):
         # cells of 0.5 m along x, centers at 0.25, 0.75 and 1.25
         x = np.array([0.125, 0.375, 0.625, 0.75, 1.375, 0.375])
         centroids = np.column_stack([x, np.full(6, 0.25), np.full(6, 0.25)])
-        seeds = overseg._select_seeds(centroids, 0.5)
+        seeds = overseg._select_seeds(centroids, 0.5)[0]
         # cell 0: voxels 0, 1 and 5 tie; cell 1: voxel 3 is nearer than 2;
         # cell 2: voxel 4 alone
         np.testing.assert_array_equal(seeds, [0, 3, 4])
@@ -686,7 +686,7 @@ class TestSelectSeedsOracle:
         counts = np.bincount(grid.vox_of_point).astype(np.float64)
         centroids = overseg.group_sums(grid.vox_of_point, cloud.positions,
                                        counts.shape[0]) / counts[:, None]
-        np.testing.assert_array_equal(overseg._select_seeds(centroids, 0.15),
+        np.testing.assert_array_equal(overseg._select_seeds(centroids, 0.15)[0],
                                       reference_select_seeds(centroids, 0.15))
 
 
@@ -859,3 +859,236 @@ class TestOversegment:
         graph = _oversegment(cloud, PipelineConfig(min_patch_points=50))
         assert len(graph) > 0
         assert (np.bincount(graph.point_to_patch[graph.point_to_patch >= 0]) >= 50).all()
+
+
+def _assignments(cloud, params):
+    """`_assign_voxels`' assignment within `oversegment` on ``cloud``, and
+    the kd-tree oracle's on the same inputs."""
+    calls = []
+    ring_search = overseg._assign_voxels
+
+    def record(*args):
+        calls.append((args, ring_search(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(overseg, "_assign_voxels", record)
+        _oversegment(cloud, params)
+    args, got = calls[0]
+    return got, assign_voxels_whole(*args)
+
+
+def _ring_search_pair(centroids, normals, lab, config):
+    """`_assign_voxels` and the kd-tree oracle on voxel arrays, with the
+    seeds and cells of `_select_seeds`."""
+    seeds, cells = overseg._select_seeds(centroids, config.seed_resolution)
+    args = (centroids, normals, lab, seeds, cells, config)
+    return overseg._assign_voxels(*args), assign_voxels_whole(*args)
+
+
+def _unit_rows(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _assert_same_assignment(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRingSearch:
+    """The ring search of `_assign_voxels` against `assign_voxels_whole`,
+    the kd-tree query it replaces, bit for bit."""
+
+    PARAMS = TestStreaming.PARAMS
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_without_distance_every_voxel_goes_to_ring_2(self, monkeypatch):
+        """With ``w_spatial`` 0 no score bounds a voxel in ring 1: it must
+        not run (its offsets are gone here), and ring 2 takes every voxel."""
+        monkeypatch.setattr(overseg, "_RING_1", None)
+        cloud = overseg._knn_normals(_small_scene(FRAME_CAMERA), 15)
+        got, want = _assignments(cloud, replace(self.PARAMS, w_spatial=0.0))
+        _assert_same_assignment(got, want)
+
+    @pytest.mark.parametrize("n_cells", [1, 2, 5, 11])
+    def test_fewer_seeds_than_candidates(self, n_cells):
+        """k is the seed count: every seed in reach is a candidate."""
+        rng = np.random.default_rng(n_cells)
+        seed_res = 0.1
+        cells = rng.permutation(np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"),
+                                         axis=-1).reshape(-1, 3))[:n_cells]
+        centroids = ((np.repeat(cells, 30, axis=0) + rng.uniform(0.01, 0.99, (30 * n_cells, 3)))
+                     * seed_res)
+        normals, lab = _unit_rows(rng, len(centroids)), rng.uniform(0, 100, (len(centroids), 3))
+        for weights in ((0.4, 1.0, 0.2), (0.0, 1.0, 0.2), (1.0, 0.0, 0.0)):
+            config = PipelineConfig(voxel_resolution=0.01, seed_resolution=seed_res,
+                                    **dict(zip(("w_spatial", "w_normal", "w_color"), weights)))
+            assert len(overseg._select_seeds(centroids, seed_res)[0]) == n_cells
+            got, want = _ring_search_pair(centroids, normals, lab, config)
+            _assert_same_assignment(got, want)
+
+    def test_more_than_12_near_seeds(self):
+        """One voxel alone in each of 27 cells, each near the middle cell:
+        the middle voxel has 26 other seeds within one seed resolution, too
+        many for ring 1, and ring 2 takes its 12 nearest."""
+        rng = np.random.default_rng(3)
+        seed_res = 0.1
+        offsets = overseg._RING_1.astype(np.float64)
+        centroids = (1.5 + 0.55 * offsets + rng.uniform(-0.005, 0.005, offsets.shape)) * seed_res
+        centre = int(np.flatnonzero((overseg._RING_1 == 0).all(axis=1))[0])
+        assert (np.linalg.norm(centroids - centroids[centre], axis=1) < seed_res).all()
+        normals, lab = _unit_rows(rng, 27), rng.uniform(0, 100, (27, 3))
+        for w_spatial in (0.4, 0.0):
+            config = PipelineConfig(voxel_resolution=0.01, seed_resolution=seed_res,
+                                    w_spatial=w_spatial)
+            got, want = _ring_search_pair(centroids, normals, lab, config)
+            _assert_same_assignment(got, want)
+
+    @pytest.mark.parametrize("w_spatial", [0.4, 0.0])
+    def test_seed_resolution_just_above_voxel_resolution(self, w_spatial):
+        """A filled box at seed 1.05 voxels: most voxels have more than 12
+        seeds in reach, so ring 2 must pick the kd-tree's 12 nearest."""
+        rng = np.random.default_rng(5)
+        config = PipelineConfig(voxel_resolution=0.02, seed_resolution=0.021,
+                                w_spatial=w_spatial, min_patch_points=3)
+        cloud = make_cloud(rng.uniform(0, 0.3, (40000, 3)),
+                           colors=rng.integers(0, 256, (40000, 3)),
+                           normals=_unit_rows(rng, 40000))
+        got, want = _assignments(cloud, config)
+        _assert_same_assignment(got, want)
+        assert np.median(_seeds_in_reach(cloud, config)) > overseg._SEEDS_SCORED
+
+    def test_reach_compares_squared_distances(self):
+        """A seed whose distance rounds to exactly 2 seed resolutions while
+        its squared distance is below the squared reach is in reach, as in
+        the kd-tree. Without distance weight it is the voxel's best seed."""
+        seed_res = 0.15
+        reach = 2.0 * seed_res
+        rng = np.random.default_rng(0)
+        voxel = np.array([0.07, 0.07, 0.07])
+        while True:
+            far = voxel + _unit_rows(rng, 1)[0] * reach * (1.0 + rng.integers(-3, 4) * 1.1e-16)
+            step = far - voxel
+            sq = (step[0] * step[0] + step[1] * step[1]) + step[2] * step[2]
+            if np.sqrt(sq) == reach and sq < reach * reach and (far > 0).all():
+                break
+        # the voxel's cell seed is a centre voxel of another colour and normal
+        centroids = np.array([voxel, [0.075, 0.075, 0.075], far])
+        normals = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        lab = np.array([[50.0, 0.0, 0.0], [90.0, 40.0, 40.0], [50.0, 0.0, 0.0]])
+        config = PipelineConfig(voxel_resolution=0.01, seed_resolution=seed_res,
+                                w_spatial=0.0)
+        seeds = overseg._select_seeds(centroids, seed_res)[0]
+        np.testing.assert_array_equal(seeds, [1, 2])
+        got, want = _ring_search_pair(centroids, normals, lab, config)
+        _assert_same_assignment(got, want)
+        assert got[0] == 1  # seed 1 is voxel 2, the far one
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600),
+           frame=st.sampled_from([FRAME_GRAVITY, FRAME_CAMERA]),
+           seed_res=st.sampled_from([0.03, 0.1, 0.25]), ratio=st.sampled_from([1.1, 2.0, 6.0]),
+           weights=st.tuples(*[st.sampled_from([0.0, 0.4, 1.0])] * 3))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_random_clouds(self, seed, n, frame, seed_res, ratio, weights):
+        """Small random clouds in either frame: a box in front of the
+        camera, or one around the gravity frame's origin."""
+        rng = np.random.default_rng(seed)
+        extent = rng.uniform(0.02, 1.0, 3)
+        positions = rng.uniform(-extent, extent, (n, 3))
+        if frame == FRAME_CAMERA:
+            positions[:, 2] += 1.0 + extent[2]
+        cloud = make_cloud(positions, colors=rng.integers(0, 256, (n, 3)),
+                           normals=_unit_rows(rng, n), frame=frame)
+        config = PipelineConfig(voxel_resolution=seed_res / ratio, seed_resolution=seed_res,
+                                min_patch_points=3,
+                                **dict(zip(("w_spatial", "w_normal", "w_color"), weights)))
+        got, want = _assignments(cloud, config)
+        _assert_same_assignment(got, want)
+
+    def test_oversegment_peak_memory_stays_bounded_without_distance(self):
+        """`test_oversegment_peak_memory_stays_bounded`'s bound with
+        ``w_spatial`` 0, where ring 2 builds pools for every seed cell and
+        takes every voxel."""
+        config = PipelineConfig(w_spatial=0.0)
+        cloud = generate_scene(SceneSpec())
+        grid = voxel_grid(cloud.positions, config.voxel_resolution)
+        cloud = compute_normals(cloud, grid, k=config.normals_k)
+        peak = peak_bytes(lambda: oversegment(cloud, config, grid))
+        assert peak < 56e6, f"oversegment peaked at {peak / 1e6:.1f} MB"
+
+
+class TestGridKeys:
+    """Packed keys are int64: a grid too large for them is an input error,
+    not keys that wrap into each other."""
+
+    def test_voxel_grid_overflow_is_an_input_error(self):
+        """At 1 m voxels the third point makes a 4 x 2^32 x 2^32 grid; its
+        keys would wrap, and the first two points would share a voxel."""
+        positions = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5],
+                              [0.5, 2.0**32 - 2.5, 2.0**32 - 2.5]])
+        with pytest.raises(InputError, match="int64"):
+            voxel_grid(positions, 1.0)
+        assert voxel_grid(positions[:2], 1.0).keys.shape == (2,)
+
+    def test_seed_cell_overflow_is_an_input_error(self):
+        centroids = np.array([[0.0, 0.0, 0.0], [1e6, 1e6, 1e6]])
+        with pytest.raises(InputError, match="int64"):
+            overseg._select_seeds(centroids, 1e-4)
+
+    def test_coordinates_beyond_int64_cells_are_an_input_error(self):
+        with pytest.raises(InputError, match="int64"):
+            voxel_grid(np.array([[0.0, 0.0, 0.0], [1e30, 0.0, 0.0]]), 1.0)
+
+    def test_large_grid_that_fits(self):
+        """A 3 x (2^30 + 2) x (2^30 + 2) grid: keys past 2^61 still fit."""
+        positions = np.array([[0.5, 0.5, 0.5], [0.5, 2.0**30 - 0.5, 2.0**30 - 0.5]])
+        grid = voxel_grid(positions, 1.0)
+        assert grid.keys.shape == (2,) and grid.keys.max() > 2**61
+
+
+def _scipy_components(n, edges):
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    graph = sparse.csr_matrix((np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
+                              shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _bit_reversed(bits):
+    return np.array([int(format(i, f"0{bits}b")[::-1], 2) for i in range(1 << bits)])
+
+
+class TestConnectedComponents:
+    """`overseg.connected_components` against scipy's, labels and all."""
+
+    @pytest.mark.parametrize("n, edges", [
+        pytest.param(5, np.zeros((0, 2), dtype=np.int32), id="no_edges"),
+        pytest.param(7, np.array([[1, 3], [3, 5]]), id="isolated_nodes"),
+        pytest.param(6, np.array([[4, 2], [2, 4], [4, 2], [0, 0], [5, 1], [1, 5], [5, 5]]),
+                     id="duplicate_pairs_and_loops"),
+        # a path visiting its nodes in bit-reversed order: min-label hooking
+        # then needs one round per bit, 12 here
+        pytest.param(1 << 12, np.stack([_bit_reversed(12)[:-1], _bit_reversed(12)[1:]], axis=1),
+                     id="long_path_many_rounds"),
+    ])
+    def test_matches_scipy(self, n, edges):
+        got = overseg.connected_components(n, edges)
+        np.testing.assert_array_equal(got, _scipy_components(n, edges))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), data=st.data())
+    def test_random_graphs(self, n, data):
+        edges = data.draw(arrays(np.int32, st.tuples(st.integers(0, 120), st.just(2)),
+                                 elements=st.integers(0, n - 1)))
+        np.testing.assert_array_equal(overseg.connected_components(n, edges),
+                                      _scipy_components(n, edges))
+
+    def test_voxel_pairs_of_a_frame(self):
+        cloud = _small_scene(FRAME_CAMERA)
+        grid = voxel_grid(cloud.positions, 0.025)
+        keep = np.random.default_rng(0).random(grid.pairs.shape[0]) < 0.3
+        n = grid.keys.shape[0]
+        np.testing.assert_array_equal(overseg.connected_components(n, grid.pairs[keep]),
+                                      _scipy_components(n, grid.pairs[keep]))

@@ -261,10 +261,11 @@ class TestStages:
     @pytest.mark.parametrize("density, normals_path", [(4000.0, "_voxel_normals"),
                                                        (900.0, "_knn_normals")])
     def test_stages_start_no_thread(self, density, normals_path, monkeypatch):
-        """Normals and oversegmentation run on the caller's thread. scipy
-        starts its query workers as Python threads, so they are held at one
-        here; `test_knn_thread_count_does_not_change_results` shows that
-        they change no result."""
+        """Normals and oversegmentation run on the caller's thread. A dense
+        cloud builds no kd-tree at all. On a sparse one scipy starts its
+        kNN query workers as Python threads, so they are held at one there;
+        `test_knn_thread_count_does_not_change_results` shows that they
+        change no result."""
         cloud = small_scene(density=density)
         assert len(cloud) > overseg._KNN_CHUNK
         paths = []
@@ -275,7 +276,8 @@ class TestStages:
         def start(thread):
             raise AssertionError(f"thread {thread.name} started")
 
-        monkeypatch.setattr(overseg, "cKDTree", _SerialTree)
+        if normals_path == "_knn_normals":
+            monkeypatch.setattr(overseg, "cKDTree", _SerialTree)
         monkeypatch.setattr(threading.Thread, "start", start)
         stages = run_stages(cloud, CFG)
         assert paths == [normals_path]

@@ -56,6 +56,21 @@ class TestClusterTables:
         gap = np.min(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
         assert gap > 0.05
 
+    def test_cluster_ids_follow_each_clusters_first_point(self, rng):
+        """Three tables with their points shuffled together: cluster ids go
+        in the order of each table's first point index, as scipy's
+        components number them, and each id keeps its table's points."""
+        centers = [(4.0, 0.0), (0.0, 0.0), (8.0, 0.0)]
+        tables = [rect_grid(1.0, 0.6, center=c) for c in centers]
+        order = rng.permutation(sum(len(t) for t in tables))
+        points = np.vstack(tables)[order]
+        table_of = np.repeat(np.arange(3), [len(t) for t in tables])[order]
+        clusters = cluster_tables(table_cloud(points), radius=0.05, min_points=200)
+        firsts = sorted(range(3), key=lambda t: np.flatnonzero(table_of == t)[0])
+        assert [c.id for c in clusters] == [0, 1, 2]
+        for cluster, table in zip(clusters, firsts):
+            np.testing.assert_allclose(cluster.centroid_2d, centers[table], atol=1e-9)
+
     def test_min_points_filter(self):
         small = rect_grid(0.2, 0.2, step=0.04)
         cloud = table_cloud(small)
