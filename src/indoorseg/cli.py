@@ -102,7 +102,6 @@ def _cmd_synth(args) -> int:
             points_per_m2=args.density,
             noise_sigma=args.noise_sigma,
             max_points=args.max_points,
-            single_view=args.single_view,
         )
         cloud = generate_scene(spec)
         out_dir.mkdir(parents=True, exist_ok=True)  # once a scene exists to write
@@ -277,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="surface sampling density, points per square meter")
     p.add_argument("--noise-sigma", type=float, default=0.005)
     p.add_argument("--max-points", type=int, default=307200)
-    p.add_argument("--single-view", action="store_true",
-                   help="cull surfaces facing away from a room-center viewpoint")
     p.add_argument("--n-tables", type=int, default=None)
     p.add_argument("--n-chairs", type=int, default=None)
     p.add_argument("--n-cabinets", type=int, default=None)

@@ -1,8 +1,8 @@
 """Point-cloud container and depth-frame ingestion.
 
 A cloud stores points column-wise in numpy arrays (positions, colors,
-optional labels and normals). Arrays are frozen after construction so a
-cloud can be shared across threads without copying.
+optional labels and normals). Arrays are frozen after construction so
+that stages can share them without copying.
 
 Camera frame convention: x right, y down, z forward (depth). The
 gravity-aligned frame has the ground plane at z = 0 and +z pointing up.
@@ -108,9 +108,12 @@ class PointCloud:
         n = positions.shape[0]
         colors = self.colors
         if getattr(colors, "dtype", None) != np.uint8:
+            # checked before the cast, which would wrap 256 to 0 and cut 2.7 to 2;
+            # the range test runs first, so the cast never sees a NaN
             colors = np.asarray(colors)
-            if colors.size and not ((colors >= 0) & (colors <= 255)).all():
-                raise InputError("color values must lie in 0..255")
+            in_range = ((colors >= 0) & (colors <= 255)).all()
+            if not (in_range and (colors.astype(np.uint8) == colors).all()):
+                raise InputError("color values must be integers in 0..255")
         colors = np.ascontiguousarray(colors, dtype=np.uint8)
         if colors.shape != (n, 3):
             raise InputError(f"colors must have shape ({n}, 3), got {colors.shape}")

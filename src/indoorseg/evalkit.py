@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -243,17 +242,13 @@ def _none_if_nan(v: float):
 def prepare_frames(clouds: Sequence[PointCloud],
                    config: PipelineConfig) -> tuple[list[FramePrep], int]:
     """Prepare all frames, dropping the ones whose ground plane fit fails."""
-
-    def prep_one(cloud):
+    preps = []
+    for cloud in clouds:
         try:
-            return prepare_frame(cloud, config)
+            preps.append(prepare_frame(cloud, config))
         except FrameDiscardError:
-            return None
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        results = list(pool.map(prep_one, clouds))
-    preps = [r for r in results if r is not None]
-    return preps, len(results) - len(preps)
+            pass
+    return preps, len(clouds) - len(preps)
 
 
 def evaluate_split(train_preps: Sequence[FramePrep], test_preps: Sequence[FramePrep],

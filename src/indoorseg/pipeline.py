@@ -74,15 +74,12 @@ class PipelineConfig:
     table_cluster_radius: float = 0.05
     table_min_points: int = 200
     security_distance: float = 0.4
-    workers: int = 1
 
     def __post_init__(self):
         if self.ground_mode not in GROUND_MODES:
             raise InputError(f"ground_mode must be one of {GROUND_MODES}")
         if self.normals_k < 3:
             raise InputError("normals_k must be >= 3")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
         # written as `not x > 0` so that NaN fails them too
         if not (self.voxel_resolution > 0 and self.seed_resolution > 0):
             raise InputError("resolutions must be positive")

@@ -58,7 +58,6 @@ class SceneSpec:
     points_per_m2: float = 2000.0
     noise_sigma: float = 0.005
     max_points: int = 307200
-    single_view: bool = False
 
     def __post_init__(self):
         if self.seed < 0:
@@ -245,13 +244,6 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
             f"points_per_m2={spec.points_per_m2} would sample {sum(counts)} points "
             f"before the max_points cap; the limit is {_MAX_SAMPLES}")
     positions, colors, labels, normals = _sample_surfaces(rng, surfaces, counts)
-
-    if spec.single_view:
-        w, d, _ = room
-        viewpoint = np.array([w / 2.0, d / 2.0, 1.5])
-        facing = np.einsum("ij,ij->i", viewpoint[None, :] - positions, normals) > 0.0
-        positions, colors, labels, normals = (
-            positions[facing], colors[facing], labels[facing], normals[facing])
 
     if positions.shape[0] > spec.max_points:
         keep = rng.choice(positions.shape[0], size=spec.max_points, replace=False)

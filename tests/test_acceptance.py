@@ -11,15 +11,19 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from indoorseg.cli import main as cli_main
 from indoorseg.evalkit import (
+    ConfusionMatrix,
     cross_validate,
     evaluate_split,
     prepare_frames,
+    score_prep,
+    train_from_preps,
 )
 from indoorseg.features import FEATURE_DIM, feature_matrix
 from indoorseg.forest import ForestParams, TrainingSet, predict_batch, save_model, \
@@ -221,16 +225,22 @@ def test_criterion_4_benchmark_accuracy(benchmark_preps):
 
 
 def test_criterion_5_ensemble_trend(benchmark_preps):
+    """A seed's 1-, 4- and 8-tree forests are the first trees of its 16-tree
+    forest (`test_forest.py::TestTraining::test_smaller_forest_is_a_prefix`),
+    so one 16-tree fit per seed scores all four sizes."""
     train_preps, test_preps, _ = benchmark_preps
-    means = {}
-    for num_trees in (1, 4, 8, 16):
-        scores = []
-        for seed in range(5):
-            config = PipelineConfig(**{**BENCHMARK_CONFIG.to_dict(),
-                                       "num_trees": num_trees, "seed": seed})
-            cm, _ = evaluate_split(train_preps, test_preps, config)
-            scores.append(cm.class_average())
-        means[num_trees] = float(np.mean(scores))
+    scores = {num_trees: [] for num_trees in (1, 4, 8, 16)}
+    for seed in range(5):
+        config = PipelineConfig(**{**BENCHMARK_CONFIG.to_dict(),
+                                   "num_trees": 16, "seed": seed})
+        full = train_from_preps(train_preps, config)
+        for num_trees, seed_scores in scores.items():
+            model = replace(full, trees=full.trees[:num_trees])
+            cm, cm_unary = ConfusionMatrix(), ConfusionMatrix()
+            for prep in test_preps:
+                score_prep(prep, model, config, cm, cm_unary)
+            seed_scores.append(cm.class_average())
+    means = {num_trees: float(np.mean(s)) for num_trees, s in scores.items()}
     monotone = means[1] <= means[4] <= means[8]
     saturated = abs(means[8] - means[16]) < 0.02
     _report(5, monotone and saturated,

@@ -350,6 +350,20 @@ def test_ingest_nyu_command(tmp_path):
     assert cloud.labels.max() <= 7
 
 
+def test_ingest_nyu_float_rgb_exits_1(tmp_path, capsys):
+    depth = np.full((4, 5), 1000, dtype=np.uint16)
+    np.save(tmp_path / "depth.npy", depth)
+    np.save(tmp_path / "rgb.npy", np.full((4, 5, 3), 0.5))  # normalised to [0, 1]
+    (tmp_path / "intr.txt").write_text("fx 525.0\nfy 525.0\ncx 2.0\ncy 1.5\n")
+    out = tmp_path / "out" / "frame.ply"
+    code = main(["ingest-nyu", "--depth", str(tmp_path / "depth.npy"),
+                 "--rgb", str(tmp_path / "rgb.npy"),
+                 "--intrinsics", str(tmp_path / "intr.txt"), "--output", str(out)])
+    assert code == 1
+    assert "color values must be integers in 0..255" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

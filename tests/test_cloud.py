@@ -82,11 +82,14 @@ class TestIngest:
 
     def test_colors_out_of_range_rejected(self):
         depth, rgb = _frame({(2, 3): 1000, (4, 5): 1200})
-        for bad in (300, -1):
-            image = rgb.astype(np.int64)
+        for bad in (300, -1, 2.7):
+            image = rgb.astype(type(bad))
             image[4, 5, 1] = bad
-            with pytest.raises(InputError, match="0..255"):
+            with pytest.raises(InputError, match="integers in 0..255"):
                 ingest_depth_frame(depth, image, None, INTR)
+        # a normalised [0, 1] image would otherwise cast to an all-black cloud
+        with pytest.raises(InputError, match="integers in 0..255"):
+            ingest_depth_frame(depth, np.full(rgb.shape, 0.5), None, INTR)
         rgb[2, 3] = [0, 128, 255]
         cloud = ingest_depth_frame(depth, rgb, None, INTR)
         np.testing.assert_array_equal(cloud.colors, [[0, 128, 255], [0, 0, 0]])
@@ -140,12 +143,14 @@ class TestPointCloudType:
             assert cloud.labels.dtype == np.uint8
 
     def test_rejects_color_out_of_range(self):
-        for bad in ([[300, 0, 0]], [[0, -1, 255]], [[0.0, np.nan, 0.0]]):
-            with pytest.raises(InputError, match="0..255"):
+        for bad in ([[300, 0, 0]], [[0, -1, 255]], [[0.0, np.nan, 0.0]],
+                    [[2.7, 0.5, 0.99]], [[0.2, 1.0, 0.0]]):
+            with pytest.raises(InputError, match="integers in 0..255"):
                 PointCloud(positions=[[0.0, 0.0, 0.0]], colors=bad)
-        cloud = PointCloud(positions=[[0.0, 0.0, 0.0]], colors=[[0, 128, 255]])
-        np.testing.assert_array_equal(cloud.colors, [[0, 128, 255]])
-        assert cloud.colors.dtype == np.uint8
+        for given in ([[0, 128, 255]], [[0.0, 128.0, 255.0]]):
+            cloud = PointCloud(positions=[[0.0, 0.0, 0.0]], colors=given)
+            np.testing.assert_array_equal(cloud.colors, [[0, 128, 255]])
+            assert cloud.colors.dtype == np.uint8
 
     def test_arrays_frozen(self):
         cloud = make_cloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -226,6 +226,22 @@ class TestTraining:
         probe = rng.uniform(-1, 1, size=(50, FEATURE_DIM))
         np.testing.assert_array_equal(predict_batch(m1, probe), predict_batch(m2, probe))
 
+    def test_smaller_forest_is_a_prefix(self, rng):
+        """Tree i's stream does not depend on num_trees, so a seed's n-tree
+        forest is the first n trees of its 16-tree forest, as criterion 5
+        assumes."""
+        data = random_set(rng, n=300, classes=5)
+        full = train_forest(data, ForestParams(num_trees=16, seed=3))
+        probe = rng.uniform(-1, 1, size=(200, FEATURE_DIM))
+        for n in (1, 4, 8):
+            small = train_forest(data, ForestParams(num_trees=n, seed=3))
+            for a, b in zip(small.trees, full.trees[:n], strict=True):
+                for name in (f.name for f in dataclasses.fields(a)):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            prefix = dataclasses.replace(full, trees=full.trees[:n])
+            np.testing.assert_array_equal(predict_batch(small, probe),
+                                          predict_batch(prefix, probe))
+
     def test_negative_seed_rejected(self):
         with pytest.raises(TrainingError, match="seed must be >= 0"):
             ForestParams(seed=-1)

@@ -137,12 +137,6 @@ def test_sample_bound_counts_every_surface(monkeypatch):
         generate_scene(SceneSpec(points_per_m2=101.0, **cube))
 
 
-def test_single_view_culls_points():
-    full = generate_scene(SceneSpec(seed=6, **SMALL))
-    culled = generate_scene(SceneSpec(seed=6, single_view=True, **SMALL))
-    assert len(culled) < len(full)
-
-
 def test_coverage_over_30_scene_batch():
     """Each of the 7 trainable labels appears in nearly every scene."""
     seen = np.zeros(7, dtype=int)
