@@ -112,7 +112,7 @@ class FramePrep:
 
     frame_id: str
     point_gt: np.ndarray          # (N,) ground-truth ids, 0..7
-    graph: PatchGraph             # patches, adjacency, aligned centroids
+    graph: PatchGraph             # patches, sizes, adjacency, aligned centroids
     features: np.ndarray          # (P, 14), row p for patch p
     patch_gt: np.ndarray          # (P,) majority ground truth per patch
     timings: dict[str, float] = field(default_factory=dict)

@@ -46,8 +46,10 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
     The ids are always ``arange(P)``. They stay in the return value because
     the benchmark's tracer (``perfbench/tracing.py``) counts the rows from
     its first entry. A patch with fewer than 3 points raises FeatureError.
-    All patches are reduced together with grouped array operations, so the
-    cost is a handful of passes over the cloud rather than per-patch slicing.
+    Sizes and centroids are the graph's; one without centroids (see
+    `refresh_patch_stats`) raises InputError. All patches are reduced
+    together with grouped array operations, so the cost is a handful of
+    passes over the cloud rather than per-patch slicing.
     """
     n_patches = len(graph)
     if n_patches == 0:
@@ -56,10 +58,12 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
         raise InputError("feature extraction requires a gravity-aligned cloud")
     if cloud.normals is None:
         raise InputError("feature extraction requires per-point normals")
+    if graph.centroids is None:
+        raise InputError("feature extraction requires patch centroids (refresh_patch_stats)")
 
     member = graph.point_to_patch >= 0
     pid = graph.point_to_patch[member]
-    sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
+    sizes, mean_pos = graph.sizes, graph.centroids
     if sizes.min() < 3:
         raise FeatureError(f"patch {int(np.argmin(sizes))} has {int(sizes.min())} points; "
                            "its scatter features need at least 3")
@@ -68,7 +72,6 @@ def feature_matrix(graph: PatchGraph, cloud: PointCloud) -> tuple[np.ndarray, np
     # is made when its features need it and dropped after them, and
     # positions and Lab are centred in place, one column at a time
     pos = cloud.positions[member]
-    mean_pos = group_sums(pid, pos, n_patches) / sizes[:, None]
 
     # heights: every patch has a point, so no infinity survives
     min_h = np.full(n_patches, np.inf)

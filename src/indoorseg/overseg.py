@@ -8,11 +8,13 @@ patch is connected at voxel granularity (26-connectivity). The same voxel
 adjacency yields the patch adjacency graph consumed by the MRF stage.
 
 The result, `PatchGraph`, is three arrays: the point-to-patch map, the
-patch adjacency edges and the patch centroids. Patch members are not
-stored; every consumer reduces over ``point_to_patch`` directly.
+patch adjacency edges and the patch sizes; `refresh_patch_stats` adds the
+centroids on the cloud's final frame, the frame's one average of patch
+positions. Every consumer reduces over ``point_to_patch`` directly.
 
 Both stages share one `VoxelGrid`: the occupied voxels, the voxel of
-every point and the voxel adjacency pairs. On a cloud dense enough for it
+every point, each voxel's point count (the frame's one count of them)
+and the voxel adjacency pairs. On a cloud dense enough for it
 (see `compute_normals`) the normals come from each voxel's
 27-neighbourhood on that grid, in the spirit of VCCS (Papon et al.,
 "Voxel Cloud Connectivity Segmentation", CVPR 2013); a sparser cloud
@@ -49,7 +51,7 @@ from __future__ import annotations
 import itertools
 import sys
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -100,8 +102,8 @@ class _Module(types.ModuleType):
     def cKDTree(self):
         if _kd_tree_set is not None:
             return _kd_tree_set
-        spatial = sys.modules.get("scipy.spatial")
-        return _LazyKDTree if spatial is None else spatial.cKDTree
+        # mid-import (another thread) scipy.spatial has no cKDTree yet
+        return getattr(sys.modules.get("scipy.spatial"), "cKDTree", None) or _LazyKDTree
 
     @cKDTree.setter
     def cKDTree(self, value):
@@ -119,16 +121,18 @@ class PatchGraph:
 
     ``point_to_patch`` maps every cloud point to its patch id, -1 where the
     point belongs to no surviving patch. ``edges`` is an (E, 2) int array
-    with edges[i, 0] < edges[i, 1], sorted and unique. ``centroids`` is the
-    (P, 3) mean position of each patch's points.
+    with edges[i, 0] < edges[i, 1], sorted and unique. ``sizes`` is the (P,)
+    point count of each patch. ``centroids``, (P, 3) mean positions, is None
+    until `refresh_patch_stats` takes it on the cloud's final frame.
     """
 
     point_to_patch: np.ndarray
     edges: np.ndarray
-    centroids: np.ndarray
+    sizes: np.ndarray
+    centroids: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return self.centroids.shape[0]
+        return self.sizes.shape[0]
 
     @property
     def patches(self) -> range:
@@ -184,7 +188,7 @@ def compute_normals(cloud: PointCloud, grid: VoxelGrid, k: int = 15) -> PointClo
     n_points = len(cloud)
     if n_points < k:
         raise InputError(f"cloud has {n_points} points, need at least k={k}")
-    reach = np.bincount(grid.vox_of_point, minlength=grid.keys.shape[0]).astype(np.float64)
+    reach = grid.counts.astype(np.float64)
     grid.add_neighbours(reach)
     if np.median(reach[grid.vox_of_point]) >= k:
         return _voxel_normals(cloud, grid, reach)
@@ -381,7 +385,8 @@ class VoxelGrid:
     """The occupied voxels of a cloud and their 26-connectivity.
 
     ``keys`` are the voxels' packed grid keys, ascending, so voxel v is the
-    v-th occupied key; ``vox_of_point`` maps every point to its voxel.
+    v-th occupied key; ``vox_of_point`` maps every point to its voxel, and
+    ``counts`` holds each voxel's number of points.
     ``pairs`` (M, 2) lists each adjacent voxel pair once, as (voxel,
     neighbour) for the 13 positive half-space offsets, one offset's block
     after another, each block ascending in voxel. The offsets come in the
@@ -391,6 +396,7 @@ class VoxelGrid:
 
     keys: np.ndarray
     vox_of_point: np.ndarray
+    counts: np.ndarray
     pairs: np.ndarray
 
     def add_neighbours(self, values: np.ndarray) -> None:
@@ -417,14 +423,15 @@ def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
     n_points = positions.shape[0]
     if n_points == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return VoxelGrid(keys=empty, vox_of_point=empty.astype(np.intp),
+        return VoxelGrid(keys=empty, vox_of_point=empty.astype(np.intp), counts=empty,
                          pairs=np.zeros((0, 2), dtype=np.int32))
     # one empty layer on every side of the grid: a neighbour of an occupied
     # voxel is then always inside it, so its key is the voxel's plus a delta
     # (and the dk = -1 and +1 keys of a probe never wrap into another column).
     # Per-point arrays are deleted once used up: they set this step's peak
     keys, dims = _grid_keys(np.floor(positions / resolution), 1)
-    uniq_keys, vox_of_point = np.unique(keys, return_inverse=True)
+    uniq_keys, vox_of_point, counts = np.unique(keys, return_inverse=True,
+                                                return_counts=True)
     del keys
     n_vox = uniq_keys.shape[0]
     # voxel ids fit 32 bits for any cloud that fits in memory; the pair
@@ -447,7 +454,7 @@ def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
         blocks += [block(uniq_keys[at - 1] == probe - 1, at - 1),
                    block(found, at),
                    block(padded[above] == probe + 1, above)]
-    return VoxelGrid(keys=uniq_keys, vox_of_point=vox_of_point,
+    return VoxelGrid(keys=uniq_keys, vox_of_point=vox_of_point, counts=counts,
                      pairs=np.concatenate(blocks))
 
 
@@ -457,20 +464,18 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     Reads the config's resolutions, distance weights and
     ``min_patch_points``. Smaller patches are discarded; their points map to
     -1 in ``point_to_patch``. ``grid`` is the cloud's `voxel_grid` at
-    ``config.voxel_resolution``.
+    ``config.voxel_resolution``. The graph has no centroids.
     """
     if len(cloud) == 0:
         return PatchGraph(point_to_patch=np.zeros(0, dtype=np.int64),
-                          edges=np.zeros((0, 2), dtype=np.int64), centroids=np.zeros((0, 3)))
+                          edges=np.zeros((0, 2), dtype=np.int64),
+                          sizes=np.zeros(0, dtype=np.int64))
     if cloud.normals is None:
         raise InputError("oversegment requires per-point normals (run compute_normals)")
 
-    pos = cloud.positions
     vox_of_point = grid.vox_of_point
     n_vox = grid.keys.shape[0]
-
-    counts = np.bincount(vox_of_point, minlength=n_vox).astype(np.float64)
-    vox_centroid = group_sums(vox_of_point, pos, n_vox) / counts[:, None]
+    vox_centroid = group_sums(vox_of_point, cloud.positions, n_vox) / grid.counts[:, None]
 
     # the canonicalized normals' sums, one column at a time
     sign = hemisphere_sign(cloud.normals)
@@ -478,16 +483,15 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     norm = np.linalg.norm(vox_normal, axis=1)
     weak = norm < 1e-12
     if weak.any():
-        order = np.argsort(vox_of_point, kind="stable")
-        starts = np.searchsorted(vox_of_point[order], np.arange(n_vox))
-        first = order[starts[weak]]
+        starts = np.cumsum(grid.counts) - grid.counts  # each voxel's first in a stable sort
+        first = np.argsort(vox_of_point, kind="stable")[starts[weak]]
         vox_normal[weak] = cloud.normals[first] * sign[first, None]
         norm = np.linalg.norm(vox_normal, axis=1)
     del sign
     vox_normal /= np.maximum(norm, 1e-300)[:, None]
 
     lab = srgb_to_lab(cloud.colors)
-    vox_lab = group_sums(vox_of_point, lab, n_vox) / counts[:, None]
+    vox_lab = group_sums(vox_of_point, lab, n_vox) / grid.counts[:, None]
     del lab
 
     seed_vox, cells = _select_seeds(vox_centroid, config.seed_resolution)
@@ -533,7 +537,7 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     edges = np.stack([edge_keys // n_patches, edge_keys % n_patches], axis=1)
 
     return PatchGraph(point_to_patch=point_to_patch, edges=edges,
-                      centroids=_centroids(pos, point_to_patch, n_patches))
+                      sizes=comp_sizes[kept_comps])
 
 
 def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> tuple[np.ndarray, _Cells]:
@@ -813,23 +817,15 @@ def connected_components(n: int, edges: np.ndarray) -> np.ndarray:
     return (np.cumsum(is_root) - 1)[parent]
 
 
-def _centroids(positions: np.ndarray, point_to_patch: np.ndarray,
-               n_patches: int) -> np.ndarray:
-    """(P, 3) mean position of each patch's points, summed one axis at a
-    time."""
-    member = point_to_patch >= 0
-    pid = point_to_patch[member]
-    sizes = np.bincount(pid, minlength=n_patches).astype(np.float64)
-    return np.stack([np.bincount(pid, weights=col[member], minlength=n_patches)
-                     for col in positions.T], axis=1) / sizes[:, None]
-
-
 def refresh_patch_stats(graph: PatchGraph, cloud: PointCloud) -> PatchGraph:
-    """Recompute the patch centroids on the rigidly moved cloud; members and
-    adjacency carry over unchanged."""
-    return PatchGraph(point_to_patch=graph.point_to_patch, edges=graph.edges,
-                      centroids=_centroids(cloud.positions, graph.point_to_patch,
-                                           len(graph)))
+    """The graph with its patch centroids on ``cloud``, in its final frame;
+    members, sizes and adjacency carry over unchanged."""
+    member = graph.point_to_patch >= 0
+    pid = graph.point_to_patch[member]
+    # one axis at a time: `group_sums` of an (M, 3) member copy takes twice as long
+    sums = np.stack([np.bincount(pid, weights=col[member], minlength=len(graph))
+                     for col in cloud.positions.T], axis=1)
+    return replace(graph, centroids=sums / graph.sizes[:, None])
 
 
 def dump_patch_colors(graph: PatchGraph, cloud: PointCloud, seed: int = 0) -> PointCloud:

@@ -136,7 +136,7 @@ class StageOutput:
     """The model-independent stages' result, in the gravity frame."""
 
     cloud: PointCloud           # aligned, with normals
-    graph: PatchGraph           # centroids refreshed on the aligned cloud
+    graph: PatchGraph           # sizes from oversegment, centroids on the aligned cloud
     features: np.ndarray        # (P, 14), row p for patch p
     timings: dict[str, float]
 
@@ -193,10 +193,10 @@ def run_stages(cloud: PointCloud, config: PipelineConfig,
             iterations=config.ransac_iterations, threshold=config.ransac_threshold,
             seed=config.seed)
         cloud = gravity_align(cloud, plane)
-        graph = refresh_patch_stats(graph, cloud)
     timings["ground"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    graph = refresh_patch_stats(graph, cloud)  # the frame's one centroid pass
     _, features = feature_matrix(graph, cloud)
     timings["features"] = time.perf_counter() - t0
     return StageOutput(cloud=cloud, graph=graph, features=features, timings=timings)

@@ -30,7 +30,7 @@ from indoorseg.forest import ForestParams, TrainingSet, predict_batch, save_mode
     train_forest
 from indoorseg.labels import Label
 from indoorseg.mrf import MrfProblem, solve_map_lbp
-from indoorseg.overseg import PatchGraph
+from indoorseg.overseg import PatchGraph, refresh_patch_stats
 from indoorseg.pipeline import PipelineConfig
 from indoorseg.ply_io import read_cloud
 from indoorseg.search import cluster_tables, search_positions
@@ -139,8 +139,8 @@ def test_criterion_2_feature_identities():
     cloud = make_cloud(pts, colors=np.vstack(colors), normals=np.vstack(normals))
     owner = np.concatenate(owner)
 
-    graph = PatchGraph(point_to_patch=owner, edges=np.zeros((0, 2), dtype=np.int64),
-                       centroids=np.zeros((n_patches, 3)))
+    graph = refresh_patch_stats(PatchGraph(
+        point_to_patch=owner, edges=np.zeros((0, 2), dtype=np.int64), sizes=sizes), cloud)
 
     ids, mat = feature_matrix(graph, cloud)
     assert mat.shape == (n_patches, FEATURE_DIM)
@@ -168,7 +168,7 @@ def test_criterion_2_feature_identities():
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     rotated = cloud.with_(positions=cloud.positions @ rot.T,
                           normals=cloud.normals @ rot.T)
-    _, mat_rot = feature_matrix(graph, rotated)
+    _, mat_rot = feature_matrix(refresh_patch_stats(graph, rotated), rotated)
     drift = float(np.abs(mat_rot - mat).max())
 
     elapsed = time.perf_counter() - t0

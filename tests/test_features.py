@@ -10,7 +10,7 @@ from indoorseg.colorspace import srgb_to_lab
 from indoorseg.errors import FeatureError, InputError
 from indoorseg.features import FEATURE_DIM, feature_matrix
 from indoorseg.overseg import PatchGraph, canonicalize_hemisphere, \
-    compute_normals, oversegment
+    compute_normals, oversegment, refresh_patch_stats
 from indoorseg.pipeline import PipelineConfig
 
 from conftest import grid_of, make_cloud, patch_members, sample_plane
@@ -186,6 +186,11 @@ class TestColorFeatures:
         np.testing.assert_allclose(mean, (lab_red + lab_green) / 2.0, atol=1e-3)
 
 
+def _rows(graph, cloud):
+    """`feature_matrix` of ``graph`` with its centroids taken on ``cloud``."""
+    return feature_matrix(refresh_patch_stats(graph, cloud), cloud)
+
+
 class TestExtract:
     def _scene_graph(self, rng, n=6000):
         pts = np.vstack([
@@ -202,7 +207,8 @@ class TestExtract:
     def test_empty_graph(self):
         cloud = make_cloud(np.zeros((0, 3)))
         graph = PatchGraph(point_to_patch=np.zeros(0, dtype=np.int64),
-                           edges=np.zeros((0, 2), dtype=np.int64), centroids=np.zeros((0, 3)))
+                           edges=np.zeros((0, 2), dtype=np.int64),
+                           sizes=np.zeros(0, dtype=np.int64))
         ids, mat = feature_matrix(graph, cloud)
         assert ids.shape == (0,) and ids.dtype == np.int64
         assert mat.shape == (0, FEATURE_DIM)
@@ -212,14 +218,21 @@ class TestExtract:
         cloud = make_cloud(pts, frame=FRAME_GRAVITY,
                            normals=np.tile([0.0, 0.0, 1.0], (7, 1)))
         graph = PatchGraph(point_to_patch=np.array([0, 0, 0, 0, 0, 1, 1]),
-                           edges=np.array([[0, 1]]),
+                           edges=np.array([[0, 1]]), sizes=np.array([5, 2]),
                            centroids=np.stack([pts[:5].mean(axis=0), pts[5:].mean(axis=0)]))
         with pytest.raises(FeatureError, match="patch 1 has 2 points"):
             feature_matrix(graph, cloud)
 
+    def test_graph_without_centroids_raises(self, rng):
+        """The centroids are the graph's: `oversegment`'s graph has none
+        until `refresh_patch_stats` takes them on the aligned cloud."""
+        cloud, graph = self._scene_graph(rng)
+        with pytest.raises(InputError, match="patch centroids"):
+            feature_matrix(graph, cloud)
+
     def test_rows_match_per_patch_oracles(self, rng):
         cloud, graph = self._scene_graph(rng)
-        ids, mat = feature_matrix(graph, cloud)
+        ids, mat = _rows(graph, cloud)
         members = patch_members(graph)
         np.testing.assert_array_equal(ids, np.arange(len(graph)))
         assert ids.shape[0] > 20
@@ -238,14 +251,14 @@ class TestExtract:
         grid = grid_of(cloud)
         cloud = compute_normals(cloud, grid, k=10)
         graph = oversegment(cloud, PipelineConfig(), grid)
-        ids, mat = feature_matrix(graph, cloud)
+        ids, mat = _rows(graph, cloud)
         assert mat.shape[0] > 0
         np.testing.assert_allclose(mat[:, 3], 0.0, atol=1e-9)   # centroid height
         np.testing.assert_allclose(mat[:, 6], math.pi / 2, atol=1e-6)
 
     def test_invariants_on_every_vector(self, rng):
         cloud, graph = self._scene_graph(rng)
-        _, mat = feature_matrix(graph, cloud)
+        _, mat = _rows(graph, cloud)
         assert (mat[:, 0] >= 0).all() and (mat[:, 1] >= 0).all() and (mat[:, 2] >= 0).all()
         assert (mat[:, 4] <= mat[:, 3]).all() and (mat[:, 3] <= mat[:, 5]).all()
         assert ((mat[:, 6] >= 0) & (mat[:, 6] <= math.pi / 2 + 1e-12)).all()
@@ -255,29 +268,29 @@ class TestExtract:
 
     def test_yaw_rotation_invariance(self, rng):
         cloud, graph = self._scene_graph(rng)
-        _, mat = feature_matrix(graph, cloud)
+        _, mat = _rows(graph, cloud)
         yaw = 1.234
         c, s = math.cos(yaw), math.sin(yaw)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         rotated = cloud.with_(positions=cloud.positions @ rot.T,
                               normals=cloud.normals @ rot.T)
-        _, mat_rot = feature_matrix(graph, rotated)
+        _, mat_rot = _rows(graph, rotated)
         np.testing.assert_allclose(mat_rot, mat, atol=1e-6)
 
     def test_z_shift_moves_only_heights(self, rng):
         cloud, graph = self._scene_graph(rng)
-        _, mat = feature_matrix(graph, cloud)
+        _, mat = _rows(graph, cloud)
         shifted = cloud.with_(positions=cloud.positions + [0.0, 0.0, 0.25])
-        _, mat_shift = feature_matrix(graph, shifted)
+        _, mat_shift = _rows(graph, shifted)
         np.testing.assert_allclose(mat_shift[:, 3:6] - mat[:, 3:6], 0.25, atol=1e-9)
         keep = [0, 1, 2, 6, 7, 8, 9, 10, 11, 12, 13]
         np.testing.assert_allclose(mat_shift[:, keep], mat[:, keep], atol=1e-9)
 
     def test_xy_translation_invariance(self, rng):
         cloud, graph = self._scene_graph(rng)
-        _, mat = feature_matrix(graph, cloud)
+        _, mat = _rows(graph, cloud)
         shifted = cloud.with_(positions=cloud.positions + [3.0, -2.0, 0.0])
-        _, mat_shift = feature_matrix(graph, shifted)
+        _, mat_shift = _rows(graph, shifted)
         np.testing.assert_allclose(mat_shift, mat, atol=1e-8)
 
 

@@ -1,4 +1,6 @@
 import functools
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from indoorseg.overseg import (
     canonicalize_hemisphere,
     compute_normals,
     oversegment,
+    refresh_patch_stats,
     voxel_grid,
 )
 from indoorseg.pipeline import PipelineConfig
@@ -224,6 +227,15 @@ class _NoQuery(cKDTree):
         raise AssertionError("kNN query on a cloud dense on its voxel grid")
 
 
+def test_half_imported_scipy_spatial_gives_the_lazy_tree(monkeypatch):
+    """While another thread still imports scipy.spatial, the module is in
+    ``sys.modules`` without its cKDTree; the name must then give
+    `_LazyKDTree`, whose own import waits for the module to finish."""
+    monkeypatch.setattr(overseg, "_kd_tree_set", None)  # no tree class set
+    monkeypatch.setitem(sys.modules, "scipy.spatial", types.ModuleType("scipy.spatial"))
+    assert overseg.cKDTree is overseg._LazyKDTree
+
+
 class TestVoxelNormals:
     """Dense clouds take their normals from the 27-voxel neighbourhoods of
     the shared grid; sparse ones keep the kNN."""
@@ -409,7 +421,7 @@ def _recorded(fn, calls):
 
 
 def _assert_same_graph(got, want):
-    for name in ("point_to_patch", "edges", "centroids"):
+    for name in ("point_to_patch", "edges", "sizes"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -612,10 +624,11 @@ class TestCanonicalizeHemisphere:
 
 def _lattice_pairs(ijk, resolution=1.0):
     """`voxel_grid` and `voxel_pairs_reference` pairs of voxel centres at
-    integer lattice coordinates ``ijk``."""
+    integer lattice coordinates ``ijk``; checks the grid's point counts."""
     positions = (np.asarray(ijk, dtype=np.float64) + 0.5) * resolution
-    return (voxel_grid(positions, resolution).pairs,
-            voxel_pairs_reference(positions, resolution))
+    grid = voxel_grid(positions, resolution)
+    assert grid.counts.tobytes() == np.bincount(grid.vox_of_point).tobytes()
+    return grid.pairs, voxel_pairs_reference(positions, resolution)
 
 
 class TestVoxelGridPairs:
@@ -648,6 +661,9 @@ class TestVoxelGridPairs:
     def test_clouds_without_pairs(self, ijk):
         got, want = _lattice_pairs(ijk)
         assert got.shape == (0, 2) and got.dtype == want.dtype == np.int32
+        empty = voxel_grid(np.zeros((0, 3)), 1.0)
+        assert empty.pairs.shape == (0, 2)
+        assert empty.counts.tobytes() == np.bincount(empty.vox_of_point).tobytes() == b""
 
     def test_frame_voxels(self):
         cloud = _small_scene(FRAME_CAMERA)
@@ -713,7 +729,8 @@ class TestOversegment:
         assert len(graph.patches) == 0
         assert graph.edges.shape == (0, 2)
         assert graph.edges.dtype == np.int64
-        assert graph.centroids.shape == (0, 3)
+        assert graph.sizes.shape == (0,)
+        assert refresh_patch_stats(graph, cloud).centroids.shape == (0, 3)
 
     def test_bad_resolutions(self, rng):
         with pytest.raises(InputError):
@@ -782,10 +799,32 @@ class TestOversegment:
         assert (e[:, 0] < e[:, 1]).all()
         assert np.unique(e, axis=0).shape[0] == e.shape[0]
         assert e.max(initial=-1) < len(graph.patches)
-        assert graph.centroids.shape == (len(graph), 3)
+        np.testing.assert_array_equal(graph.sizes, [m.shape[0] for m in members])
+        centroids = refresh_patch_stats(graph, cloud).centroids
+        assert centroids.shape == (len(graph), 3)
         for p, m in enumerate(members):
             np.testing.assert_allclose(
-                graph.centroids[p], cloud.positions[m].mean(axis=0), atol=1e-9)
+                centroids[p], cloud.positions[m].mean(axis=0), atol=1e-9)
+
+    def test_cancelling_normals_take_the_first_points(self, monkeypatch):
+        """A voxel whose canonicalized normals sum to almost nothing scores
+        its seeds with its first point's normal."""
+        tilted = np.array([-1.0, 1e-13, 0.0])  # in the upper half, as is +x
+        cloud = make_cloud([[0.001, 0.005, 0.005], [0.002, 0.005, 0.005],
+                            [0.011, 0.005, 0.005], [0.012, 0.005, 0.005]],
+                           normals=[tilted, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], tilted],
+                           frame=FRAME_GRAVITY)
+        calls = []
+        monkeypatch.setattr(overseg, "_assign_voxels", lambda *args: calls.append(args)
+                            or np.zeros(args[0].shape[0], dtype=np.intp))
+        _oversegment(cloud, PipelineConfig(voxel_resolution=0.01, seed_resolution=0.05))
+        np.testing.assert_array_equal(calls[0][1], [tilted, [1.0, 0.0, 0.0]])
+
+    def test_graph_carries_no_centroids(self, rng):
+        """A fitted or posed frame moves its points after the
+        oversegmentation, so the centroids wait for `refresh_patch_stats`."""
+        graph = _oversegment(_dense_plane_cloud(rng), PipelineConfig())
+        assert len(graph) > 1 and graph.centroids is None
 
     def test_refresh_patch_stats_follows_the_moved_cloud(self, rng):
         cloud = _dense_plane_cloud(rng)
@@ -794,11 +833,13 @@ class TestOversegment:
         rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
         moved = cloud.with_(positions=cloud.positions @ rot.T + [0.5, -1.0, 2.0],
                             normals=cloud.normals @ rot.T)
-        refreshed = overseg.refresh_patch_stats(graph, moved)
+        refreshed = refresh_patch_stats(graph, moved)
         assert refreshed.point_to_patch is graph.point_to_patch
         assert refreshed.edges is graph.edges
+        assert refreshed.sizes is graph.sizes
         np.testing.assert_allclose(refreshed.centroids,
-                                   graph.centroids @ rot.T + [0.5, -1.0, 2.0], atol=1e-9)
+                                   refresh_patch_stats(graph, cloud).centroids @ rot.T
+                                   + [0.5, -1.0, 2.0], atol=1e-9)
 
     def test_determinism(self, rng):
         cloud = _dense_plane_cloud(rng)
@@ -834,7 +875,8 @@ class TestOversegment:
         """Exhaustive scan: every point within 2 seed resolutions of its
         patch centroid."""
         cloud = _dense_plane_cloud(rng)
-        graph = _oversegment(cloud, PipelineConfig(seed_resolution=0.1))
+        graph = refresh_patch_stats(_oversegment(cloud, PipelineConfig(seed_resolution=0.1)),
+                                    cloud)
         for p, m in enumerate(patch_members(graph)):
             d = np.linalg.norm(cloud.positions[m] - graph.centroids[p], axis=1)
             assert d.max() <= 2 * 0.1

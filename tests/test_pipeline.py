@@ -1,6 +1,6 @@
 import json
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,17 @@ def small_scene(seed=0, density=900.0):
     return generate_scene(SceneSpec(
         seed=seed, room_extent=(3.6, 3.0, 2.2), points_per_m2=density,
         furniture_counts={"table": 1, "chair": 1, "cabinet": 0, "object": 1}))
+
+
+def camera_view(cloud, height=1.2, pitch=0.35):
+    """``cloud`` (gravity frame, floor at z = 0) as seen by a camera
+    ``height`` above its origin, pitched ``pitch`` down, and that camera's
+    `plane_from_pose` ground plane."""
+    c, s = np.cos(pitch), np.sin(pitch)
+    rotation = np.array([[0.0, -1.0, 0.0], [-s, 0.0, -c], [c, 0.0, -s]])
+    positions = (cloud.positions - [0.0, 0.0, height]) @ rotation.T
+    return (cloud.with_(positions=positions, frame=FRAME_CAMERA),
+            plane_from_pose(height, pitch, 0.0))
 
 
 class _SerialTree(overseg.cKDTree):
@@ -169,6 +180,42 @@ class TestStages:
         for key in ("normals", "oversegmentation", "ground", "features"):
             assert key in stages.timings
 
+    @pytest.mark.parametrize("mode", ["fit", "pose", "none"])
+    def test_counts_and_centroids_taken_once(self, mode, monkeypatch):
+        """A frame averages its patch positions once, in
+        `refresh_patch_stats` on the aligned cloud, whatever its ground
+        mode. It counts the points of its voxels once too, in `voxel_grid`:
+        no unweighted `np.bincount` of the voxel map runs."""
+        cloud, pose = small_scene(), None
+        if mode != "none":
+            cloud, pose = camera_view(cloud)
+        grids, refreshed, voxel_counts = [], [], []
+
+        def grid(*args):
+            grids.append(overseg.voxel_grid(*args))
+            return grids[-1]
+
+        def refresh(graph, cloud):
+            refreshed.append(cloud)
+            return overseg.refresh_patch_stats(graph, cloud)
+
+        def bincount(x, weights=None, minlength=0, fn=np.bincount):
+            if weights is None and any(x.shape == g.vox_of_point.shape
+                                       and np.array_equal(x, g.vox_of_point) for g in grids):
+                voxel_counts.append(x)
+            return fn(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(pipeline, "voxel_grid", grid)
+        monkeypatch.setattr(pipeline, "refresh_patch_stats", refresh)
+        monkeypatch.setattr(np, "bincount", bincount)
+        stages = run_stages(cloud, replace(CFG, ground_mode=mode), pose)
+        assert len(grids) == 1 and not voxel_counts
+        assert len(refreshed) == 1 and refreshed[0] is stages.cloud
+        assert stages.cloud.frame == FRAME_GRAVITY
+        np.testing.assert_allclose(
+            stages.graph.centroids,
+            [stages.cloud.positions[m].mean(axis=0) for m in patch_members(stages.graph)])
+
     def test_run_stages_peak_memory_stays_bounded(self):
         """Every per-point and per-voxel stage works in slices or columns,
         so no stage holds whole-cloud (N, 3) or (V, k) temporaries it does
@@ -191,7 +238,7 @@ class TestStages:
             assert counts[gt[p]] == counts.max()
         # ties go to the lowest label id; orphan points (-1) never vote
         graph = PatchGraph(point_to_patch=np.array([0, 0, 1, 1, 1, 1, -1, -1]),
-                           edges=np.zeros((0, 2), dtype=np.int64), centroids=np.zeros((2, 3)))
+                           edges=np.zeros((0, 2), dtype=np.int64), sizes=np.array([2, 4]))
         tied = make_cloud(np.zeros((8, 3)), labels=[3, 1, 5, 2, 5, 2, 0, 0])
         np.testing.assert_array_equal(patch_majority_labels(graph, tied), [1, 2])
 
