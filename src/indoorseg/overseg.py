@@ -44,6 +44,14 @@ axis fastest, so the three neighbours in one neighbouring column are three
 consecutive keys: `voxel_grid` finds them with one `searchsorted` probe
 per column, and the empty layer keeps a probe's -1 and +1 keys in its
 column. A grid whose keys would not fit int64 is an input error.
+
+Reductions and gathers run along long contiguous axes, not across the
+short rows of (n, 3) arrays: grid bounds, row norms and the eigenpair's
+pick among its cross products are taken one column at a time, each in the
+float order of the row-wise form it replaces, so the bits do not move. The
+voxel pairs are one contiguous pair of intp endpoint rows per frame
+(`VoxelGrid.pairs`); the neighbourhood sums, the same-seed split and
+`connected_components` index with them without a copy.
 """
 
 from __future__ import annotations
@@ -95,8 +103,10 @@ class _Module(types.ModuleType):
     on the module, else scipy's cKDTree once scipy.spatial is loaded, else
     `_LazyKDTree`. Only sparse clouds' kNN normals build a tree, so a dense
     cloud's run never loads scipy, and reading the name (as the benchmark's
-    tracer does to wrap it) loads nothing either. Setting `_LazyKDTree`
-    back, as the tracer restores what it read, unsets the class."""
+    tracer does to wrap it) loads nothing either. Setting `_LazyKDTree`, or
+    scipy's class once loaded, unsets the class, so putting back what was
+    read (a monkeypatch undo, the tracer's uninstall) leaves nothing set,
+    even when scipy loaded in between."""
 
     @property
     def cKDTree(self):
@@ -108,7 +118,9 @@ class _Module(types.ModuleType):
     @cKDTree.setter
     def cKDTree(self, value):
         global _kd_tree_set
-        _kd_tree_set = None if value is _LazyKDTree else value
+        _kd_tree_set = None
+        if value is not _LazyKDTree and value is not self.cKDTree:
+            _kd_tree_set = value
 
 
 _kd_tree_set = None
@@ -326,20 +338,30 @@ def _smallest_eigenpair_3x3(a00, a01, a02, a11, a12, a22):
     largest cross product of two rows of A - l0 I. Returns (l0, l1, l2, vec,
     vec_ok); vec_ok is False where the null direction is not unique."""
     l0, l1, l2 = eigvals_3x3(a00, a01, a02, a11, a12, a22)
-    rows = (np.stack([a00 - l0, a01, a02], axis=1),
-            np.stack([a01, a11 - l0, a12], axis=1),
-            np.stack([a02, a12, a22 - l0], axis=1))
-    crosses = [np.cross(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-    # einsum, not a plain sum of products: the latter rounds differently
-    norms = np.stack([np.einsum("ij,ij->i", c, c) for c in crosses], axis=1)
-    best = np.argmax(norms, axis=1)
-    c01, c02, c12 = crosses
-    vec = np.where(best[:, None] == 0, c01, np.where(best[:, None] == 1, c02, c12))
-    best_norm = np.take_along_axis(norms, best[:, None], axis=1)[:, 0]
+    rows = ((a00 - l0, a01, a02), (a01, a11 - l0, a12), (a02, a12, a22 - l0))
+    vec = best_norm = None
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        (u0, u1, u2), (v0, v1, v2) = rows[i], rows[j]
+        # `np.cross`'s products and differences, one column at a time
+        cross = np.empty((l0.shape[0], 3))
+        for col, (p, q, r, s) in enumerate(((u1, v2, u2, v1), (u2, v0, u0, v2),
+                                            (u0, v1, u1, v0))):
+            np.multiply(p, q, out=cross[:, col])
+            cross[:, col] -= r * s
+        # einsum, not a plain sum of products: the latter rounds differently
+        norm = np.einsum("ij,ij->i", cross, cross)
+        if vec is None:
+            vec, best_norm = cross, norm
+            continue
+        # `np.argmax`'s pick: the first of equal norms stays (the norms of
+        # finite moments hold no NaN, which argmax would take first)
+        take = norm > best_norm
+        np.copyto(vec, cross, where=take[:, None])
+        np.copyto(best_norm, norm, where=take)
     scale = np.maximum(l2, 1e-30) ** 2
     vec_ok = best_norm > (scale * 1e-24)
     length = np.sqrt(np.maximum(best_norm, 1e-300))
-    vec = vec / length[:, None]
+    vec /= length[:, None]
     return l0, l1, l2, vec, vec_ok
 
 
@@ -357,7 +379,9 @@ def _grid_keys(floored: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """The `_pack_grid` keys of cells ``floored`` ((n, 3) floats, already
     floored) on the grid that holds them with ``pad`` empty layers on every
     side, and that grid's dims."""
-    low, high = floored.min(axis=0), floored.max(axis=0)
+    # one column at a time: a reduction across the rows of (n, 3) is ~10x slower
+    low = np.array([col.min() for col in floored.T])
+    high = np.array([col.max() for col in floored.T])
     if not max(-low.min(), high.max()) < 2.0 ** 62:
         raise InputError("coordinates too large for the grid's int64 cells")
     ijk = floored.astype(np.int64)
@@ -387,11 +411,13 @@ class VoxelGrid:
     ``keys`` are the voxels' packed grid keys, ascending, so voxel v is the
     v-th occupied key; ``vox_of_point`` maps every point to its voxel, and
     ``counts`` holds each voxel's number of points.
-    ``pairs`` (M, 2) lists each adjacent voxel pair once, as (voxel,
-    neighbour) for the 13 positive half-space offsets, one offset's block
-    after another, each block ascending in voxel. The offsets come in the
-    order (0, 0, 1), then (di, dj, -1), (di, dj, 0), (di, dj, 1) for each
-    (di, dj) of ``_COLUMNS``.
+    ``pairs`` (2, M) intp lists each adjacent voxel pair once: row 0 holds
+    the voxels and row 1 their neighbours, each row contiguous, so the
+    endpoints index without a copy. The pairs are (voxel, neighbour) for
+    the 13 positive half-space offsets, one offset's block after another,
+    each block ascending in voxel. The offsets come in the order (0, 0, 1),
+    then (di, dj, -1), (di, dj, 0), (di, dj, 1) for each (di, dj) of
+    ``_COLUMNS``.
     """
 
     keys: np.ndarray
@@ -404,10 +430,10 @@ class VoxelGrid:
         (C, V) and contiguous, over each voxel's 27-neighbourhood (itself
         and its occupied 26-neighbours), in place."""
         n_vox = self.keys.shape[0]
-        a, b = self.pairs.T.astype(np.intp, order="C")
+        a, b = self.pairs
         for row in values.reshape(-1, n_vox):
-            added = np.bincount(a, weights=row[b], minlength=n_vox)
-            added += np.bincount(b, weights=row[a], minlength=n_vox)
+            added = np.bincount(a, weights=row.take(b), minlength=n_vox)
+            added += np.bincount(b, weights=row.take(a), minlength=n_vox)
             row += added
 
 
@@ -424,7 +450,7 @@ def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
     if n_points == 0:
         empty = np.zeros(0, dtype=np.int64)
         return VoxelGrid(keys=empty, vox_of_point=empty.astype(np.intp), counts=empty,
-                         pairs=np.zeros((0, 2), dtype=np.int32))
+                         pairs=np.zeros((2, 0), dtype=np.intp))
     # one empty layer on every side of the grid: a neighbour of an occupied
     # voxel is then always inside it, so its key is the voxel's plus a delta
     # (and the dk = -1 and +1 keys of a probe never wrap into another column).
@@ -434,28 +460,29 @@ def voxel_grid(positions: np.ndarray, resolution: float) -> VoxelGrid:
                                                 return_counts=True)
     del keys
     n_vox = uniq_keys.shape[0]
-    # voxel ids fit 32 bits for any cloud that fits in memory; the pair
-    # list is the grid's largest array
-    index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
+    voxels, neighbours = [], []  # per offset block
 
     def block(hit, loc):
         hit = np.flatnonzero(hit)
-        return np.stack([hit, loc[hit]], axis=1).astype(index)
+        voxels.append(hit)
+        neighbours.append(loc[hit])
 
     # the keys and one sentinel above them, which matches no probe; a probe
     # lies above its voxel's own key, so the key below it is a real one
     padded = np.append(uniq_keys, np.iinfo(np.int64).max)
-    blocks = [block(padded[1:] == uniq_keys + 1, np.arange(1, n_vox + 1))]
+    block(padded[1:] == uniq_keys + 1, np.arange(1, n_vox + 1))
     for di, dj in _COLUMNS:
         probe = uniq_keys + (di * dims[1] + dj) * dims[2]
         at = np.searchsorted(uniq_keys, probe)  # the first key >= probe
         found = padded[at] == probe
         above = at + found  # the first key > probe
-        blocks += [block(uniq_keys[at - 1] == probe - 1, at - 1),
-                   block(found, at),
-                   block(padded[above] == probe + 1, above)]
-    return VoxelGrid(keys=uniq_keys, vox_of_point=vox_of_point, counts=counts,
-                     pairs=np.concatenate(blocks))
+        block(uniq_keys[at - 1] == probe - 1, at - 1)
+        block(found, at)
+        block(padded[above] == probe + 1, above)
+    pairs = np.empty((2, sum(v.shape[0] for v in voxels)), dtype=np.intp)
+    np.concatenate(voxels, out=pairs[0])
+    np.concatenate(neighbours, out=pairs[1])
+    return VoxelGrid(keys=uniq_keys, vox_of_point=vox_of_point, counts=counts, pairs=pairs)
 
 
 def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> PatchGraph:
@@ -480,13 +507,13 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     # the canonicalized normals' sums, one column at a time
     sign = hemisphere_sign(cloud.normals)
     vox_normal = group_sums(vox_of_point, cloud.normals, n_vox, sign)
-    norm = np.linalg.norm(vox_normal, axis=1)
+    norm = _row_norms(vox_normal)
     weak = norm < 1e-12
     if weak.any():
         starts = np.cumsum(grid.counts) - grid.counts  # each voxel's first in a stable sort
         first = np.argsort(vox_of_point, kind="stable")[starts[weak]]
         vox_normal[weak] = cloud.normals[first] * sign[first, None]
-        norm = np.linalg.norm(vox_normal, axis=1)
+        norm = _row_norms(vox_normal)
     del sign
     vox_normal /= np.maximum(norm, 1e-300)[:, None]
 
@@ -502,12 +529,17 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     # seed: only same-seed pairs join voxels into patches, and two touching
     # voxels of one seed end up in one patch, so only the others (border
     # pairs) can link two patches
-    pairs = grid.pairs
-    same = assign[pairs[:, 0]] == assign[pairs[:, 1]]
-    border = pairs[~same]
+    vox_a, vox_b = grid.pairs
+    same = assign.take(vox_a) == assign.take(vox_b)
+    del assign
+    # each side's pairs by index: a boolean-mask copy takes ~3x as long
+    joined, border = np.flatnonzero(same), np.flatnonzero(~same)
+    del same
 
     # split spatially disconnected assignments into separate patches
-    comp = connected_components(n_vox, pairs[same])
+    comp = connected_components(n_vox, vox_a.take(joined), vox_b.take(joined))
+    border_a, border_b = vox_a.take(border), vox_b.take(border)
+    del joined, border
 
     point_comp = comp[vox_of_point]
     del vox_of_point
@@ -528,8 +560,8 @@ def oversegment(cloud: PointCloud, config: PipelineConfig, grid: VoxelGrid) -> P
     del point_comp
 
     # dedupe patch pairs as packed keys a * P + b; their sort order is (a, b)
-    patch_a = comp_to_patch[comp[border[:, 0]]]
-    patch_b = comp_to_patch[comp[border[:, 1]]]
+    patch_a = comp_to_patch[comp[border_a]]
+    patch_b = comp_to_patch[comp[border_b]]
     cross = (patch_a != patch_b) & (patch_a >= 0) & (patch_b >= 0)
     ea = np.minimum(patch_a[cross], patch_b[cross])
     eb = np.maximum(patch_a[cross], patch_b[cross])
@@ -551,14 +583,13 @@ def _select_seeds(vox_centroid: np.ndarray, seed_res: float) -> tuple[np.ndarray
     floored = vox_centroid / seed_res
     np.floor(floored, out=floored)
     cells = _Cells(*_grid_keys(floored, 2))
-    # the distance to the cell center, with `np.linalg.norm`'s float ops
-    # but built in place: no (V, 3) temporary beside ``floored``
+    # the distance to the cell center, built in place: no (V, 3) temporary
+    # beside ``floored``
     offset = floored
     offset += 0.5
     offset *= seed_res
     np.subtract(vox_centroid, offset, out=offset)
-    offset *= offset
-    dist = np.sqrt(offset.sum(axis=1))
+    dist = _row_norms(offset)
     del floored, offset
     # a stable sort keeps each cell's voxels in index order, so the first
     # voxel at its cell's least distance is the lowest index among ties
@@ -785,24 +816,29 @@ def _seed_scores(dist, cand, seed_normal, seed_lab, vox_normal, vox_lab, config)
     return score
 
 
-def connected_components(n: int, edges: np.ndarray) -> np.ndarray:
+def connected_components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n,) component labels of the undirected graph on nodes 0..n-1 with
-    ``edges`` (E, 2), numbered by each component's least node, as scipy's
-    `connected_components` numbers them.
+    the edges (a[i], b[i]), numbered by each component's least node, as
+    scipy's `connected_components` numbers them. The endpoint arrays are
+    read, never written; contiguous intp ones gather without a copy.
 
     Min-label hooking with pointer jumping: every round hooks the larger
     root of each edge whose ends lie in different trees onto the smaller,
     then points every node at its root. A node only ever points at a
     smaller one, so each tree's root is its least node, and an edge whose
-    ends share a root drops out for good.
+    ends share a root drops out for good; a round that drops none (the
+    first, on a graph without loops) keeps its edges without a copy.
     """
     parent = np.arange(n)
-    while edges.shape[0]:
-        root_a, root_b = parent[edges[:, 0]], parent[edges[:, 1]]
+    while a.shape[0]:
+        root_a, root_b = parent.take(a), parent.take(b)
         apart = root_a != root_b
-        if not apart.any():
-            break
-        edges, root_a, root_b = edges[apart], root_a[apart], root_b[apart]
+        if not apart.all():
+            if not apart.any():
+                break
+            keep = np.flatnonzero(apart)
+            a, b, root_a, root_b = a.take(keep), b.take(keep), root_a.take(keep), root_b.take(keep)
+        del apart
         low = np.minimum(root_a, root_b)
         np.maximum(root_a, root_b, out=root_a)
         del root_b
@@ -815,6 +851,18 @@ def connected_components(n: int, edges: np.ndarray) -> np.ndarray:
             parent = jumped
     is_root = parent == np.arange(n)
     return (np.cumsum(is_root) - 1)[parent]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)`` of an (n, 3) float array, bit for
+    bit, one column at a time: numpy sums a length-3 row as
+    ``(c0 + c1) + c2``, and squares hold no -0.0 for its 0.0 start to
+    change."""
+    x, y, z = rows.T
+    total = x * x
+    total += y * y
+    total += z * z
+    return np.sqrt(total, out=total)
 
 
 def refresh_patch_stats(graph: PatchGraph, cloud: PointCloud) -> PatchGraph:

@@ -55,7 +55,7 @@ def cluster_tables(cloud: PointCloud, radius: float = 0.05,
     # imported here: a run that finds no table never loads scipy
     from scipy.spatial import cKDTree
     pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    comp = connected_components(pts.shape[0], pairs)
+    comp = connected_components(pts.shape[0], *pairs.T)
 
     clusters: list[TableCluster] = []
     order = np.argsort(comp, kind="stable")

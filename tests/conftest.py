@@ -62,22 +62,21 @@ _OFFSETS = np.array([
 
 
 def voxel_pairs_reference(positions, resolution) -> np.ndarray:
-    """`overseg.voxel_grid`'s ``pairs`` with one `searchsorted` per offset:
-    each voxel's key plus the offset's key delta, looked up in the sorted
-    keys. `voxel_grid` must give the same values, order and dtype."""
+    """`overseg.voxel_grid`'s (2, M) ``pairs`` with one `searchsorted` per
+    offset: each voxel's key plus the offset's key delta, looked up in the
+    sorted keys. `voxel_grid` must give the same values, order and dtype."""
     ijk = np.floor(positions / resolution).astype(np.int64)
     ijk -= ijk.min(axis=0) - 1
     dims = ijk.max(axis=0) + 2
     uniq_keys = np.unique(overseg._pack_grid(ijk, dims))
     n_vox = uniq_keys.shape[0]
-    index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
     blocks = []
     for delta in overseg._pack_grid(_OFFSETS, dims):
         cand_keys = uniq_keys + delta
         loc = np.minimum(np.searchsorted(uniq_keys, cand_keys), n_vox - 1)
         hit = np.nonzero(uniq_keys[loc] == cand_keys)[0]
-        blocks.append(np.stack([hit, loc[hit]], axis=1).astype(index))
-    return np.concatenate(blocks)
+        blocks.append(np.stack([hit, loc[hit]]).astype(np.intp))
+    return np.concatenate(blocks, axis=1)
 
 
 def assign_voxels_whole(vox_centroid, vox_normal, vox_lab, seed_vox, cells, params) -> np.ndarray:

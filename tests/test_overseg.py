@@ -110,7 +110,23 @@ def reference_normals(cloud, k):
     cov[:, 0, 1] = cov[:, 1, 0] = s2[:, 3] - s1[:, 0] * s1[:, 1]
     cov[:, 0, 2] = cov[:, 2, 0] = s2[:, 4] - s1[:, 0] * s1[:, 2]
     cov[:, 1, 2] = cov[:, 2, 1] = s2[:, 5] - s1[:, 1] * s1[:, 2]
+    _, l1, l2, vec, vec_ok, _ = reference_eigenpair(cov)
+    degenerate = (~vec_ok) | (l1 <= np.maximum(l2 * 1e-6, 1e-16))
 
+    if cloud.frame == FRAME_CAMERA:
+        toward = np.einsum("ij,ij->i", vec, pos)
+        vec[(toward > 0) | ((toward == 0) & (vec[:, 1] > 0))] *= -1.0
+    else:
+        vec = canonicalize_hemisphere(vec)
+    vec[degenerate] = up_vector(cloud.frame)
+    return vec, degenerate
+
+
+def reference_eigenpair(cov):
+    """`overseg._smallest_eigenpair_3x3` of (n, 3, 3) symmetric ``cov``:
+    closed-form eigenvalues, then `np.cross` of whole (n, 3) rows and the
+    `np.argmax` of their stacked norms."""
+    n = cov.shape[0]
     a00, a01, a02 = cov[:, 0, 0], cov[:, 0, 1], cov[:, 0, 2]
     a11, a12, a22 = cov[:, 1, 1], cov[:, 1, 2], cov[:, 2, 2]
     q = (a00 + a11 + a22) / 3.0
@@ -138,15 +154,7 @@ def reference_normals(cloud, k):
     best_norm = norms[np.arange(n), best]
     vec_ok = best_norm > np.maximum(l2, 1e-30) ** 2 * 1e-24
     vec = vec / np.sqrt(np.maximum(best_norm, 1e-300))[:, None]
-    degenerate = (~vec_ok) | (l1 <= np.maximum(l2 * 1e-6, 1e-16))
-
-    if cloud.frame == FRAME_CAMERA:
-        toward = np.einsum("ij,ij->i", vec, pos)
-        vec[(toward > 0) | ((toward == 0) & (vec[:, 1] > 0))] *= -1.0
-    else:
-        vec = canonicalize_hemisphere(vec)
-    vec[degenerate] = up_vector(cloud.frame)
-    return vec, degenerate
+    return l0, l1, l2, vec, vec_ok, norms
 
 
 class TestNormalsOracle:
@@ -170,6 +178,34 @@ class TestNormalsOracle:
         assert flags[-40:].all() and not flags.all()
         np.testing.assert_array_equal(got.normals, normals)
         np.testing.assert_array_equal(got.normal_flags, flags)
+
+    def test_eigenpair_pick_matches_argmax(self, rng):
+        """`_smallest_eigenpair_3x3`'s column-wise pick against
+        `reference_eigenpair`'s `np.cross` and `np.argmax`, bit for bit, on
+        random, rank-2 and tied matrices. Of equal largest norms the first
+        wins, as in `np.argmax`."""
+        n = 2000
+        b = rng.standard_normal((n, 3, 3))
+        b[:n // 4, :, 2] = 0.0  # rank 2
+        random = b @ b.transpose(0, 2, 1)
+        # a00 = a11, a01 = 0 and a02 = a12: the last two cross products of
+        # A - l0 I hold the same squares, so their norms tie
+        tied = np.zeros((n, 3, 3))
+        tied[:, 0, 0] = tied[:, 1, 1] = rng.uniform(1.0, 3.0, n)
+        tied[:, [0, 1, 2, 2], [2, 2, 0, 1]] = rng.uniform(-2.0, 2.0, (n, 1))
+        tied[:, 2, 2] = rng.uniform(2.0, 4.0, n)
+        # c * I: A - l0 I is zero, and all three norms tie at zero
+        scalar = np.eye(3) * rng.integers(0, 5, n)[:, None, None]
+        cov = np.concatenate([random, tied, scalar])
+        *want, norms = reference_eigenpair(cov)
+        got = overseg._smallest_eigenpair_3x3(
+            *(cov[:, i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))))
+        top = norms.max(axis=1)
+        assert ((norms[:, 1] == top) & (norms[:, 2] == top) & (norms[:, 0] < top)).sum() > 100
+        assert ((norms[:, 0] == top) & (norms[:, 1] == top) & (norms[:, 2] == top)).sum() > 100
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 def _box_corner_scene(rng, density=3000.0):
@@ -231,9 +267,25 @@ def test_half_imported_scipy_spatial_gives_the_lazy_tree(monkeypatch):
     """While another thread still imports scipy.spatial, the module is in
     ``sys.modules`` without its cKDTree; the name must then give
     `_LazyKDTree`, whose own import waits for the module to finish."""
-    monkeypatch.setattr(overseg, "_kd_tree_set", None)  # no tree class set
     monkeypatch.setitem(sys.modules, "scipy.spatial", types.ModuleType("scipy.spatial"))
     assert overseg.cKDTree is overseg._LazyKDTree
+
+
+def test_putting_back_the_tree_class_read_sets_none(monkeypatch):
+    """A monkeypatch undo and the benchmark tracer's uninstall put back the
+    class they read: that leaves no class set, whether it was read before
+    scipy.spatial loaded (`_LazyKDTree`) or after (scipy's)."""
+    assert overseg._kd_tree_set is None
+    with monkeypatch.context() as m:
+        m.setattr(overseg, "cKDTree", _NoQuery)
+        assert overseg._kd_tree_set is _NoQuery
+    assert overseg._kd_tree_set is None and overseg.cKDTree is cKDTree
+    with monkeypatch.context() as m:
+        m.delitem(sys.modules, "scipy.spatial")
+        read = overseg.cKDTree
+    assert read is overseg._LazyKDTree
+    overseg.cKDTree = read
+    assert overseg._kd_tree_set is None and overseg.cKDTree is cKDTree
 
 
 class TestVoxelNormals:
@@ -654,22 +706,22 @@ class TestVoxelGridPairs:
         got, want = _lattice_pairs(ijk)
         assert got.tobytes() == want.tobytes()
         # (0,0,1): 0-1; (0,1,-1): 2-3; (0,1,1): 1-3; (1,0,-1): 1-4; (1,0,0): 0-4
-        np.testing.assert_array_equal(got, [[0, 1], [2, 3], [1, 3], [1, 4], [0, 4]])
+        np.testing.assert_array_equal(got.T, [[0, 1], [2, 3], [1, 3], [1, 4], [0, 4]])
 
     @pytest.mark.parametrize("ijk", [[(0, 0, 0)], [(-3, 7, -2)] * 4, [(0, 0, 0), (2, 0, 0)]],
                              ids=["one_voxel", "one_voxel_repeated", "no_neighbours"])
     def test_clouds_without_pairs(self, ijk):
         got, want = _lattice_pairs(ijk)
-        assert got.shape == (0, 2) and got.dtype == want.dtype == np.int32
+        assert got.shape == (2, 0) and got.dtype == want.dtype == np.intp
         empty = voxel_grid(np.zeros((0, 3)), 1.0)
-        assert empty.pairs.shape == (0, 2)
+        assert empty.pairs.shape == (2, 0) and empty.pairs.dtype == np.intp
         assert empty.counts.tobytes() == np.bincount(empty.vox_of_point).tobytes() == b""
 
     def test_frame_voxels(self):
         cloud = _small_scene(FRAME_CAMERA)
         got = voxel_grid(cloud.positions, 0.025).pairs
         want = voxel_pairs_reference(cloud.positions, 0.025)
-        assert got.shape[0] > 100_000
+        assert got.shape[1] > 100_000
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -1061,6 +1113,31 @@ class TestRingSearch:
         assert peak < 56e6, f"oversegment peaked at {peak / 1e6:.1f} MB"
 
 
+def test_row_norms_match_numpy_row_sums_and_norms(rng):
+    """`overseg._row_norms` adds the squared columns as numpy sums a
+    length-3 row: the bits of `np.linalg.norm` and of ``sum(axis=1)``, over
+    magnitudes whose squares overflow or underflow, zeros and subnormals."""
+    rows = rng.standard_normal((10000, 3)) * 10.0 ** rng.integers(-170, 170, (10000, 3))
+    rows[::5, 0] = -0.0
+    rows[::9, 1] = 0.0
+    rows[::13] = 0.0
+    rows[::17, 2] = 5e-324
+    with np.errstate(over="ignore"):
+        got = overseg._row_norms(rows)
+        norms, sums = np.linalg.norm(rows, axis=1), (rows * rows).sum(axis=1)
+    assert np.isinf(got).any() and (got == 0).any()
+    assert got.tobytes() == norms.tobytes()
+    assert got.tobytes() == np.sqrt(sums).tobytes()
+
+
+def reference_grid_keys(floored, pad):
+    """`overseg._grid_keys` with its bounds reduced across the rows."""
+    low, high = floored.min(axis=0), floored.max(axis=0)
+    ijk = floored.astype(np.int64) - (low.astype(np.int64) - pad)
+    dims = (high - low).astype(np.int64) + 2 * pad + 1
+    return overseg._pack_grid(ijk, dims), dims
+
+
 class TestGridKeys:
     """Packed keys are int64: a grid too large for them is an input error,
     not keys that wrap into each other."""
@@ -1082,6 +1159,21 @@ class TestGridKeys:
     def test_coordinates_beyond_int64_cells_are_an_input_error(self):
         with pytest.raises(InputError, match="int64"):
             voxel_grid(np.array([[0.0, 0.0, 0.0], [1e30, 0.0, 0.0]]), 1.0)
+
+    def test_column_bounds_match_axis_reductions(self, rng):
+        """`_grid_keys` takes its bounds one column at a time: the keys and
+        dims of `reference_grid_keys`' ``min(axis=0)``/``max(axis=0)``, bit
+        for bit, with signed zeros in the columns."""
+        cloud = _small_scene(FRAME_CAMERA)
+        random = np.floor(rng.uniform(-50.0, 50.0, (5000, 3)))
+        random[::7, 1] = -0.0
+        random[::11, 2] = 0.0
+        for floored, pad in ((np.floor(cloud.positions / 0.025), 1),
+                             (np.floor(cloud.positions / 0.15), 2), (random, 1), (random, 2)):
+            keys, dims = overseg._grid_keys(floored, pad)
+            want_keys, want_dims = reference_grid_keys(floored, pad)
+            assert keys.tobytes() == want_keys.tobytes()
+            assert dims.tobytes() == want_dims.tobytes()
 
     def test_large_grid_that_fits(self):
         """A 3 x (2^30 + 2) x (2^30 + 2) grid: keys past 2^61 still fit."""
@@ -1116,21 +1208,24 @@ class TestConnectedComponents:
                      id="long_path_many_rounds"),
     ])
     def test_matches_scipy(self, n, edges):
-        got = overseg.connected_components(n, edges)
+        before = edges.copy()
+        got = overseg.connected_components(n, *edges.T)
         np.testing.assert_array_equal(got, _scipy_components(n, edges))
+        assert edges.tobytes() == before.tobytes()  # the endpoints are only read
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 60), data=st.data())
     def test_random_graphs(self, n, data):
         edges = data.draw(arrays(np.int32, st.tuples(st.integers(0, 120), st.just(2)),
                                  elements=st.integers(0, n - 1)))
-        np.testing.assert_array_equal(overseg.connected_components(n, edges),
+        np.testing.assert_array_equal(overseg.connected_components(n, *edges.T),
                                       _scipy_components(n, edges))
 
     def test_voxel_pairs_of_a_frame(self):
         cloud = _small_scene(FRAME_CAMERA)
         grid = voxel_grid(cloud.positions, 0.025)
-        keep = np.random.default_rng(0).random(grid.pairs.shape[0]) < 0.3
+        keep = np.random.default_rng(0).random(grid.pairs.shape[1]) < 0.3
         n = grid.keys.shape[0]
-        np.testing.assert_array_equal(overseg.connected_components(n, grid.pairs[keep]),
-                                      _scipy_components(n, grid.pairs[keep]))
+        a, b = grid.pairs[:, keep]
+        np.testing.assert_array_equal(overseg.connected_components(n, a, b),
+                                      _scipy_components(n, np.stack([a, b], axis=1)))
