@@ -1,11 +1,15 @@
 """Randomized decision forest over patch feature vectors.
 
 Trees split on randomly sampled (feature, threshold) candidates scored by
-Shannon information gain, all candidates of a node in one binned pass;
-leaves store the empirical label histogram of the training samples that
-reached them. Prediction averages the leaf distributions over all trees.
-There is no bagging: randomness comes only from the split sampling, each
-tree drawing from its own derived stream.
+Shannon information gain, all candidates of a node in one binned pass: a
+sample's bin is the number of a candidate's sorted thresholds at or below
+its value, counted by compares over a bounded slice of samples at a time.
+Leaves store the empirical label histogram of the training samples that
+reached them. Trees grow depth-first from an explicit stack, so depth
+costs no recursion. Prediction routes every row through every tree in one
+vectorized pass over the concatenated node arrays and averages the leaf
+distributions over all trees. There is no bagging: randomness comes only
+from the split sampling, each tree drawing from its own derived stream.
 
 Training sorts samples lexicographically first, so sample order never
 affects the model. Models serialize to a versioned JSON file whose bytes
@@ -111,9 +115,10 @@ class ForestModel:
         return len(self.trees)
 
 
-def _entropy(hist: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each row of an (R, 7) histogram."""
-    p = hist / hist.sum(axis=1, keepdims=True)
+def _entropy(hist: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of an (R, 7) histogram whose row
+    sums are ``totals``."""
+    p = hist / totals[:, None]
     return -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1)
 
 
@@ -121,34 +126,60 @@ def _grow_tree(columns: np.ndarray, y: np.ndarray, params: ForestParams,
                rng: np.random.Generator, class_weights: np.ndarray,
                weight_sums: np.ndarray) -> FlatTree:
     """One tree over all samples, ``columns`` holding one row per feature. Nodes
-    are in preorder: a split searches before its left subtree, left before right."""
-    nodes: list[tuple] = []  # (kind, feature, threshold, left, right, distribution, support)
-
-    def grow(indices: np.ndarray, depth: int) -> int:
-        node = len(nodes)
-        nodes.append(())  # reserved, so the children get higher indices
+    are in preorder: a split searches before its left subtree, left before right.
+    The nodes still to grow wait on an explicit stack, so depth costs no
+    recursion; each writes its index into its parent's left or right slot."""
+    nodes: list[list] = []  # [kind, feature, threshold, left, right, distribution, support]
+    stack = [(np.arange(y.shape[0]), 0, None)]  # (indices, depth, (parent, slot) or None)
+    while stack:
+        indices, depth, link = stack.pop()
+        if link is not None:
+            nodes[link[0]][link[1]] = len(nodes)
         labels = y[indices]
+        n = indices.shape[0]
+        counts = np.bincount(labels, minlength=NUM_TRAINABLE)
         split = None
-        if depth < params.max_depth and indices.shape[0] >= params.min_samples_split \
-                and labels.min() != labels.max():
+        if depth < params.max_depth and n >= params.min_samples_split and counts.max() < n:
             split = _best_split(columns, indices, labels, params, rng, class_weights,
                                 weight_sums)
         if split is None:
-            hist = np.bincount(labels, minlength=NUM_TRAINABLE).astype(np.float64)
-            nodes[node] = (KIND_LEAF, -1, 0.0, -1, -1, hist / hist.sum(), indices.shape[0])
-            return node
+            hist = counts.astype(np.float64)
+            nodes.append([KIND_LEAF, -1, 0.0, -1, -1, hist / hist.sum(), n])
+            continue
         feat, thr, go_left = split
-        left = grow(indices[go_left], depth + 1)
-        right = grow(indices[~go_left], depth + 1)
-        nodes[node] = (KIND_SPLIT, feat, thr, left, right, np.zeros(NUM_TRAINABLE), 0)
-        return node
-
-    grow(np.arange(y.shape[0]), 0)
-    del grow  # grow refers to itself; that cycle would keep the arrays until a full gc
+        node = len(nodes)
+        nodes.append([KIND_SPLIT, feat, thr, -1, -1, np.zeros(NUM_TRAINABLE), 0])
+        # the left child is popped first, so its subtree takes the next indices
+        stack.append((indices[~go_left], depth + 1, (node, 4)))
+        stack.append((indices[go_left], depth + 1, (node, 3)))
     kind, feature, threshold, left, right, distribution, support = zip(*nodes)
     return FlatTree(np.array(kind, np.uint8), np.array(feature, np.int16),
                     np.array(threshold, np.float64), np.array(left, np.int32),
                     np.array(right, np.int32), np.stack(distribution), np.array(support, np.int64))
+
+
+_BIN_BYTES = 1 << 18  # bytes of threshold compares per slice of samples
+
+
+def _bin_codes(values: np.ndarray, thresholds: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(m, n) codes ``(i * (T + 1) + bin) * 7 + label`` for candidate i's values,
+    where ``bin`` counts candidate i's sorted thresholds <= the value: the
+    ``searchsorted(side="right")`` index, taken as a sum of compares over a
+    slice of samples at a time, so the bool temporary stays within
+    ``_BIN_BYTES`` whatever T is."""
+    m, n = values.shape
+    n_thr = thresholds.shape[1]
+    count_type = np.min_scalar_type(n_thr)  # the smallest unsigned type holding T
+    codes = np.empty((m, n), dtype=np.intp)
+    below = thresholds.T[:, :, None]
+    step = max(1, _BIN_BYTES // (n_thr * m))
+    for start in range(0, n, step):
+        block = values[:, start:start + step]
+        codes[:, start:start + step] = (below <= block).sum(axis=0, dtype=count_type)
+    codes += np.arange(0, m * (n_thr + 1), n_thr + 1)[:, None]
+    codes *= NUM_TRAINABLE
+    codes += labels
+    return codes
 
 
 def _best_split(columns: np.ndarray, indices: np.ndarray, labels: np.ndarray,
@@ -158,44 +189,43 @@ def _best_split(columns: np.ndarray, indices: np.ndarray, labels: np.ndarray,
     or None; ``go_left`` marks the node's samples with value < threshold.
 
     All of the node's candidates are scored in one binned pass: their
-    values form one (candidates, samples) array, and one bincount and one
-    cumsum give the left histogram of every (candidate, threshold) pair."""
+    values form one (candidates, samples) array, a sum of threshold compares
+    bins them (`_bin_codes`), and one bincount and one cumsum give the left
+    histogram of every (candidate, threshold) pair."""
     n = indices.shape[0]
     n_feat = columns.shape[0]
     n_thr = params.thresholds_per_candidate
-    cand_feats = np.sort(rng.choice(
-        n_feat, size=min(params.candidates_per_node, n_feat), replace=False))
+    cand_feats = rng.choice(n_feat, size=min(params.candidates_per_node, n_feat),
+                            replace=False)
+    cand_feats.sort()
     values = columns[cand_feats[:, None], indices]
     lo, hi = values.min(axis=1), values.max(axis=1)
     varies = hi > lo
-    if not varies.any():
-        return None
-    # a constant candidate draws nothing; row i holds the draws that one
-    # uniform(lo, hi, n_thr) call per varying candidate makes, in order
-    cand_feats, values = cand_feats[varies], values[varies]
+    if not varies.all():
+        if not varies.any():
+            return None
+        # a constant candidate draws nothing; row i holds the draws that one
+        # uniform(lo, hi, n_thr) call per varying candidate makes, in order
+        cand_feats, values, lo, hi = cand_feats[varies], values[varies], lo[varies], hi[varies]
     m = cand_feats.shape[0]
-    thresholds = np.sort(rng.uniform(lo[varies, None], hi[varies, None], size=(m, n_thr)),
-                         axis=1)
-    # bin b counts the thresholds <= value, so threshold j sends bins 0..j
-    # left (value < threshold) and the rest right; candidate i's bins start
-    # at i * (n_thr + 1), so one bincount counts them all
-    bins = np.empty((m, n), dtype=np.intp)
-    for i in range(m):
-        bins[i] = np.searchsorted(thresholds[i], values[i], side="right")
-    bins += np.arange(0, m * (n_thr + 1), n_thr + 1)[:, None]
-    counts = np.bincount((bins * NUM_TRAINABLE + labels).ravel(),
+    thresholds = rng.uniform(lo[:, None], hi[:, None], size=(m, n_thr))
+    thresholds.sort(axis=1)
+    # threshold j sends bins 0..j left (value < threshold) and the rest right
+    counts = np.bincount(_bin_codes(values, thresholds, labels).ravel(),
                          minlength=m * (n_thr + 1) * NUM_TRAINABLE)
-    left_counts = np.cumsum(counts.reshape(m, n_thr + 1, NUM_TRAINABLE)[:, :n_thr], axis=1)
+    counts = counts.reshape(m, n_thr + 1, NUM_TRAINABLE)
+    left_counts = np.cumsum(counts[:, :n_thr], axis=1)
     n_left = left_counts.sum(axis=2)
     both_sides = (n_left > 0) & (n_left < n)
 
-    parent_hist = np.bincount(labels, minlength=NUM_TRAINABLE) * class_weights
+    # candidate 0's bins hold every sample once
+    parent_hist = counts[0].sum(axis=0) * class_weights
     left_hist = weight_sums[left_counts[both_sides], np.arange(NUM_TRAINABLE)]
     k = left_hist.shape[0]
     # rows: the parent, then each pair's left side, then its right side
     hists = np.concatenate([parent_hist[None, :], left_hist, parent_hist - left_hist])
     totals = hists.sum(axis=1)
-    entropies = _entropy(hists)
+    entropies = _entropy(hists, totals)
     gains = entropies[0] - (totals[1:k + 1] * entropies[1:k + 1]
                             + totals[k + 1:] * entropies[k + 1:]) / totals[0]
 
@@ -252,31 +282,48 @@ def train_forest(data: TrainingSet, params: ForestParams = ForestParams()) -> Fo
 
 
 def predict_batch(model: ForestModel, xs: np.ndarray) -> np.ndarray:
-    """(M, 7) distributions for M feature vectors (vectorized routing)."""
+    """(M, 7) distributions for M feature vectors.
+
+    The trees' nodes are concatenated into one set of arrays, in which a
+    leaf points to itself, and every (tree, row) pair moves one level per
+    round in one vectorized step: at most ``max_depth + 1`` rounds for the
+    whole forest. The reached leaf distributions are added in tree order."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != FEATURE_DIM:
         raise PredictionError(f"feature matrix must be (M, {FEATURE_DIM}), got {xs.shape}")
     if not np.isfinite(xs).all():
         raise PredictionError("feature matrix contains non-finite values")
     m = xs.shape[0]
+    trees = model.trees
+    sizes = [tree.kind.shape[0] for tree in trees]
+    starts = np.cumsum([0] + sizes[:-1])
+    offsets = np.repeat(starts, sizes)
+    is_split = np.concatenate([tree.kind == KIND_SPLIT for tree in trees])
+    # a leaf reads feature 0 of its row and goes back to itself either way
+    own = np.arange(is_split.shape[0])
+    left = np.where(is_split, np.concatenate([tree.left for tree in trees]) + offsets, own)
+    right = np.where(is_split, np.concatenate([tree.right for tree in trees]) + offsets, own)
+    feature = np.where(is_split, np.concatenate([tree.feature for tree in trees]), 0)
+    threshold = np.concatenate([tree.threshold for tree in trees])
+
+    # node[t, r]: where tree t has routed row r so far
+    node = np.repeat(starts[:, None], m, axis=1)
+    row_base = np.arange(0, m * FEATURE_DIM, FEATURE_DIM)
+    flat = xs.ravel()
+    for _ in range(model.params.max_depth + 1):
+        if not is_split[node].any():
+            break
+        vals = flat[row_base + feature[node]]
+        node = np.where(vals < threshold[node], left[node], right[node])
+    if is_split[node].any():
+        raise PredictionError(
+            f"a tree routes rows past max_depth={model.params.max_depth} "
+            "without reaching a leaf")
+    distribution = np.concatenate([tree.distribution for tree in trees])
     acc = np.zeros((m, NUM_TRAINABLE))
-    rows = np.arange(m)
-    for tree in model.trees:
-        node = np.zeros(m, dtype=np.int32)
-        for _ in range(model.params.max_depth + 1):
-            at_split = tree.kind[node] == KIND_SPLIT
-            if not at_split.any():
-                break
-            r = rows[at_split]
-            n = node[at_split]
-            vals = xs[r, tree.feature[n]]
-            node[at_split] = np.where(vals < tree.threshold[n], tree.left[n], tree.right[n])
-        if (tree.kind[node] == KIND_SPLIT).any():
-            raise PredictionError(
-                f"a tree routes rows past max_depth={model.params.max_depth} "
-                "without reaching a leaf")
-        acc += tree.distribution[node]
-    return acc / len(model.trees)
+    for leaves in node:
+        acc += distribution[leaves]
+    return acc / len(trees)
 
 
 def save_model(model: ForestModel, path: str | Path) -> None:

@@ -2,9 +2,12 @@ import dataclasses
 import gc
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indoorseg import forest
 from indoorseg.errors import ModelFormatError, PredictionError, TrainingError
@@ -19,6 +22,8 @@ from indoorseg.forest import (
     train_forest,
 )
 from indoorseg.labels import NUM_TRAINABLE, Label
+
+from conftest import peak_bytes
 
 
 def _check_vector(x: np.ndarray) -> np.ndarray:
@@ -162,12 +167,104 @@ def reference_forest(data, params):
     return model
 
 
+def reference_bin_codes(values, thresholds, labels):
+    """`forest._bin_codes` with one ``np.searchsorted(side="right")`` per
+    candidate, building the (m, n) codes as the binned search first did."""
+    m, n = values.shape
+    n_thr = thresholds.shape[1]
+    bins = np.empty((m, n), dtype=np.intp)
+    for i in range(m):
+        bins[i] = np.searchsorted(thresholds[i], values[i], side="right")
+    bins += np.arange(0, m * (n_thr + 1), n_thr + 1)[:, None]
+    return bins * NUM_TRAINABLE + labels
+
+
+def reference_grow_tree(columns, y, params, rng, class_weights, weight_sums):
+    """`forest._grow_tree` as a recursion: each call numbers its node, then
+    grows the left subtree, then the right."""
+    nodes = []
+
+    def grow(indices, depth):
+        node = len(nodes)
+        nodes.append(())
+        labels = y[indices]
+        split = None
+        if depth < params.max_depth and indices.shape[0] >= params.min_samples_split \
+                and labels.min() != labels.max():
+            split = forest._best_split(columns, indices, labels, params, rng, class_weights,
+                                       weight_sums)
+        if split is None:
+            hist = np.bincount(labels, minlength=NUM_TRAINABLE).astype(np.float64)
+            nodes[node] = (KIND_LEAF, -1, 0.0, -1, -1, hist / hist.sum(), indices.shape[0])
+            return node
+        feat, thr, go_left = split
+        left = grow(indices[go_left], depth + 1)
+        right = grow(indices[~go_left], depth + 1)
+        nodes[node] = (forest.KIND_SPLIT, feat, thr, left, right, np.zeros(NUM_TRAINABLE), 0)
+        return node
+
+    grow(np.arange(y.shape[0]), 0)
+    kind, feature, threshold, left, right, distribution, support = zip(*nodes)
+    return forest.FlatTree(np.array(kind, np.uint8), np.array(feature, np.int16),
+                           np.array(threshold, np.float64), np.array(left, np.int32),
+                           np.array(right, np.int32), np.stack(distribution),
+                           np.array(support, np.int64))
+
+
+def reference_predict_batch(model, xs):
+    """`predict_batch` routing one tree at a time: up to ``max_depth + 1``
+    rounds over the rows still on a split."""
+    m = xs.shape[0]
+    acc = np.zeros((m, NUM_TRAINABLE))
+    rows = np.arange(m)
+    for tree in model.trees:
+        node = np.zeros(m, dtype=np.int32)
+        for _ in range(model.params.max_depth + 1):
+            at_split = tree.kind[node] == forest.KIND_SPLIT
+            if not at_split.any():
+                break
+            r = rows[at_split]
+            n = node[at_split]
+            vals = xs[r, tree.feature[n]]
+            node[at_split] = np.where(vals < tree.threshold[n], tree.left[n], tree.right[n])
+        if (tree.kind[node] == forest.KIND_SPLIT).any():
+            raise PredictionError(
+                f"a tree routes rows past max_depth={model.params.max_depth} "
+                "without reaching a leaf")
+        acc += tree.distribution[node]
+    return acc / len(model.trees)
+
+
 def model_bytes(model, path):
     save_model(model, path)
     return path.read_bytes()
 
 
+class TestParams:
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_trees", 0, "num_trees must be >= 1"),
+        ("max_depth", -1, "max_depth >= 0"),
+        ("candidates_per_node", 0, "candidate counts must be >= 1"),
+        ("thresholds_per_candidate", 0, "candidate counts must be >= 1"),
+        ("min_samples_split", 1, "min_samples_split must be >= 2"),
+    ])
+    def test_bounds_rejected(self, field, value, message):
+        with pytest.raises(TrainingError, match=message):
+            ForestParams(**{field: value})
+        ForestParams(**{field: value + 1})
+
+
 class TestTrainingSet:
+    @pytest.mark.parametrize("shape", [(5, FEATURE_DIM - 1), (5,), (5, FEATURE_DIM, 1)])
+    def test_rejects_feature_shape(self, shape):
+        with pytest.raises(TrainingError, match=re.escape(f"got {shape}")):
+            TrainingSet(features=np.zeros(shape), labels=np.zeros(5))
+
+    @pytest.mark.parametrize("labels", [np.zeros(4), np.zeros(6), np.zeros((5, 1))])
+    def test_rejects_label_shape(self, labels):
+        with pytest.raises(TrainingError, match="labels shape does not match features"):
+            TrainingSet(features=np.zeros((5, FEATURE_DIM)), labels=labels)
+
     def test_rejects_empty(self):
         with pytest.raises(TrainingError):
             TrainingSet(features=np.zeros((0, FEATURE_DIM)), labels=np.zeros(0))
@@ -263,6 +360,20 @@ class TestTraining:
         model = train_forest(data, ForestParams(num_trees=4, max_depth=3, seed=0))
         assert all(t.depth() <= 3 for t in model.trees)
 
+    def test_tree_deeper_than_the_recursion_limit(self, tmp_path):
+        """Every feature spreads exponentially and the labels alternate, so a
+        uniform threshold mostly peels a few of the largest values off: one
+        tree grows 1,465 levels deep, past Python's recursion limit."""
+        x = np.repeat(np.exp(np.linspace(0.0, 700.0, 1500))[:, None], FEATURE_DIM, axis=1)
+        data = TrainingSet(features=x, labels=np.arange(1500) % 2)
+        model = train_forest(data, ForestParams(num_trees=1, max_depth=5000,
+                                                candidates_per_node=1))
+        assert model.trees[0].depth() > sys.getrecursionlimit()
+        probs = predict_batch(model, x)
+        assert (probs.argmax(axis=1) == data.labels).all()
+        first = model_bytes(model, tmp_path / "deep.json")
+        assert model_bytes(load_model(tmp_path / "deep.json"), tmp_path / "again.json") == first
+
 
 class TestSplitSearchOracle:
     """`train_forest` writes the same model file as the per-threshold search."""
@@ -284,6 +395,10 @@ class TestSplitSearchOracle:
         "half-constant-14": (half_constant_set, {"candidates_per_node": 14}),
         "one-candidate": (lambda r: random_set(r, n=300, classes=4),
                           {"candidates_per_node": 1}),
+        # past 255 thresholds a bin count needs more than 8 bits
+        "balanced-300-thresholds": (lambda r: random_set(r, n=300, classes=6),
+                                    {"class_balanced": True, "thresholds_per_candidate": 300,
+                                     "max_depth": 4}),
     }
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -294,6 +409,79 @@ class TestSplitSearchOracle:
         params = ForestParams(seed=seed, **{"num_trees": 3, **overrides})
         assert model_bytes(train_forest(data, params), tmp_path / "fast.json") == \
             model_bytes(reference_forest(data, params), tmp_path / "reference.json")
+
+
+class TestGrowOracle:
+    """The stack-grown tree equals the recursive one: same preorder numbering,
+    same split searches in the same order."""
+
+    CASES = dict(TestSplitSearchOracle.CASES,
+                 **{"min-samples-split-25": (lambda r: random_set(r, n=400, classes=5),
+                                             {"min_samples_split": 25})})
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_model_bytes_match_recursion(self, case, tmp_path, monkeypatch):
+        make, overrides = self.CASES[case]
+        data = make(np.random.default_rng(7))
+        params = ForestParams(seed=7, **{"num_trees": 3, **overrides})
+        stacked = model_bytes(train_forest(data, params), tmp_path / "stack.json")
+        monkeypatch.setattr(forest, "_grow_tree", reference_grow_tree)
+        assert stacked == model_bytes(train_forest(data, params), tmp_path / "recursive.json")
+
+
+@st.composite
+def binning_inputs(draw):
+    """Values and sorted thresholds drawn from one small pool: values equal
+    to thresholds, duplicate thresholds, 0.0 against -0.0, values outside
+    every threshold. ``step`` samples go to one slice of compares."""
+    n_thr = draw(st.sampled_from([1, 10, 255, 256, 300]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 80))
+    pool = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
+                    + [0.0, -0.0, 5e-324])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    thresholds = np.sort(pool[rng.integers(0, pool.shape[0], (m, n_thr))], axis=1)
+    values = pool[rng.integers(0, pool.shape[0], (m, n))]
+    outside = rng.random((m, n)) < 0.1
+    values[outside] = np.where(rng.random(outside.sum()) < 0.5, -2e6, 2e6)
+    labels = rng.integers(0, NUM_TRAINABLE, n)
+    step = draw(st.sampled_from([1, 7, n, None]))
+    return values, thresholds, labels, step
+
+
+class TestBinning:
+    """`_bin_codes` counts the thresholds at or below each value, as
+    ``np.searchsorted(side="right")`` does, in slices of samples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=binning_inputs())
+    def test_matches_searchsorted(self, inputs):
+        values, thresholds, labels, step = inputs
+        budget = forest._BIN_BYTES if step is None else step * thresholds.size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_BIN_BYTES", budget)
+            got = forest._bin_codes(values, thresholds, labels)
+        want = reference_bin_codes(values, thresholds, labels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_count_past_16_bits(self):
+        thresholds = np.zeros((1, 2 ** 16))
+        values = np.array([[1.0, -1.0, -0.0, 5e-324]])
+        labels = np.array([6, 0, 3, 1])
+        got = forest._bin_codes(values, thresholds, labels)
+        np.testing.assert_array_equal(got // NUM_TRAINABLE, [[2 ** 16, 0, 2 ** 16, 2 ** 16]])
+        assert got.tobytes() == reference_bin_codes(values, thresholds, labels).tobytes()
+
+    def test_wide_threshold_fit_peaks_no_higher_than_searchsorted_bins(self, monkeypatch):
+        """At 300 thresholds one bool compare per (threshold, candidate,
+        sample) is 300 times the samples' codes; sliced, the fit's tracemalloc
+        peak stays within that of the per-candidate searchsorted bins."""
+        data = random_set(np.random.default_rng(0), n=20000, classes=7)
+        params = ForestParams(num_trees=1, max_depth=1, candidates_per_node=FEATURE_DIM,
+                              thresholds_per_candidate=300)
+        sliced = peak_bytes(lambda: train_forest(data, params))
+        monkeypatch.setattr(forest, "_bin_codes", reference_bin_codes)
+        assert sliced <= peak_bytes(lambda: train_forest(data, params))
 
 
 def duplicate_set(rng):
@@ -386,6 +574,44 @@ class TestPredict:
         for i in range(probe.shape[0]):
             np.testing.assert_array_equal(batch[i], predict(model, probe[i]))
 
+    def test_matches_per_tree_routing(self, rng):
+        """Trees of one leaf, trees that reach max_depth and trees that stop
+        short of it, routed together; probes include the rows trained on,
+        whose values the thresholds fall between, and the thresholds
+        themselves."""
+        data = random_set(rng, n=400, classes=6)
+        model = train_forest(data, ForestParams(num_trees=5, max_depth=4, seed=2))
+        single = TrainingSet(features=data.features, labels=np.full(400, 3))
+        model.trees[1:1] = train_forest(single, ForestParams(num_trees=2, seed=0)).trees
+        depths = [t.depth() for t in model.trees]
+        assert 0 in depths and 4 in depths
+        split = np.concatenate([t.kind == forest.KIND_SPLIT for t in model.trees])
+        on_thresholds = np.tile(np.concatenate([t.threshold for t in model.trees])[split],
+                                (FEATURE_DIM, 1)).T
+        probe = np.vstack([data.features, on_thresholds, rng.uniform(-2, 2, (50, FEATURE_DIM))])
+        assert predict_batch(model, probe).tobytes() == \
+            reference_predict_batch(model, probe).tobytes()
+        assert predict_batch(model, probe[:0]).shape == (0, NUM_TRAINABLE)
+
+    def test_past_max_depth_rejected_like_per_tree_routing(self, rng):
+        # only the last tree is deeper than the params say. Routing takes
+        # max_depth + 1 rounds, so leaves two levels too deep are the first
+        # whose rows still sit on a split after the last round
+        data = random_set(rng, n=300, classes=4)
+        model = train_forest(data, ForestParams(num_trees=3, max_depth=3, seed=1))
+        deep = train_forest(data, ForestParams(num_trees=1, max_depth=5, seed=1)).trees[0]
+        assert deep.depth() == 5
+        model.trees.append(deep)
+        for route in (predict_batch, reference_predict_batch):
+            with pytest.raises(PredictionError, match="past max_depth=3 without reaching a leaf"):
+                route(model, data.features)
+
+    def test_rejects_feature_shape(self, rng):
+        model = train_forest(random_set(rng), ForestParams(num_trees=1, seed=0))
+        for bad in (np.zeros(FEATURE_DIM), np.zeros((3, FEATURE_DIM + 1))):
+            with pytest.raises(PredictionError, match="feature matrix must be"):
+                predict_batch(model, bad)
+
     def test_normalized(self, rng):
         model = train_forest(random_set(rng, n=300, classes=6), ForestParams(seed=9))
         probs = predict_batch(model, rng.uniform(-2, 2, size=(200, FEATURE_DIM)))
@@ -463,6 +689,30 @@ class TestSerialization:
         nodes[0]["right"] = nodes[0]["left"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="parents"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", ["drop_trees", "list_document"])
+    def test_missing_document_field_rejected(self, rng, tmp_path, edit):
+        path, doc, _, _ = self._tree_doc(rng, tmp_path)
+        if edit == "drop_trees":
+            del doc["trees"]
+            message = "missing field 'trees' in document"
+        else:
+            doc = [doc]
+            message = "missing field 'format_version' in document"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_tree_deeper_than_max_depth_rejected(self, rng, tmp_path):
+        path, doc, _, _ = self._tree_doc(rng, tmp_path)
+        depth = load_model(path).trees[0].depth()
+        doc["params"]["max_depth"] = depth
+        path.write_text(json.dumps(doc))
+        load_model(path)
+        doc["params"]["max_depth"] = depth - 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="tree 0 deeper than max_depth"):
             load_model(path)
 
     def test_load_save_round_trip_is_byte_identical(self, rng, tmp_path):

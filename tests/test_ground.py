@@ -78,6 +78,32 @@ class TestEstimate:
         assert got.offset == want.offset
         assert got.inlier_count == want.inlier_count
 
+    def test_collinear_floor_discarded(self, rng):
+        # every RANSAC triple of points on one line spans no plane
+        pts = np.zeros((600, 3))
+        pts[:, 0] = rng.uniform(-2, 2, 600)
+        pts[:, 1] = 1.3
+        cloud = make_cloud(pts, labels=np.full(600, int(Label.FLOOR), dtype=np.uint8),
+                           frame=FRAME_CAMERA)
+        with pytest.raises(FrameDiscardError, match="degenerate"):
+            estimate_ground_plane(cloud, min_floor_points=100)
+
+    @pytest.mark.parametrize("up", [1.0, -1.0], ids=["upright", "rolled_180"])
+    def test_camera_frame_floor_normal_points_at_the_camera(self, rng, up):
+        """The floor at y = 1.3 (camera y down) or at y = -1.3 (the camera
+        rolled 180 degrees). Both clouds have the same centred points, so
+        `eigh` returns the same normal for both, and exactly one of the two
+        fits has to flip it. Both must put the camera 1.3 m above the floor."""
+        cloud = camera_floor_cloud(rng, height=up * 1.3)
+        plane = estimate_ground_plane(cloud, min_floor_points=100)
+        assert abs(plane.offset - 1.3) <= 1e-9
+        np.testing.assert_allclose(plane.normal, [0.0, -up, 0.0], atol=1e-9)
+        # the camera origin, and a point 0.8 m above the floor
+        probes = np.vstack([cloud.positions, [[0.0, 0.0, 0.0], [0.3, up * 0.5, 2.0]]])
+        aligned = gravity_align(make_cloud(probes, frame=FRAME_CAMERA), plane)
+        assert np.abs(aligned.positions[:-2, 2]).max() <= 1e-9
+        np.testing.assert_allclose(aligned.positions[-2:, 2], [1.3, 0.8], atol=1e-9)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_gravity_frame_floor_normal_points_up(self, seed):
         # the floor passes within microns of a gravity-frame cloud's origin,
@@ -138,6 +164,22 @@ class TestAlign:
                                    np.tile([0, 0, 1.0], (len(cloud), 1)), atol=1e-6)
 
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_floor_normal_along_camera_x(self, sign):
+        """A camera rolled 90 degrees: the floor normal is the camera's x-axis,
+        which then has nothing left off the normal to give the yaw, so the
+        camera's y-axis gives it."""
+        plane = GroundPlane(normal=np.array([sign, 0.0, 0.0]), offset=1.2, inlier_count=0)
+        rotation, translation = ground.alignment_transform(plane)
+        np.testing.assert_allclose(rotation, [[0.0, 1.0, 0.0], [0.0, 0.0, sign],
+                                              [sign, 0.0, 0.0]], atol=1e-12)
+        assert np.linalg.det(rotation) == pytest.approx(1.0)
+        floor = np.array([[-sign * 1.2, 0.3, 2.0], [-sign * 1.2, -1.0, 4.0]])
+        aligned = gravity_align(make_cloud(np.vstack([floor, [[0.0, 0.0, 0.0]]]),
+                                           frame=FRAME_CAMERA), plane)
+        np.testing.assert_allclose(aligned.positions[:, 2], [0.0, 0.0, 1.2], atol=1e-12)
+
+
 class TestPose:
     def test_level_camera(self):
         plane = plane_from_pose(camera_height=1.1, pitch=0.0, roll=0.0)
@@ -159,6 +201,11 @@ class TestPose:
         cloud = make_cloud(on_plane, frame=FRAME_CAMERA)
         aligned = gravity_align(cloud, plane)
         np.testing.assert_allclose(aligned.positions[:, 2], 0.0, atol=1e-9)
+
+    def test_negative_height_rejected(self):
+        with pytest.raises(InputError, match="camera height must be >= 0"):
+            plane_from_pose(camera_height=-0.1, pitch=0.0, roll=0.0)
+        assert plane_from_pose(camera_height=0.0, pitch=0.0, roll=0.0).offset == 0.0
 
     def test_pose_file(self, tmp_path):
         path = tmp_path / "pose.txt"

@@ -14,7 +14,9 @@ and the feature rows. The inputs cover both normals paths, the camera and
 the gravity frame, the fit, pose and none ground modes, and ``w_spatial``
 0. The forest lines give the digests of the 8-tree forests (seeds 0 and 1)
 that the benchmark's `eval` workload fits at acceptance criterion 4's
-configuration.
+configuration, and of one fit on the same frames with class-balanced
+weights and 300 thresholds per candidate, past what an 8-bit bin count
+holds.
 """
 
 import hashlib
@@ -35,6 +37,7 @@ FRAME = PipelineConfig(voxel_resolution=0.025, seed_resolution=0.15, ground_mode
 EVAL = PipelineConfig(voxel_resolution=0.025, seed_resolution=0.15,
                       candidates_per_node=3, thresholds_per_candidate=10,
                       mrf_lambda=2.0, mrf_sigma=0.1)
+WIDE = replace(EVAL, class_balanced=True, thresholds_per_candidate=300)
 
 
 def digest(*arrays) -> str:
@@ -77,15 +80,18 @@ def stage_line(name: str, cloud, config, pose_plane=None) -> str:
                     + [f"{key}={digest(value)}" for key, value in fields.items()])
 
 
+def model_digest(model) -> str:
+    return digest(*[getattr(t, f) for t in model.trees
+                    for f in ("kind", "feature", "threshold", "left", "right", "distribution")])
+
+
 def forest_lines() -> list[str]:
     """The `eval` workload's models: criterion 4's first four scenes."""
     preps = [evalkit.prepare_frame(scene(seed, 2000.0), EVAL) for seed in range(100, 104)]
-    lines = []
-    for seed in (0, 1):
-        model = evalkit.train_from_preps(preps, EVAL, seed=seed)
-        lines.append(f"eval_forest seed={seed} model=" + digest(
-            *[getattr(t, f) for t in model.trees
-              for f in ("kind", "feature", "threshold", "left", "right", "distribution")]))
+    lines = [f"eval_forest seed={seed} model="
+             + model_digest(evalkit.train_from_preps(preps, EVAL, seed=seed)) for seed in (0, 1)]
+    lines.append("eval_forest_balanced_300 seed=0 model="
+                 + model_digest(evalkit.train_from_preps(preps, WIDE, seed=0)))
     return lines
 
 
