@@ -118,8 +118,6 @@ def _cmd_train(args) -> int:
     config = _resolve_config(args)
     clouds = [read_cloud(p) for p in _scene_paths(args.scenes)]
     preps, discarded = prepare_frames(clouds, config)
-    if not preps:
-        raise PipelineError("all training frames were discarded")
     if discarded:
         print(f"discarded {discarded} frames without a usable ground plane",
               file=sys.stderr)
@@ -148,16 +146,20 @@ def _cmd_segment(args) -> int:
     write_cloud(labeled, out_path)
     config.save(out_path.with_suffix(out_path.suffix + ".config.json"))
 
-    dump = {
+    doc = {
         "timing_ms": {k: round(1000.0 * v, 3) for k, v in result.timings.items()},
         "lbp_converged": bool(result.labeling.converged),
         "lbp_iterations": int(result.labeling.iterations),
+        "patches": [
+            {"patch": i, "map_label": label,
+             "distribution": [round(v, 6) for v in distribution]}
+            for i, (label, distribution) in enumerate(zip(
+                result.labeling.assignment.tolist(), result.distributions.tolist()))],
     }
     probs_path = Path(args.patch_probs) if args.patch_probs else \
         out_path.with_suffix(out_path.suffix + ".patches.json")
     probs_path.parent.mkdir(parents=True, exist_ok=True)
-    probs_path.write_text(
-        _patches_json(dump, result.labeling.assignment, result.distributions) + "\n")
+    probs_path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
     if args.dump_patches:
         debug = dump_patch_colors(result.stage_output.graph, result.stage_output.cloud,
@@ -172,24 +174,6 @@ def _cmd_segment(args) -> int:
     return 0
 
 
-def _patches_json(dump: dict, labels: np.ndarray, distributions: np.ndarray) -> str:
-    """``json.dumps(..., indent=2, sort_keys=True)`` of ``dump`` plus a
-    ``patches`` list: patch i's id, MAP label and distribution rounded to 6
-    digits. That list is almost all of the file, so it is rendered here
-    directly, with `json`'s text for each float (``repr`` of the rounded
-    value) and a placeholder in its place for `json.dumps`."""
-    placeholder = "\0patches\0"
-    rows = [
-        '    {\n      "distribution": [\n        '
-        + ",\n        ".join([repr(round(v, 6)) for v in distribution])
-        + f'\n      ],\n      "map_label": {label},\n      "patch": {i}\n    }}'
-        for i, (label, distribution) in enumerate(zip(labels.tolist(),
-                                                      distributions.tolist()))]
-    patches = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    text = json.dumps({**dump, "patches": placeholder}, indent=2, sort_keys=True)
-    return text.replace(json.dumps(placeholder), patches, 1)
-
-
 def _cmd_eval(args) -> int:
     _require_counts(args, "train_count", "test_count")
     config = _resolve_config(args)
@@ -201,8 +185,6 @@ def _cmd_eval(args) -> int:
                        for i in range(args.test_count)]
         train_preps, d1 = prepare_frames(train_clouds, config)
         test_preps, d2 = prepare_frames(test_clouds, config)
-        if not train_preps or not test_preps:
-            raise PipelineError("benchmark frames were all discarded")
         cm_mrf, cm_unary = evaluate_split(train_preps, test_preps, config)
         report = EvalReport(confusion=cm_mrf, confusion_unary=cm_unary,
                             frames_evaluated=len(test_preps),

@@ -241,13 +241,17 @@ def _none_if_nan(v: float):
 
 def prepare_frames(clouds: Sequence[PointCloud],
                    config: PipelineConfig) -> tuple[list[FramePrep], int]:
-    """Prepare all frames, dropping the ones whose ground plane fit fails."""
-    preps = []
+    """Prepare all frames, dropping the ones whose ground plane fit fails;
+    raises EvaluationError, with the first one's reason, if all of them do."""
+    preps, first_discard = [], None
     for cloud in clouds:
         try:
             preps.append(prepare_frame(cloud, config))
-        except FrameDiscardError:
-            pass
+        except FrameDiscardError as e:
+            first_discard = first_discard or e
+    if first_discard is not None and not preps:
+        raise EvaluationError(f"all {len(clouds)} frames were discarded without a usable "
+                              f"ground plane; the first: {first_discard}")
     return preps, len(clouds) - len(preps)
 
 
@@ -270,8 +274,6 @@ def cross_validate(clouds: Sequence[PointCloud], config: PipelineConfig,
         raise InputError(f"k must be in 2..{len(clouds)} (the number of clouds), got {k}")
     t_start = time.perf_counter()
     preps, discarded = prepare_frames(clouds, config)
-    if not preps:
-        raise EvaluationError("every frame was discarded (no ground plane)")
     folds = kfold_split(list(range(len(preps))), k=k, seed=seed)
 
     cm_mrf, cm_unary = ConfusionMatrix(), ConfusionMatrix()

@@ -286,7 +286,7 @@ def predict_batch(model: ForestModel, xs: np.ndarray) -> np.ndarray:
 
     The trees' nodes are concatenated into one set of arrays, in which a
     leaf points to itself, and every (tree, row) pair moves one level per
-    round in one vectorized step: at most ``max_depth + 1`` rounds for the
+    round in one vectorized step: at most ``max_depth`` rounds for the
     whole forest. The reached leaf distributions are added in tree order."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != FEATURE_DIM:
@@ -310,7 +310,7 @@ def predict_batch(model: ForestModel, xs: np.ndarray) -> np.ndarray:
     node = np.repeat(starts[:, None], m, axis=1)
     row_base = np.arange(0, m * FEATURE_DIM, FEATURE_DIM)
     flat = xs.ravel()
-    for _ in range(model.params.max_depth + 1):
+    for _ in range(model.params.max_depth):
         if not is_split[node].any():
             break
         vals = flat[row_base + feature[node]]

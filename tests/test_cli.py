@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ import pytest
 
 import indoorseg
 
-from indoorseg import evalkit
-from indoorseg.cli import _patches_json, _scene_paths, main
+from indoorseg import cli, evalkit
+from indoorseg.cli import _scene_paths, main
 from indoorseg.errors import InputError
 from indoorseg.forest import load_model
 from indoorseg.labels import Label
@@ -100,16 +101,18 @@ def test_segment_outputs(workspace):
     assert abs(sum(entry["distribution"]) - 1.0) <= 1e-3
 
 
-def reference_patches_json(dump, labels, distributions):
-    """The document `_patches_json` renders, as one `json.dumps`."""
-    patches = [{"patch": i, "map_label": int(label),
-                "distribution": [round(float(v), 6) for v in row]}
-               for i, (label, row) in enumerate(zip(labels, distributions))]
-    return json.dumps({**dump, "patches": patches}, indent=2, sort_keys=True)
+def patches_doc(path):
+    """The document segment wrote, after checking it is the compact,
+    sorted-key text `json` gives for its own value."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.loads(text)
 
 
-DUMP = {"timing_ms": {"normals": 412.25, "total": 1803.5}, "lbp_converged": True,
-        "lbp_iterations": 33}
+def rounded_patches(labels, distributions):
+    return [{"patch": i, "map_label": int(label),
+             "distribution": [round(float(v), 6) for v in row]}
+            for i, (label, row) in enumerate(zip(labels, distributions))]
 
 
 def test_patches_json_matches_json_dumps_on_a_frame(workspace):
@@ -119,11 +122,10 @@ def test_patches_json_matches_json_dumps_on_a_frame(workspace):
     result = segment_cloud(read_cloud(scenes / "scene_000.ply"), load_model(model), config)
     labels, distributions = result.labeling.assignment, result.distributions
     assert len(labels) > 100
-    assert _patches_json(DUMP, labels, distributions) == \
-        reference_patches_json(DUMP, labels, distributions)
-    # the file segment wrote is the same text json gives for its own values
-    text = labeled.with_suffix(labeled.suffix + ".patches.json").read_text()
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    doc = patches_doc(labeled.with_suffix(labeled.suffix + ".patches.json"))
+    assert doc["patches"] == rounded_patches(labels, distributions)
+    assert doc["lbp_iterations"] == result.labeling.iterations
+    assert doc["lbp_converged"] == result.labeling.converged
 
 
 @pytest.mark.parametrize("rows", [
@@ -131,14 +133,29 @@ def test_patches_json_matches_json_dumps_on_a_frame(workspace):
     [[-1e-9, -4e-7, 9.6e-7, 1.4e-6, 0.1234565, 0.5, 1.0]],
     [[0.0, 1e-06, -0.0, 2.5e-07, 0.999999, 0.9999996, 7e-05]] * 3,
 ])
-def test_patches_json_edge_values(rows):
+def test_patches_json_edge_values(workspace, tmp_path, monkeypatch, rows):
     """No patches, and values that round to -0.0, 0.0 or 1e-06."""
+    _, scenes, model, _ = workspace
     distributions = np.array(rows, dtype=np.float64).reshape(-1, 7)
     labels = np.arange(distributions.shape[0]) % 7
-    text = _patches_json(DUMP, labels, distributions)
-    assert text == reference_patches_json(DUMP, labels, distributions)
+    segment = cli.segment_cloud
+
+    def with_rows(*args, **kwargs):
+        result = segment(*args, **kwargs)
+        labeling = dataclasses.replace(result.labeling, assignment=labels)
+        return dataclasses.replace(result, labeling=labeling, distributions=distributions)
+
+    monkeypatch.setattr(cli, "segment_cloud", with_rows)
+    probs = tmp_path / "probs.json"
+    assert main(["segment", "--input", str(scenes / "scene_000.ply"), "--model", str(model),
+                 "--output", str(tmp_path / "out.ply"), "--patch-probs", str(probs)] + CFG) == 0
+    doc = patches_doc(probs)
+    assert doc["patches"] == rounded_patches(labels, distributions)
+    text = probs.read_text()
     if rows:
         assert "-0.0," in text and "1e-06," in text
+    else:
+        assert '"patches":[]' in text
 
 
 def test_segment_accuracy_on_easy_scene(tmp_path):
@@ -180,13 +197,21 @@ def test_segment_rerun_identical(workspace, tmp_path):
     assert labeled.read_bytes() == again.read_bytes()
 
 
+def write_floorless_cloud(path, seed=0):
+    """A labeled camera-frame cloud without floor points: the floor fit
+    discards it."""
+    pts = np.random.default_rng(seed).uniform(0, 2, size=(1000, 3))
+    write_cloud(make_cloud(pts, labels=np.full(1000, int(Label.WALL)), frame="camera"), path)
+    return path
+
+
+DISCARDED = ("pipeline error: all 2 frames were discarded without a usable ground "
+             "plane; the first: only 0 floor points, need 200")
+
+
 def test_segment_frame_discard_exit_code(workspace, tmp_path):
     _, _, model, _ = workspace
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 2, size=(1000, 3))
-    cloud = make_cloud(pts, labels=np.full(1000, int(Label.WALL)), frame="camera")
-    path = tmp_path / "nofloor.ply"
-    write_cloud(cloud, path)
+    path = write_floorless_cloud(tmp_path / "nofloor.ply")
     code = main(["segment", "--input", str(path), "--model", str(model),
                  "--output", str(tmp_path / "out.ply")] + CFG)
     assert code == 2
@@ -518,6 +543,52 @@ def test_train_without_trainable_patches_names_the_cause(tmp_path, capsys):
     assert "min_patch_points=10" in err
     assert '"Matching resolutions to point density"' in err
     assert not model.exists()
+
+
+def test_train_with_every_frame_discarded_exits_2(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for seed in (0, 1):
+        write_floorless_cloud(scenes / f"nofloor_{seed}.ply", seed)
+    model = tmp_path / "model.json"
+    assert main(["train", "--scenes", str(scenes), "--model", str(model)] + CFG) == 2
+    assert capsys.readouterr().err.startswith(DISCARDED)
+    assert not model.exists()
+
+
+def test_train_notes_the_discarded_frames(workspace, tmp_path, capsys):
+    _, scenes, _, _ = workspace
+    nofloor = write_floorless_cloud(tmp_path / "nofloor.ply")
+    model = tmp_path / "model.json"
+    assert main(["train", "--scenes", str(scenes / "scene_000.ply"), str(nofloor),
+                 "--model", str(model)] + CFG) == 0
+    assert capsys.readouterr().err == \
+        "discarded 1 frames without a usable ground plane\n"
+    assert model.exists()
+
+
+def test_eval_scenes_with_every_frame_discarded_exits_2(tmp_path, capsys):
+    paths = [str(write_floorless_cloud(tmp_path / f"nofloor_{seed}.ply", seed))
+             for seed in (0, 1)]
+    out = tmp_path / "out"
+    assert main(["eval", "--scenes", *paths, "--k", "2", "--out-dir", str(out)] + CFG) == 2
+    assert capsys.readouterr().err.startswith(DISCARDED)
+    assert not out.exists()
+
+
+def test_eval_benchmark_with_every_frame_discarded_exits_2(tmp_path, capsys):
+    # synth scenes are gravity-aligned, so only a forced floor fit can
+    # discard them
+    out = tmp_path / "out"
+    assert main(["eval", "--benchmark", "--train-count", "2", "--test-count", "1",
+                 "--out-dir", str(out), "--voxel-resolution", "0.03",
+                 "--seed-resolution", "0.15", "--ground-mode", "fit",
+                 "--min-floor-points", "1000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: all 2 frames were discarded without a usable "
+                          "ground plane; the first: only ")
+    assert err.endswith(" floor points, need 1000000000\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("which", ["config", "model", "pose"])

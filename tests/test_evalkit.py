@@ -6,6 +6,7 @@ from indoorseg.evalkit import (
     ConfusionMatrix,
     cross_validate,
     kfold_split,
+    prepare_frame,
 )
 from indoorseg.labels import Label
 from indoorseg.pipeline import PipelineConfig
@@ -44,6 +45,12 @@ class TestConfusionMatrix:
         assert cm.total == 4
         assert cm.excluded_uncovered == 6
         assert cm.coverage() == pytest.approx(0.4)
+
+    def test_empty_matrix_reads_nan(self):
+        cm = ConfusionMatrix()
+        assert np.isnan(cm.global_accuracy())
+        assert np.isnan(cm.class_average())
+        assert np.isnan(cm.coverage())
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
@@ -148,8 +155,14 @@ class TestCrossValidate:
             pts = rng.uniform(0, 2, size=(800, 3))
             clouds.append(make_cloud(pts, labels=np.full(800, int(Label.WALL)),
                                      frame="camera"))
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="all 3 frames were discarded without a "
+                           "usable ground plane; the first: only 0 floor points, need 500"):
             cross_validate(clouds, PipelineConfig(), k=2)
+
+    def test_unlabeled_cloud_rejected(self):
+        cloud = small_scene(0).with_(labels=None)
+        with pytest.raises(InputError, match="evaluation needs ground-truth labeled clouds"):
+            prepare_frame(cloud, PipelineConfig(**SMALL_CONFIG))
 
     def test_report_determinism(self):
         clouds = [small_scene(s) for s in range(4)]

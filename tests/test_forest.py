@@ -212,14 +212,14 @@ def reference_grow_tree(columns, y, params, rng, class_weights, weight_sums):
 
 
 def reference_predict_batch(model, xs):
-    """`predict_batch` routing one tree at a time: up to ``max_depth + 1``
+    """`predict_batch` routing one tree at a time: up to ``max_depth``
     rounds over the rows still on a split."""
     m = xs.shape[0]
     acc = np.zeros((m, NUM_TRAINABLE))
     rows = np.arange(m)
     for tree in model.trees:
         node = np.zeros(m, dtype=np.int32)
-        for _ in range(model.params.max_depth + 1):
+        for _ in range(model.params.max_depth):
             at_split = tree.kind[node] == forest.KIND_SPLIT
             if not at_split.any():
                 break
@@ -595,16 +595,19 @@ class TestPredict:
 
     def test_past_max_depth_rejected_like_per_tree_routing(self, rng):
         # only the last tree is deeper than the params say. Routing takes
-        # max_depth + 1 rounds, so leaves two levels too deep are the first
-        # whose rows still sit on a split after the last round
+        # max_depth rounds, so rows bound for a leaf one level too deep
+        # already sit on a split after the last round
         data = random_set(rng, n=300, classes=4)
-        model = train_forest(data, ForestParams(num_trees=3, max_depth=3, seed=1))
-        deep = train_forest(data, ForestParams(num_trees=1, max_depth=5, seed=1)).trees[0]
-        assert deep.depth() == 5
-        model.trees.append(deep)
-        for route in (predict_batch, reference_predict_batch):
-            with pytest.raises(PredictionError, match="past max_depth=3 without reaching a leaf"):
-                route(model, data.features)
+        for deep_depth in (4, 5):
+            model = train_forest(data, ForestParams(num_trees=3, max_depth=3, seed=1))
+            deep = train_forest(data, ForestParams(num_trees=1, max_depth=deep_depth,
+                                                   seed=1)).trees[0]
+            assert deep.depth() == deep_depth
+            model.trees.append(deep)
+            for route in (predict_batch, reference_predict_batch):
+                with pytest.raises(PredictionError,
+                                   match="past max_depth=3 without reaching a leaf"):
+                    route(model, data.features)
 
     def test_rejects_feature_shape(self, rng):
         model = train_forest(random_set(rng), ForestParams(num_trees=1, seed=0))
