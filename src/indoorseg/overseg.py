@@ -200,11 +200,18 @@ def compute_normals(cloud: PointCloud, grid: VoxelGrid, k: int = 15) -> PointClo
     n_points = len(cloud)
     if n_points < k:
         raise InputError(f"cloud has {n_points} points, need at least k={k}")
-    reach = grid.counts.astype(np.float64)
-    grid.add_neighbours(reach)
-    if np.median(reach[grid.vox_of_point]) >= k:
+    reach = voxel_normals_reach(grid, k)
+    if reach is not None:
         return _voxel_normals(cloud, grid, reach)
     return _knn_normals(cloud, k)
+
+
+def voxel_normals_reach(grid: VoxelGrid, k: int) -> np.ndarray | None:
+    """Each voxel's 27-neighbourhood point count when the median point's is
+    at least k, so `compute_normals` takes the voxel path; else None."""
+    reach = grid.counts.astype(np.float64)
+    grid.add_neighbours(reach)
+    return reach if np.median(reach[grid.vox_of_point]) >= k else None
 
 
 def _knn_normals(cloud: PointCloud, k: int) -> PointCloud:

@@ -227,9 +227,8 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
         hue = rng.uniform(0.0, 1.0)
         color = np.clip(_hsv_to_rgb(hue, 0.8, 0.85) + rng.normal(0.0, 6.0, size=3), 0, 255)
         if table_tops:
+            # a top is at least 0.9 x 0.6 m and an object at most 0.16 m wide
             tx0, ty0, tx1, ty1, tz = table_tops[int(rng.integers(0, len(table_tops)))]
-            if tx1 - tx0 <= sx or ty1 - ty0 <= sy:
-                raise GenerationError("object larger than its table top")
             x0 = rng.uniform(tx0, tx1 - sx)
             y0 = rng.uniform(ty0, ty1 - sy)
             z0 = tz

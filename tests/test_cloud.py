@@ -58,6 +58,8 @@ class TestIngest:
         rgb = np.zeros((10, 11, 3), dtype=np.uint8)
         with pytest.raises(InputError):
             ingest_depth_frame(depth, rgb, None, INTR)
+        with pytest.raises(InputError, match=r"depth image must be 2-D, got shape \(10, 10, 1\)"):
+            ingest_depth_frame(depth[:, :, None], rgb[:, :10], None, INTR)
         labels = np.zeros((11, 10), dtype=np.uint8)
         rgb_ok = np.zeros((10, 10, 3), dtype=np.uint8)
         with pytest.raises(InputError):
@@ -151,6 +153,21 @@ class TestPointCloudType:
             cloud = PointCloud(positions=[[0.0, 0.0, 0.0]], colors=given)
             np.testing.assert_array_equal(cloud.colors, [[0, 128, 255]])
             assert cloud.colors.dtype == np.uint8
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("positions", np.zeros((2, 2)), r"positions must have shape \(N, 3\), got \(2, 2\)"),
+        ("colors", np.zeros((2, 4), dtype=np.uint8),
+         r"colors must have shape \(2, 3\), got \(2, 4\)"),
+        ("labels", [[0, 1]], r"labels must have shape \(2,\), got \(1, 2\)"),
+        ("normals", np.eye(3), r"normals must have shape \(2, 3\), got \(3, 3\)"),
+        ("normal_flags", [True, False, True], r"normal_flags must have shape \(2,\)"),
+        ("frame", "world", "frame must be one of .*, got 'world'"),
+    ], ids=["positions", "colors", "labels", "normals", "normal_flags", "frame"])
+    def test_rejects_wrong_shape_or_frame(self, field, value, message):
+        fields = {"positions": np.zeros((2, 3)), "colors": np.zeros((2, 3), dtype=np.uint8)}
+        PointCloud(**fields)
+        with pytest.raises(InputError, match=message):
+            PointCloud(**{**fields, field: value})
 
     def test_arrays_frozen(self):
         cloud = make_cloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from indoorseg.evalkit import (
     cross_validate,
     kfold_split,
     prepare_frame,
+    train_from_preps,
 )
+from indoorseg.forest import save_model
 from indoorseg.labels import Label
 from indoorseg.pipeline import PipelineConfig
 from indoorseg.synth import SceneSpec, generate_scene
@@ -118,6 +122,19 @@ def small_scene(seed):
     return generate_scene(SceneSpec(
         seed=seed, room_extent=(3.6, 3.0, 2.2), points_per_m2=900.0,
         furniture_counts={"table": 1, "chair": 1, "cabinet": 1, "object": 1}))
+
+
+def test_train_seed_overrides_the_config_seed(tmp_path):
+    config = PipelineConfig(**SMALL_CONFIG, num_trees=2)
+    preps = [prepare_frame(small_scene(0), config)]
+
+    def saved(model, name):
+        save_model(model, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    seeded = saved(train_from_preps(preps, config, seed=3), "a.json")
+    assert seeded == saved(train_from_preps(preps, replace(config, seed=3)), "b.json")
+    assert seeded != saved(train_from_preps(preps, config), "c.json")
 
 
 class TestCrossValidate:

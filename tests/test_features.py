@@ -223,6 +223,20 @@ class TestExtract:
         with pytest.raises(FeatureError, match="patch 1 has 2 points"):
             feature_matrix(graph, cloud)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"frame": "camera"}, "requires a gravity-aligned cloud"),
+        ({"normals": None}, "requires per-point normals"),
+    ], ids=["camera_frame", "no_normals"])
+    def test_camera_frame_or_no_normals_raises(self, rng, change, message):
+        pts = rng.uniform(0, 1, (5, 3))
+        cloud = make_cloud(pts, normals=np.tile([0.0, 0.0, 1.0], (5, 1)))
+        graph = PatchGraph(point_to_patch=np.zeros(5, dtype=np.int64),
+                           edges=np.zeros((0, 2), dtype=np.int64), sizes=np.array([5]),
+                           centroids=pts.mean(axis=0, keepdims=True))
+        assert feature_matrix(graph, cloud)[1].shape == (1, FEATURE_DIM)
+        with pytest.raises(InputError, match=message):
+            feature_matrix(graph, cloud.with_(**change))
+
     def test_graph_without_centroids_raises(self, rng):
         """The centroids are the graph's: `oversegment`'s graph has none
         until `refresh_patch_stats` takes them on the aligned cloud."""

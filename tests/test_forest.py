@@ -651,6 +651,16 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="format_version"):
             load_model(path)
 
+    def test_label_set_gate(self, rng, tmp_path):
+        model = train_forest(random_set(rng), ForestParams(seed=0))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = path.read_text()
+        assert doc.count('"labels":["floor",') == 1
+        path.write_text(doc.replace('"labels":["floor",', '"labels":["ground",'))
+        with pytest.raises(ModelFormatError, match="field 'labels' does not match"):
+            load_model(path)
+
     def test_truncated_file_reports_location(self, rng, tmp_path):
         model = train_forest(random_set(rng), ForestParams(seed=0))
         path = tmp_path / "m.json"

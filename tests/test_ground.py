@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from indoorseg import ground
-from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY
+from indoorseg.cloud import FRAME_CAMERA, FRAME_GRAVITY, up_vector
 from indoorseg.errors import FrameDiscardError, InputError
 from indoorseg.ground import (
     GroundPlane,
@@ -112,6 +112,23 @@ class TestEstimate:
         plane = estimate_ground_plane(cloud)
         assert abs(plane.offset) <= 0.02  # the default fit threshold
         assert plane.normal @ [0.0, 0.0, 1.0] > 0
+
+
+    def test_floor_through_the_origin_takes_the_frames_up_vector(self, rng):
+        """A floor through the origin, normal along (0, 1, 1), fitted once as
+        a gravity-frame and once as a camera-frame cloud. Both fits see the
+        same points, so `eigh` returns the same normal for both, and exactly
+        one of them has to flip it to point along its frame's up vector."""
+        y = rng.uniform(-2, 2, 600)
+        pts = np.column_stack([rng.uniform(-2, 2, 600), y, -y])
+        labels = np.full(600, int(Label.FLOOR), dtype=np.uint8)
+        planes = {}
+        for frame in (FRAME_GRAVITY, FRAME_CAMERA):
+            cloud = make_cloud(pts, labels=labels, frame=frame)
+            planes[frame] = estimate_ground_plane(cloud, min_floor_points=100)
+            assert planes[frame].normal @ up_vector(frame) > 0
+            assert abs(planes[frame].offset) <= 1e-12
+        np.testing.assert_array_equal(planes[FRAME_CAMERA].normal, -planes[FRAME_GRAVITY].normal)
 
 
 class TestAlign:

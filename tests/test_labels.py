@@ -42,6 +42,9 @@ def test_mapping_rejects_bad_lines(tmp_path):
     path.write_text("3,sofa\n")
     with pytest.raises(InputError):
         load_label_mapping(path)
+    path.write_text("3,table\n-2,floor\n")
+    with pytest.raises(InputError, match="map.txt:2: raw id must be non-negative"):
+        load_label_mapping(path)
     path.write_bytes(b"\xff\xfe3,table\n")
     with pytest.raises(InputError, match="map.txt: not UTF-8"):
         load_label_mapping(path)
@@ -65,6 +68,11 @@ def test_reduce_raw_zero_is_unknown():
     assert 0 not in mapping
     assert reduce_label(0, mapping) is Label.UNKNOWN
     assert reduce_label_array(np.array([0]), mapping)[0] == Label.UNKNOWN
+
+
+def test_reduce_empty_label_image():
+    reduced = reduce_label_array(np.zeros((0, 4), dtype=np.int32), {5: Label.TABLE})
+    assert reduced.shape == (0, 4) and reduced.dtype == np.uint8
 
 
 def test_reduce_label_array_matches_scalar(rng):

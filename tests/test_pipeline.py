@@ -86,6 +86,12 @@ class TestConfig:
         with pytest.raises(InputError, match="config.json: expected a JSON object"):
             PipelineConfig.load(path)
 
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1,}')
+        with pytest.raises(InputError, match="config.json: invalid config JSON at position 11"):
+            PipelineConfig.load(path)
+
     def test_int_accepted_for_float_and_written_back(self, tmp_path):
         config = PipelineConfig.from_dict({"mrf_lambda": 2, "voxel_resolution": 0.02})
         assert config.mrf_lambda == 2 and type(config.mrf_lambda) is int
@@ -119,6 +125,8 @@ class TestConfig:
             PipelineConfig(mrf_sigma=0.0)
         with pytest.raises(InputError, match="min_patch_points must be >= 3"):
             PipelineConfig(min_patch_points=2)
+        with pytest.raises(InputError, match="normals_k must be >= 3"):
+            PipelineConfig(normals_k=2)
 
 
 class TestGroundModes:
@@ -241,6 +249,8 @@ class TestStages:
                            edges=np.zeros((0, 2), dtype=np.int64), sizes=np.array([2, 4]))
         tied = make_cloud(np.zeros((8, 3)), labels=[3, 1, 5, 2, 5, 2, 0, 0])
         np.testing.assert_array_equal(patch_majority_labels(graph, tied), [1, 2])
+        with pytest.raises(InputError, match="need a ground-truth labeled cloud"):
+            patch_majority_labels(graph, make_cloud(np.zeros((8, 3))))
 
     def test_frame_prep_holds_no_cloud(self):
         """Per point, a prep keeps only the ground truth and the patch map,

@@ -128,6 +128,50 @@ def test_ascii_shortest_lines_still_read(tmp_path):
     np.testing.assert_array_equal(cloud.labels, [1, 7])
 
 
+HEADER_CASE_BASE = ("ply\nformat ascii 1.0\nelement vertex 1\n"
+                    "property float x\nproperty float y\nproperty float z\n"
+                    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+                    "end_header\n1.250000 2.500000 3.750000 10 20 30\n")
+
+
+def read_cloud_text(tmp_path, content):
+    path = tmp_path / "c.ply"
+    path.write_text(content)
+    return read_cloud(path)
+
+
+@pytest.mark.parametrize("old, new, message, at", [
+    ("ply\n", "ply\ncomment " + "x" * 65536 + "\n", "header longer than 64 KiB",
+     "format"),
+    ("format ascii", "format binary_big_endian",
+     "unsupported format line 'format binary_big_endian 1.0'", "format"),
+    ("vertex 1", "vertex one", "bad vertex count 'element vertex one'", "element"),
+    ("vertex 1", "vertex -1", "negative vertex count", "element"),
+    ("float y", "float y z", "bad property line 'property float y z'", "property float y"),
+    ("1.0\n", "1.0\nproperty float w\n", "property outside vertex element", "property float w"),
+    ("format ascii 1.0\n", "", "missing format line", "ply"),
+    ("element vertex 1\nproperty float x\nproperty float y\nproperty float z\n"
+     "property uchar red\nproperty uchar green\nproperty uchar blue\n", "",
+     "missing vertex element", "ply"),
+    ("float z", "uchar z", "property z must be float, got uchar", "property uchar z"),
+    ("uchar green", "float green", "property green must be uchar, got float",
+     "property float green"),
+    # 36 body bytes pass the size pre-check for 3 vertices (2 * 6 * 3 - 1)
+    ("vertex 1", "vertex 3", "payload truncated: header declares 3 vertices, body has 1",
+     None),
+], ids=["header_over_64k", "format", "count_not_int", "count_negative", "property_line",
+        "property_before_element",
+        "no_format", "no_vertex_element", "position_type", "colour_type", "ascii_lines_short"])
+def test_header_and_body_errors_report_offset(tmp_path, old, new, message, at):
+    """Each error names its line's start as the offset (the file's start for
+    a missing line, its end for a short body)."""
+    assert read_cloud_text(tmp_path, HEADER_CASE_BASE).colors.tolist() == [[10, 20, 30]]
+    content = HEADER_CASE_BASE.replace(old, new)
+    with pytest.raises(PlyParseError, match=message) as exc:
+        read_cloud_text(tmp_path, content)
+    assert exc.value.offset == (len(content) if at is None else content.index(at))
+
+
 def test_not_a_ply(tmp_path):
     path = tmp_path / "c.ply"
     path.write_bytes(b"hello\nworld\nend_header\n")

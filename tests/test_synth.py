@@ -25,6 +25,8 @@ def test_spec_validation():
                 {"max_points": -1}):
         with pytest.raises(InputError):
             SceneSpec(**bad)
+    with pytest.raises(InputError, match="furniture counts must be >= 0"):
+        SceneSpec(furniture_counts={"table": 1, "chair": -1})
 
 
 def test_empty_room_has_only_shell_labels():
